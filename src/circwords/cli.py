@@ -18,6 +18,7 @@ from typing import Sequence
 from . import debruijn, invariants, span
 from .errors import CircwordsError
 from .words import (
+    CircularWord,
     count_occurrences,
     enumerate_words,
     parse_circular,
@@ -83,10 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    d = max(2, max((int(c) for c in args.word + args.factor if c.isdigit()), default=0) + 1)
-    w = parse_circular(args.word, d)
-    u = parse_word(args.factor, d)
-    print(count_occurrences(w, u))
+    letters = parse_word(args.word)
+    u = parse_word(args.factor)
+    d = max(2, max(letters + u, default=0) + 1)
+    print(count_occurrences(CircularWord(letters, d), u))
     return EXIT_OK
 
 

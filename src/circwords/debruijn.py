@@ -46,12 +46,6 @@ class DeBruijnGraph:
     def target(edge: Letters) -> Letters:
         return edge[1:]
 
-    def out_edges(self, v: Letters) -> list[Letters]:
-        return [v + (a,) for a in range(self.d)]
-
-    def in_edges(self, v: Letters) -> list[Letters]:
-        return [(a,) + v for a in range(self.d)]
-
 
 def build_graph(d: int, n: int, edge_limit: int = DEFAULT_EDGE_LIMIT) -> DeBruijnGraph:
     """Construct B(d,n), refusing sizes whose edge count exceeds the cap."""
@@ -167,27 +161,14 @@ def cyclomatic_number(g: DeBruijnGraph) -> int:
 def is_spanning_tree(g: DeBruijnGraph, edge_labels: Iterable[WordLike]) -> bool:
     """Whether the labelled edges form a spanning tree of the undirected graph.
 
-    Checks |subset| = |vertices| - 1, acyclicity, and full connectivity;
-    loops and repeated edges fail the acyclicity test.
+    With |vertices| - 1 edges, connected implies acyclic; a loop or a
+    repeated edge wastes one of them and leaves the graph disconnected.
     """
     labels = [_as_edge(g, e) for e in edge_labels]
-    if len(labels) != len(g.vertices) - 1:
-        return False
-    index = {v: i for i, v in enumerate(g.vertices)}
-    parent = list(range(len(g.vertices)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for e in labels:
-        a, b = find(index[e[:-1]]), find(index[e[1:]])
-        if a == b:
-            return False
-        parent[a] = b
-    return len({find(i) for i in range(len(g.vertices))}) == 1
+    return (
+        len(labels) == len(g.vertices) - 1
+        and _undirected_components(g.vertices, labels) == 1
+    )
 
 
 def _as_edge(g: DeBruijnGraph, e: WordLike) -> Letters:

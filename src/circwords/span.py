@@ -7,8 +7,12 @@ span.  For factors of length at most l over d letters that dimension is
 the formula, the independent spanning set {0^l} union {1V}, and the
 basis of factors whose first and last letters are nonzero.
 
-All arithmetic is exact: fraction-free integer elimination for ranks,
-rationals only in the final back-substitution of express_in_span.
+All arithmetic is exact.  One fraction-free elimination kernel serves
+every caller: it reduces a batch of integer rows against a row echelon
+and keeps the independent ones.  exact_rank starts from an empty
+echelon; span_dimension keeps one echelon across lengths and feeds it
+only the rows new at each length; express_in_span reduces the [A | b]
+rows and back-substitutes, with rationals only in that last step.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from . import debruijn
 from .errors import AlphabetMismatchError, NotInSpanError, SizeLimitError
@@ -27,6 +32,7 @@ from .words import (
     Alphabet,
     CircularWord,
     Letters,
+    count_occurrences,
     enumerate_words,
     occurrence_vector,
     word_string,
@@ -54,12 +60,6 @@ class IntegerMatrix:
     @property
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.entries)
 
 
 @dataclass(frozen=True)
@@ -161,37 +161,38 @@ def matrix_csv(words: Sequence[CircularWord], family: FunctionalFamily) -> str:
 
 
 def exact_rank(m: IntegerMatrix) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination.
+    """Rank over the rationals, by fraction-free elimination of the rows."""
+    return _bareiss_rank(m.entries, {})
 
-    Every division below is exact: after k pivot steps each entry is a
-    (k+1)x(k+1) minor of the original matrix, and Sylvester's identity
-    makes the previous pivot a divisor of the cross-multiplied update.
+
+def _bareiss_rank(rows: Collection[Sequence[int]], echelon: dict[int, list[int]]) -> int:
+    """Reduce rows against echelon, keep the independent ones, return the rank.
+
+    echelon maps a leading column to the one kept row whose first
+    nonzero entry is in that column.  Each new row is cleared column by
+    column, fraction-free as in Bareiss's elimination: at a column led
+    by a kept row with entry p, where the row has f, the row becomes
+    (p*row - f*kept)/g with g = gcd(p, f).  Kept rows have zeros before
+    their leading column, so clearing a later column never refills an
+    earlier one.  A row left nonzero is divided by the gcd of its
+    entries and kept under its first nonzero column.
     """
-    return _bareiss_rank([list(r) for r in m.entries], m.ncols)
-
-
-def _bareiss_rank(rows: list[list[int]], ncols: int) -> int:
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot_row = next(
-            (i for i in range(rank, len(rows)) if rows[i][col]), None
-        )
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        p = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            r = rows[i]
+    for r in rows:
+        r = list(r)
+        for col in range(len(r)):
             f = r[col]
-            for j in range(col, ncols):
-                r[j] = (r[j] * pivot - f * p[j]) // prev
-        prev = pivot
-        rank += 1
-        if rank == min(len(rows), ncols):
-            break
-    return rank
+            if not f:
+                continue
+            kept = echelon.get(col)
+            if kept is None:
+                g = math.gcd(*r)
+                echelon[col] = [x // g for x in r]
+                break
+            p = kept[col]
+            g = math.gcd(p, f)
+            p, f = p // g, f // g
+            r = [p * x - f * y for x, y in zip(r, kept)]
+    return len(echelon)
 
 
 def predicted_dimension(d: int, l: int) -> int:
@@ -199,12 +200,17 @@ def predicted_dimension(d: int, l: int) -> int:
     return (d - 1) * d ** (l - 1) + 1
 
 
-def sample_words(d: int, max_len: int, word_limit: int = DEFAULT_WORD_LIMIT) -> list[CircularWord]:
-    """All circular words of each length 1..max_len (raw, not deduplicated)."""
+def _check_word_limit(d: int, max_len: int, word_limit: int) -> None:
+    """The one size cap of the sample: d^max_len words of the top length."""
     if d**max_len > word_limit:
         raise SizeLimitError(
             f"{d}^{max_len} = {d ** max_len} sample words exceed the cap of {word_limit}"
         )
+
+
+def sample_words(d: int, max_len: int, word_limit: int = DEFAULT_WORD_LIMIT) -> list[CircularWord]:
+    """All circular words of each length 1..max_len (raw, not deduplicated)."""
+    _check_word_limit(d, max_len, word_limit)
     out: list[CircularWord] = []
     for m in range(1, max_len + 1):
         out.extend(enumerate_words(d, m))
@@ -260,21 +266,20 @@ def span_dimension(
         max_len = 2 * l + 2
     if max_len < l:
         raise ValueError(f"need max_len >= l, got max_len={max_len} < l={l}")
-    if d**max_len > word_limit:
-        raise SizeLimitError(
-            f"{d}^{max_len} = {d ** max_len} sample words exceed the cap of {word_limit}"
-        )
+    _check_word_limit(d, max_len, word_limit)
     columns = tuple(Alphabet(d).words(l))
-    # Duplicate rows never change the rank, so only distinct count
-    # vectors are kept; this also keeps the elimination small.
-    distinct: set[tuple[int, ...]] = set()
+    echelon: dict[int, list[int]] = {}
     rank_by_length: list[tuple[int, int]] = []
     rank = 0
     for m in range(1, max_len + 1):
-        for w in enumerate_words(d, m):
-            counts = occurrence_vector(w, l).counts
-            distinct.add(tuple(counts.get(u, 0) for u in columns))
-        rank = _bareiss_rank([list(r) for r in distinct], len(columns))
+        # The counts of a length-m word sum to m, so no row of this
+        # length repeats one of an earlier length: the distinct rows of
+        # length m are exactly the new ones, and each is reduced once.
+        batch = {
+            tuple(counts.get(u, 0) for u in columns)
+            for counts in (occurrence_vector(w, l).counts for w in enumerate_words(d, m))
+        }
+        rank = _bareiss_rank(batch, echelon)
         rank_by_length.append((m, rank))
     saturated = (
         len(rank_by_length) >= 3
@@ -369,42 +374,26 @@ def express_in_span(
         raise ValueError("express the length functional via include_length instead")
     words = sample_words(basis.d, max_len, word_limit)
     m = occurrence_matrix(words, basis)
-    t = [count_for(w, target) for w in words]
-    rows = sorted({r + (b,) for r, b in zip(m.entries, t)})
-    return _solve_exact(rows, m.ncols)
+    t = [count_occurrences(w, target) for w in words]
+    return _solve({r + (b,) for r, b in zip(m.entries, t)}, m.ncols)
 
 
-def count_for(w: CircularWord, u: Letters) -> int:
-    """|w|_u via the shared single-scan counter."""
-    return occurrence_vector(w, len(u)).counts.get(tuple(u), 0)
+def _solve(rows: Collection[Sequence[int]], ncols: int) -> tuple[Fraction, ...]:
+    """A solution x of A x = b from the rows [A | b]; free variables are 0.
 
-
-def _solve_exact(
-    rows: Sequence[tuple[int, ...]], ncols: int
-) -> tuple[Fraction, ...]:
-    """Gauss-Jordan over Fractions on [A | b]; free variables become 0."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(mat)):
-        if mat[i][ncols]:
-            raise NotInSpanError("target functional is outside the basis span")
+    Every echelon of a row space has the same leading columns, so the
+    solution with the free variables pinned to zero is the same whatever
+    echelon the kernel builds.
+    """
+    echelon: dict[int, list[int]] = {}
+    _bareiss_rank(rows, echelon)
+    if ncols in echelon:
+        raise NotInSpanError("target functional is outside the basis span")
     solution = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        solution[col] = mat[i][ncols]
+    for col in sorted(echelon, reverse=True):
+        r = echelon[col]
+        rest = sum(r[j] * solution[j] for j in range(col + 1, ncols))
+        solution[col] = (r[ncols] - rest) / Fraction(r[col])
     return tuple(solution)
 
 

@@ -110,19 +110,22 @@ def make_circular(letters, alphabet: Alphabet = BINARY) -> CircularWord:
     return CircularWord(tuple(letters), alphabet.d)
 
 
+#: The letters a word's text may hold: the ASCII digits only.
+_DIGITS = {str(i): i for i in range(10)}
+
+
 def parse_word(text: str, d: int | None = None) -> Letters:
-    """Parse a digit string into a letter tuple.
+    """Parse a string of ASCII digits into a letter tuple.
 
     The alphabet size is max digit + 1 (at least 2) unless d is given.
     """
-    letters = []
-    for ch in text:
-        if not ch.isdigit():
-            raise BadLetterError(f"letter {ch!r} is not a digit")
-        letters.append(int(ch))
+    try:
+        letters = tuple(map(_DIGITS.__getitem__, text))
+    except KeyError as exc:
+        raise BadLetterError(f"letter {exc.args[0]!r} is not a digit") from None
     if d is not None:
-        Alphabet(d).validate(tuple(letters))
-    return tuple(letters)
+        Alphabet(d).validate(letters)
+    return letters
 
 
 def parse_circular(text: str, d: int | None = None) -> CircularWord:

@@ -34,6 +34,10 @@ class TestCount:
         code, _, _ = run_cli("count", "01x", "0")
         assert code == 2
 
+    def test_non_ascii_digit_is_usage_error(self, capsys):
+        assert cli.main(["count", "٠١١", "1"]) == 2
+        assert "is not a digit" in capsys.readouterr().err
+
 
 class TestReport:
     def test_paper_k_plus_one(self, capsys):

@@ -15,6 +15,7 @@ from circwords import (
     all_factors_family,
     build_graph,
     cks_family,
+    count_occurrences,
     cyclomatic_number,
     enumerate_words,
     exact_rank,
@@ -27,7 +28,7 @@ from circwords import (
     verify_cks_basis,
     verify_spanning_set,
 )
-from circwords.span import count_for, format_coefficients, matrix_csv, sample_words
+from circwords.span import _solve, format_coefficients, matrix_csv, sample_words
 from conftest import binary_circular_words, cw, rank_fraction, rank_mod_p, u
 
 ALL_LENGTH_4 = all_factors_family(2, 4)
@@ -35,6 +36,55 @@ ALL_LENGTH_4 = all_factors_family(2, 4)
 
 def words_up_to(d, max_len):
     return [w for m in range(1, max_len + 1) for w in enumerate_words(d, m)]
+
+
+def solve_gauss_jordan(rows, ncols):
+    """Reference solve: Gauss-Jordan over Fractions on [A | b]; free variables 0.
+
+    Returns None when the system is inconsistent.
+    """
+    mat = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    if any(mat[i][ncols] for i in range(r, len(mat))):
+        return None
+    solution = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        solution[col] = mat[i][ncols]
+    return tuple(solution)
+
+
+@st.composite
+def linear_systems(draw):
+    """Small integer [A | b] rows, often with dependent columns or no solution."""
+    ncols = draw(st.integers(1, 5))
+    nrows = draw(st.integers(1, 7))
+    entries = st.integers(-4, 4)
+    a = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    # a copied column leaves a free variable; a random b is often inconsistent
+    if ncols > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(ncols)))[:2]
+        for row in a:
+            row[dst] = row[src]
+    if draw(st.booleans()):
+        b = draw(st.lists(entries, min_size=nrows, max_size=nrows))
+    else:
+        x = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        b = [sum(c * v for c, v in zip(row, x)) for row in a]
+    return [tuple(row) + (bi,) for row, bi in zip(a, b)], ncols
 
 
 class TestOccurrenceMatrix:
@@ -132,6 +182,13 @@ class TestSpanDimension:
         first_hit = ranks.index(report.predicted)
         assert first_hit + 1 <= 2 * l + 2
         assert all(r == report.predicted for r in ranks[first_hit:])
+
+    @pytest.mark.parametrize("d,l", [(2, 3), (3, 2)])
+    def test_rank_trace_matches_rank_of_each_prefix_sample(self, d, l):
+        report = span_dimension(d, l)
+        family = all_factors_family(d, l)
+        for m, rank in report.rank_by_length:
+            assert rank == exact_rank(occurrence_matrix(words_up_to(d, m), family))
 
     def test_unsaturated_sample_warns(self):
         with pytest.warns(UserWarning, match="lower bound"):
@@ -278,9 +335,20 @@ class TestExpressInSpan:
             n = rng.randint(11, 32)
             w = cw("".join(str(rng.randrange(2)) for _ in range(n)))
             combined = sum(
-                c * count_for(w, f) for c, f in zip(coeffs, fam.factors)
+                c * count_occurrences(w, f) for c, f in zip(coeffs, fam.factors)
             )
-            assert combined == count_for(w, target)
+            assert combined == count_occurrences(w, target)
+
+    @settings(max_examples=300)
+    @given(linear_systems())
+    def test_solve_agrees_with_gauss_jordan(self, system):
+        rows, ncols = system
+        expected = solve_gauss_jordan(rows, ncols)
+        if expected is None:
+            with pytest.raises(NotInSpanError):
+                _solve(rows, ncols)
+        else:
+            assert _solve(rows, ncols) == expected
 
     def test_format_coefficients(self):
         fam = FunctionalFamily(d=2, factors=(u("1"),), include_length=True)

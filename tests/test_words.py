@@ -22,6 +22,7 @@ from circwords import (
     mirror,
     occurrence_positions,
     occurrence_vector,
+    parse_circular,
     parse_word,
     reverse,
     rotate,
@@ -64,6 +65,12 @@ class TestConstruction:
     def test_parse_rejects_non_digits(self):
         with pytest.raises(BadLetterError):
             parse_word("01a")
+
+    @pytest.mark.parametrize("text", ["٠١١", "²", "1²0", "0 1"])
+    @pytest.mark.parametrize("parse", [parse_word, parse_circular])
+    def test_parse_accepts_ascii_digits_only(self, parse, text):
+        with pytest.raises(BadLetterError, match="is not a digit"):
+            parse(text)
 
     def test_round_trip(self):
         assert str(cw("010011")) == "010011"
