@@ -206,7 +206,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (CircwordsError, ValueError) as exc:
+    except CircwordsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

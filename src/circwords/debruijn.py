@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import AlphabetMismatchError, SizeLimitError
+from .errors import AlphabetMismatchError, BadParameterError, SizeLimitError
 from .words import (
     Alphabet,
     CircularWord,
@@ -50,9 +50,9 @@ class DeBruijnGraph:
 def build_graph(d: int, n: int, edge_limit: int = DEFAULT_EDGE_LIMIT) -> DeBruijnGraph:
     """Construct B(d,n), refusing sizes whose edge count exceeds the cap."""
     if d < 2:
-        raise ValueError(f"alphabet needs at least 2 letters, got d={d}")
+        raise BadParameterError(f"alphabet needs at least 2 letters, got d={d}")
     if n < 1:
-        raise ValueError(f"vertex word length must be >= 1, got n={n}")
+        raise BadParameterError(f"vertex word length must be >= 1, got n={n}")
     if d ** (n + 1) > edge_limit:
         raise SizeLimitError(
             f"B({d},{n}) has {d ** (n + 1)} edges, above the cap of {edge_limit}"
@@ -117,7 +117,7 @@ class KirchhoffReport:
 def verify_kirchhoff(w: CircularWord, n: int) -> KirchhoffReport:
     """Flow residuals of w at every length-n vertex."""
     if n < 1:
-        raise ValueError(f"vertex word length must be >= 1, got n={n}")
+        raise BadParameterError(f"vertex word length must be >= 1, got n={n}")
     short = occurrence_vector(w, n).counts
     long = occurrence_vector(w, n + 1).counts
     out_res: dict[Letters, int] = {}
@@ -174,7 +174,7 @@ def is_spanning_tree(g: DeBruijnGraph, edge_labels: Iterable[WordLike]) -> bool:
 def _as_edge(g: DeBruijnGraph, e: WordLike) -> Letters:
     e = parse_word(e) if isinstance(e, str) else tuple(e)
     if len(e) != g.n + 1 or any(not 0 <= a < g.d for a in e):
-        raise ValueError(f"{word_string(e)} is not an edge of B({g.d},{g.n})")
+        raise BadParameterError(f"{word_string(e)} is not an edge of B({g.d},{g.n})")
     return e
 
 
@@ -230,5 +230,5 @@ def export_dot(
 def _as_edge_or_vertex(g: DeBruijnGraph, v: WordLike) -> Letters:
     v = parse_word(v) if isinstance(v, str) else tuple(v)
     if len(v) != g.n or any(not 0 <= a < g.d for a in v):
-        raise ValueError(f"{word_string(v)} is not a vertex of B({g.d},{g.n})")
+        raise BadParameterError(f"{word_string(v)} is not a vertex of B({g.d},{g.n})")
     return v

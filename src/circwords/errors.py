@@ -13,6 +13,14 @@ class BadLetterError(CircwordsError):
     """A letter falls outside the alphabet 0..d-1 (or is not a digit)."""
 
 
+class BadParameterError(CircwordsError, ValueError):
+    """A size, length or label argument is out of range or malformed.
+
+    It is also a ValueError, so callers that catch ValueError for a bad
+    argument keep working.
+    """
+
+
 class EmptyFactorError(CircwordsError):
     """Occurrence counting is undefined for the empty factor."""
 

@@ -14,20 +14,23 @@ out of the run structure of W, via its blocks of isolated letters.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import debruijn
-from .errors import BrokenProjectionError
+from .errors import BadParameterError, BrokenProjectionError
 from .words import (
     BINARY,
     CircularWord,
     Letters,
     WordLike,
-    decompose_blocks,
+    _run_blocks,
+    _run_lengths,
+    _run_starts,
+    _windows,
     is_palindrome,
     mirror,
+    occurrence_vector,
     parse_word,
     word_string,
 )
@@ -88,6 +91,18 @@ ROTATION: dict[Letters, Letters] = {
     SQUARE_SOURCE[e]: SQUARE_TARGET[e] for e in POSITIVE_EDGES
 }
 
+#: Each square edge mapped to itself, so one lookup both picks the square
+#: edges out of a factor stream and shares one tuple per edge.
+_RETAIN: dict[Letters, Letters] = {e: e for e in SQUARE_EDGES}
+
+#: The pairs (e, f) of square edges where f leaves the vertex e enters.
+_CONTINUING: frozenset[tuple[Letters, Letters]] = frozenset(
+    (e, f)
+    for e in SQUARE_EDGES
+    for f in SQUARE_EDGES
+    if SQUARE_TARGET[e] == SQUARE_SOURCE[f]
+)
+
 
 @dataclass(frozen=True)
 class Length4Classification:
@@ -130,17 +145,22 @@ def _max_linear_run(u: Letters) -> int:
 
 def _require_binary(w: CircularWord) -> None:
     if w.d != 2:
-        raise ValueError("the occurrence-difference invariant is binary-only")
+        raise BadParameterError("the occurrence-difference invariant is binary-only")
 
 
-def _diffs(counts: Counter) -> tuple[int, int, int, int]:
-    return tuple(counts[p] - counts[mirror(p)] for p in POSITIVE_EDGES)  # type: ignore[return-value]
+_PAIRS = tuple((p, mirror(p)) for p in POSITIVE_EDGES)
+
+
+def _diffs(w: CircularWord) -> tuple[int, int, int, int]:
+    counts = occurrence_vector(w, 4).counts
+    diffs = (counts.get(p, 0) - counts.get(q, 0) for p, q in _PAIRS)
+    return tuple(diffs)  # type: ignore[return-value]
 
 
 def grandsart_differences(w: CircularWord) -> tuple[int, int, int, int]:
     """The four pair differences of length-4 occurrence counts."""
     _require_binary(w)
-    return _diffs(Counter(w.factors(4)))
+    return _diffs(w)
 
 
 @dataclass(frozen=True)
@@ -161,50 +181,66 @@ class SquareProjection:
         return sum(self.epsilons)
 
 
-def _project(edges: Sequence[Letters]) -> SquareProjection:
-    retained = tuple(e for e in edges if e in SQUARE_EDGES)
-    for i, e in enumerate(retained):
-        nxt = retained[(i + 1) % len(retained)]
-        if SQUARE_TARGET[e] != SQUARE_SOURCE[nxt]:
-            raise BrokenProjectionError(
-                f"square path breaks between {word_string(e)} and {word_string(nxt)}"
-            )
+def _project(edges: Iterable[Letters]) -> SquareProjection:
+    """Keep the square edges of a closed edge sequence, in order, and orient them.
+
+    The retained edges must chain, the last one into the first: the set
+    of their consecutive pairs is tested against the allowed pairs, and
+    only when that fails is the sequence walked to name the break.
+    """
+    retained = tuple(filter(None, map(_RETAIN.get, edges)))
+    following = retained[1:] + retained[:1]
+    if not _CONTINUING.issuperset(zip(retained, following)):
+        for e, nxt in zip(retained, following):
+            if (e, nxt) not in _CONTINUING:
+                raise BrokenProjectionError(
+                    f"square path breaks between {word_string(e)} and {word_string(nxt)}"
+                )
     return SquareProjection(
         start_vertex=SQUARE_SOURCE[retained[0]] if retained else None,
         retained_edges=retained,
-        epsilons=tuple(_EPSILON[e] for e in retained),
+        epsilons=tuple(map(_EPSILON.__getitem__, retained)),
     )
+
+
+def _winding(proj: SquareProjection, w: CircularWord) -> int:
+    """The epsilon sum of w's projection divided by 4, which it must divide."""
+    s = proj.epsilon_sum
+    if s % 4:
+        raise BrokenProjectionError(f"epsilon sum {s} of {w} is not a multiple of 4")
+    return s // 4
 
 
 def project_to_square(w: CircularWord) -> SquareProjection:
     """Erase all non-square edges from w's closed path and orient the rest."""
     _require_binary(w)
-    return _project(w.factors(4))
+    return _project(_windows(w.letters, 4))
 
 
 def winding_number_graph(w: CircularWord) -> int:
     """Net turns of the projected path: the epsilon sum divided by 4."""
-    s = project_to_square(w).epsilon_sum
-    if s % 4:
-        raise BrokenProjectionError(f"epsilon sum {s} of {w} is not a multiple of 4")
-    return s // 4
+    return _winding(project_to_square(w), w)
 
 
 def winding_number_decomposition(w: CircularWord) -> int:
     """The winding number read off the isolated-letter blocks.
 
     Counts even-length isolated blocks starting with 0 minus those
-    starting with 1.  A fully alternating word has no anchored blocks
-    and winds zero times.
+    starting with 1.  A word that is one block, all long runs or fully
+    alternating, has no anchored isolated block and winds zero times.
+    An isolated block has one letter per run, so its length is its run
+    count and its first letter that of its first run.
     """
     _require_binary(w)
-    dec = decompose_blocks(w)
-    if dec.whole_word_alternating:
+    letters = w.letters
+    starts = _run_starts(letters)
+    blocks = _run_blocks(_run_lengths(starts, w.n))
+    if len(blocks) == 1:
         return 0
     k = 0
-    for b in dec.isolated_blocks():
-        if b.length % 2 == 0:
-            k += 1 if b.start_letter == 0 else -1
+    for first, end, isolated in blocks:
+        if isolated and (end - first) % 2 == 0:
+            k += 1 - 2 * letters[starts[first]]
     return k
 
 
@@ -238,17 +274,16 @@ class GrandsartReport:
 
 
 def grandsart_report(w: CircularWord) -> GrandsartReport:
-    """Assemble diffs and both winding numbers, sharing one factor scan."""
+    """The diffs and both winding numbers, each from its own scan of w.
+
+    The diffs come from the length-4 counts, k_graph from the ordered
+    walk of the square edges, k_decomposition from the run structure.
+    """
     _require_binary(w)
-    edges = w.factors(4)
-    proj = _project(edges)
-    s = proj.epsilon_sum
-    if s % 4:
-        raise BrokenProjectionError(f"epsilon sum {s} of {w} is not a multiple of 4")
     return GrandsartReport(
         word=w,
-        diffs=_diffs(Counter(edges)),
-        k_graph=s // 4,
+        diffs=_diffs(w),
+        k_graph=_winding(_project(_windows(w.letters, 4)), w),
         k_decomposition=winding_number_decomposition(w),
     )
 
@@ -275,5 +310,5 @@ def square_graph_dot(highlight: Iterable[WordLike] | None = None) -> str:
 def _as_square_edge(e: WordLike) -> Letters:
     e = parse_word(e) if isinstance(e, str) else tuple(e)
     if e not in SQUARE_EDGES:
-        raise ValueError(f"{word_string(e)} is not a square-graph edge")
+        raise BadParameterError(f"{word_string(e)} is not a square-graph edge")
     return e

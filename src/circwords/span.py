@@ -27,7 +27,12 @@ from fractions import Fraction
 from typing import Collection, Iterable, Sequence
 
 from . import debruijn
-from .errors import AlphabetMismatchError, NotInSpanError, SizeLimitError
+from .errors import (
+    AlphabetMismatchError,
+    BadParameterError,
+    NotInSpanError,
+    SizeLimitError,
+)
 from .words import (
     Alphabet,
     CircularWord,
@@ -51,7 +56,7 @@ class IntegerMatrix:
     def __post_init__(self) -> None:
         widths = {len(r) for r in self.entries}
         if len(widths) > 1:
-            raise ValueError("ragged rows")
+            raise BadParameterError("ragged rows")
 
     @property
     def nrows(self) -> int:
@@ -77,11 +82,11 @@ class FunctionalFamily:
 
     def __post_init__(self) -> None:
         if len(set(self.factors)) != len(self.factors):
-            raise ValueError("duplicate factors in family")
+            raise BadParameterError("duplicate factors in family")
         alphabet = Alphabet(self.d)
         for u in self.factors:
             if len(u) == 0:
-                raise ValueError("use include_length for the empty factor")
+                raise BadParameterError("use include_length for the empty factor")
             alphabet.validate(u)
 
     @property
@@ -195,6 +200,16 @@ def _bareiss_rank(rows: Collection[Sequence[int]], echelon: dict[int, list[int]]
     return len(echelon)
 
 
+def _sample_rank(words: Sequence[CircularWord], family: FunctionalFamily) -> int:
+    """Rank of the family's counts on the sample words.
+
+    A repeated row adds nothing to the row space, so each distinct row
+    goes to the kernel once, in the order it first occurs.
+    """
+    rows = occurrence_matrix(words, family).entries
+    return exact_rank(IntegerMatrix(tuple(dict.fromkeys(rows))))
+
+
 def predicted_dimension(d: int, l: int) -> int:
     """(d-1) d^(l-1) + 1, the cyclomatic number of B(d,l-1)."""
     return (d - 1) * d ** (l - 1) + 1
@@ -262,10 +277,12 @@ def span_dimension(
     alphabet; an unsaturated result triggers a warning since the rank is
     then only a lower bound on the dimension.
     """
+    if l < 1:
+        raise BadParameterError(f"factor length must be >= 1, got {l}")
     if max_len is None:
         max_len = 2 * l + 2
     if max_len < l:
-        raise ValueError(f"need max_len >= l, got max_len={max_len} < l={l}")
+        raise BadParameterError(f"need max_len >= l, got max_len={max_len} < l={l}")
     _check_word_limit(d, max_len, word_limit)
     columns = tuple(Alphabet(d).words(l))
     echelon: dict[int, list[int]] = {}
@@ -317,15 +334,14 @@ def verify_spanning_set(
     tree of B(2,l-1).
     """
     if d != 2:
-        raise ValueError("the 1V spanning set is defined for binary words")
+        raise BadParameterError("the 1V spanning set is defined for binary words")
     words = sample_words(d, max_len, word_limit)
     family = spanning_set_family(l)
     expected = predicted_dimension(d, l)
-    rank = exact_rank(occurrence_matrix(words, family))
-    if rank != expected:
+    if _sample_rank(words, family) != expected:
         return False
     full = family.extended(Alphabet(d).words(l))
-    if exact_rank(occurrence_matrix(words, full)) != expected:
+    if _sample_rank(words, full) != expected:
         return False
     tree_edges = [u for u in family.factors if u[0] == 1 and u != (1,) * l]
     return debruijn.is_spanning_tree(debruijn.build_graph(2, l - 1), tree_edges)
@@ -347,12 +363,12 @@ def verify_cks_basis(
     words = sample_words(d, max_len, word_limit)
     basis = cks_family(d, l)
     expected = predicted_dimension(d, l)
-    if exact_rank(occurrence_matrix(words, basis)) != expected:
+    if _sample_rank(words, basis) != expected:
         return False
     everything = basis.extended(
         u for m in range(1, l + 1) for u in Alphabet(d).words(m)
     )
-    return exact_rank(occurrence_matrix(words, everything)) == expected
+    return _sample_rank(words, everything) == expected
 
 
 def express_in_span(
@@ -371,7 +387,7 @@ def express_in_span(
     target = tuple(target)
     Alphabet(basis.d).validate(target)
     if len(target) == 0:
-        raise ValueError("express the length functional via include_length instead")
+        raise BadParameterError("express the length functional via include_length instead")
     words = sample_words(basis.d, max_len, word_limit)
     m = occurrence_matrix(words, basis)
     t = [count_occurrences(w, target) for w in words]
@@ -416,7 +432,7 @@ def marginalization_check(w: CircularWord, l: int) -> bool:
     |W|_V over the length-l words V having U as a prefix.
     """
     if l < 2:
-        raise ValueError(f"marginalization needs l >= 2, got {l}")
+        raise BadParameterError(f"marginalization needs l >= 2, got {l}")
     alphabet = Alphabet(w.d)
     long_counts = occurrence_vector(w, l).counts
     for m in range(1, l):

@@ -13,12 +13,13 @@ immutable value and safe to share between workers.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
 from typing import Iterator, Mapping, Union
 
-from .errors import BadLetterError, EmptyFactorError, EmptyWordError
+from .errors import BadLetterError, BadParameterError, EmptyFactorError, EmptyWordError
 
 Letters = tuple[int, ...]
 
@@ -37,9 +38,11 @@ class Alphabet:
             raise BadLetterError(f"alphabet needs at least 2 letters, got d={self.d}")
 
     def validate(self, letters: Letters) -> None:
-        for a in letters:
-            if not 0 <= a < self.d:
-                raise BadLetterError(f"letter {a} outside alphabet 0..{self.d - 1}")
+        allowed = range(self.d)
+        if set(letters).issubset(allowed):
+            return
+        bad = next(a for a in letters if a not in allowed)
+        raise BadLetterError(f"letter {bad} outside alphabet 0..{self.d - 1}")
 
     def words(self, l: int) -> Iterator[Letters]:
         """All d^l words of length l, lexicographically."""
@@ -79,10 +82,7 @@ class CircularWord:
 
     def factors(self, l: int) -> list[Letters]:
         """All n factors of length l in position order (one per position)."""
-        n = self.n
-        reps = (n + l - 1 + n - 1) // n  # enough copies to cover i + l - 1
-        ext = self.letters * reps
-        return [ext[i : i + l] for i in range(n)]
+        return list(_windows(self.letters, l))
 
     def rotate(self, s: int) -> "CircularWord":
         """Shift indices by s: position i of the result reads position i+s."""
@@ -95,7 +95,7 @@ class CircularWord:
     def complement(self) -> "CircularWord":
         """Exchange 0 and 1 (binary words only)."""
         if self.d != 2:
-            raise ValueError("complement is defined for binary words")
+            raise BadParameterError("complement is defined for binary words")
         return CircularWord(tuple(1 - a for a in self.letters), 2)
 
     def __str__(self) -> str:
@@ -103,6 +103,22 @@ class CircularWord:
 
     def __repr__(self) -> str:
         return f"CircularWord({self}, d={self.d})"
+
+
+def _windows(letters: Letters, l: int) -> Iterator[Letters]:
+    """The n circular factors of length l, in position order, one at a time.
+
+    The letters are extended by their first l-1 (wrapping as often as
+    needed), and l shifted slices of the extension are zipped, so each
+    factor is built in C and none is kept unless the caller keeps it.
+    For l < 1 every factor is empty.
+    """
+    n = len(letters)
+    if l < 1:
+        return itertools.repeat((), n)
+    reps, extra = divmod(l - 1, n)
+    ext = letters * (reps + 1) + letters[:extra]
+    return zip(*(ext[j : j + n] for j in range(l)))
 
 
 def make_circular(letters, alphabet: Alphabet = BINARY) -> CircularWord:
@@ -114,23 +130,31 @@ def make_circular(letters, alphabet: Alphabet = BINARY) -> CircularWord:
 _DIGITS = {str(i): i for i in range(10)}
 
 
+def _digits(text: str) -> Letters:
+    try:
+        return tuple(map(_DIGITS.__getitem__, text))
+    except KeyError as exc:
+        raise BadLetterError(f"letter {exc.args[0]!r} is not a digit") from None
+
+
 def parse_word(text: str, d: int | None = None) -> Letters:
     """Parse a string of ASCII digits into a letter tuple.
 
-    The alphabet size is max digit + 1 (at least 2) unless d is given.
+    The letters are checked against the alphabet 0..d-1 when d is given.
     """
-    try:
-        letters = tuple(map(_DIGITS.__getitem__, text))
-    except KeyError as exc:
-        raise BadLetterError(f"letter {exc.args[0]!r} is not a digit") from None
+    letters = _digits(text)
     if d is not None:
         Alphabet(d).validate(letters)
     return letters
 
 
 def parse_circular(text: str, d: int | None = None) -> CircularWord:
-    """Parse a digit string into a circular word (see parse_word)."""
-    letters = parse_word(text, d)
+    """Parse a digit string into a circular word over 0..d-1.
+
+    The alphabet size is max digit + 1 (at least 2) unless d is given;
+    CircularWord checks the letters against it.
+    """
+    letters = _digits(text)
     if d is None:
         d = max(2, max(letters, default=0) + 1)
     return CircularWord(letters, d)
@@ -150,7 +174,7 @@ def count_occurrences(w: CircularWord, u: Letters) -> int:
     if len(u) == 0:
         raise EmptyFactorError("occurrence counting needs a non-empty factor")
     Alphabet(w.d).validate(u)
-    return sum(1 for f in w.factors(len(u)) if f == u)
+    return operator.countOf(_windows(w.letters, len(u)), u)
 
 
 def occurrence_positions(w: CircularWord, u: Letters) -> tuple[int, ...]:
@@ -159,7 +183,8 @@ def occurrence_positions(w: CircularWord, u: Letters) -> tuple[int, ...]:
     if len(u) == 0:
         raise EmptyFactorError("occurrence counting needs a non-empty factor")
     Alphabet(w.d).validate(u)
-    return tuple(i for i, f in enumerate(w.factors(len(u))) if f == u)
+    hits = map(u.__eq__, _windows(w.letters, len(u)))
+    return tuple(itertools.compress(range(w.n), hits))
 
 
 @dataclass(frozen=True)
@@ -179,7 +204,7 @@ class OccurrenceVector:
     def __getitem__(self, u: WordLike) -> int:
         u = _as_letters(u)
         if len(u) != self.l:
-            raise ValueError(f"expected a factor of length {self.l}, got {u}")
+            raise BadParameterError(f"expected a factor of length {self.l}, got {u}")
         return self.counts.get(u, 0)
 
     def nonzero(self) -> dict[Letters, int]:
@@ -194,8 +219,8 @@ class OccurrenceVector:
 def occurrence_vector(w: CircularWord, l: int) -> OccurrenceVector:
     """Count every length-l factor of w in one scan."""
     if l < 1:
-        raise ValueError(f"factor length must be >= 1, got {l}")
-    counts = Counter(w.factors(l))
+        raise BadParameterError(f"factor length must be >= 1, got {l}")
+    counts = Counter(_windows(w.letters, l))
     return OccurrenceVector(l=l, d=w.d, total=w.n, counts=dict(counts))
 
 
@@ -224,21 +249,49 @@ class Run:
     length: int
 
 
+def _run_starts(letters: Letters) -> list[int]:
+    """Start positions of the maximal runs, increasing; [0] for a constant word.
+
+    Position i starts a run when its letter differs from the one before
+    it, circularly: one C-level pass comparing the letters with their
+    rotation by one.
+    """
+    changed = map(operator.ne, letters, letters[-1:] + letters[:-1])
+    return list(itertools.compress(range(len(letters)), changed)) or [0]
+
+
+def _run_lengths(starts: list[int], n: int) -> list[int]:
+    """The length of each run, from the run starts of a word of length n."""
+    return list(map(operator.sub, starts[1:] + [starts[0] + n], starts))
+
+
+def _run_blocks(lengths: list[int]) -> list[tuple[int, int, bool]]:
+    """Group the runs into maximal circular arcs of one kind.
+
+    A run of length 1 is isolated, a longer one long.  Each block is
+    (first, end, isolated): runs first..end-1, run indices taken modulo
+    the number of runs m.  Blocks start at the first run whose kind
+    differs from the run before it and follow the circle from there; when
+    every run has the same kind the result is the one block (0, m, kind).
+    """
+    m = len(lengths)
+    isolated = list(map((1).__eq__, lengths))
+    changed = map(operator.ne, isolated, isolated[-1:] + isolated[:-1])
+    firsts = list(itertools.compress(range(m), changed))
+    if not firsts:
+        return [(0, m, isolated[0])]
+    ends = firsts[1:] + [firsts[0] + m]
+    return list(zip(firsts, ends, map(isolated.__getitem__, firsts)))
+
+
 def runs(w: CircularWord) -> tuple[Run, ...]:
     """Maximal-run decomposition in order of start position.
 
     A constant word yields the single run covering the whole word.
     """
-    n = w.n
-    letters = w.letters
-    starts = [i for i in range(n) if letters[i] != letters[i - 1]]
-    if not starts:
-        return (Run(letters[0], 0, n),)
-    out = []
-    for j, s in enumerate(starts):
-        nxt = starts[(j + 1) % len(starts)]
-        out.append(Run(letters[s], s, (nxt - s) % n or n))
-    return tuple(out)
+    starts = _run_starts(w.letters)
+    lengths = _run_lengths(starts, w.n)
+    return tuple(map(Run, map(w.letters.__getitem__, starts), starts, lengths))
 
 
 @dataclass(frozen=True)
@@ -304,7 +357,7 @@ class BlockDecomposition:
                     for j in range(r.length):
                         out[(r.start + j) % self.n] = r.letter
         if any(a is None for a in out):
-            raise ValueError("blocks do not cover the word")
+            raise BadParameterError("blocks do not cover the word")
         return CircularWord(tuple(out), 2)
 
 
@@ -317,43 +370,28 @@ def decompose_blocks(w: CircularWord) -> BlockDecomposition:
     single unanchored IsolatedBlock with the alternating flag set.
     """
     if w.d != 2:
-        raise ValueError("block decomposition is defined for binary words")
+        raise BadParameterError("block decomposition is defined for binary words")
     rs = runs(w)
-    kinds = [r.length == 1 for r in rs]  # True = isolated
-    if all(kinds):
-        return BlockDecomposition(
-            n=w.n,
-            blocks=(IsolatedBlock(letters=w.letters, start=None),),
-            whole_word_alternating=True,
-        )
-    if not any(kinds):
+    grouped = _run_blocks([r.length for r in rs])
+    if len(grouped) == 1:
+        if grouped[0][2]:
+            return BlockDecomposition(
+                n=w.n,
+                blocks=(IsolatedBlock(letters=w.letters, start=None),),
+                whole_word_alternating=True,
+            )
         return BlockDecomposition(
             n=w.n, blocks=(LongRunBlock(rs),), whole_word_alternating=False
         )
     m = len(rs)
-    first = next(i for i in range(m) if kinds[i] != kinds[i - 1])
-    order = [(first + j) % m for j in range(m)]
     blocks: list[Block] = []
-    group: list[Run] = []
-
-    def flush() -> None:
-        if not group:
-            return
-        if group[0].length == 1:
-            blocks.append(
-                IsolatedBlock(
-                    letters=tuple(r.letter for r in group), start=group[0].start
-                )
-            )
+    for first, end, isolated in grouped:
+        group = [rs[j % m] for j in range(first, end)]
+        if isolated:
+            letters = tuple(r.letter for r in group)
+            blocks.append(IsolatedBlock(letters=letters, start=group[0].start))
         else:
             blocks.append(LongRunBlock(tuple(group)))
-        group.clear()
-
-    for i in order:
-        if group and (group[0].length == 1) != kinds[i]:
-            flush()
-        group.append(rs[i])
-    flush()
     return BlockDecomposition(n=w.n, blocks=tuple(blocks), whole_word_alternating=False)
 
 
@@ -378,7 +416,7 @@ def canonical_rotation(w: CircularWord) -> CircularWord:
 def enumerate_words(d: int, n: int) -> Iterator[CircularWord]:
     """All d^n circular words of length n, lexicographically."""
     if n < 1:
-        raise ValueError(f"word length must be >= 1, got {n}")
+        raise BadParameterError(f"word length must be >= 1, got {n}")
     for letters in Alphabet(d).words(n):
         yield CircularWord(letters, d)
 

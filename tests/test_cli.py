@@ -4,7 +4,9 @@ import json
 import subprocess
 import sys
 
-from circwords import cli, parse_circular
+import pytest
+
+from circwords import cli, invariants, parse_circular
 
 
 def run_cli(*args):
@@ -183,6 +185,32 @@ class TestDot:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--l", "4", "--max-len", "2"],
+            ["rank", "--d", "3", "--spanning-set"],
+            ["rank", "--l", "0"],
+            ["rank", "--l", "-1"],
+            ["rank", "--l", "1", "--spanning-set"],
+            ["dot", "--n", "0"],
+            ["dot", "--d", "1"],
+            ["dot", "--highlight", "0"],
+            ["dot", "--square", "--highlight", "000"],
+        ],
+    )
+    def test_bad_parameters_are_usage_errors(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(w):
+            raise ValueError("bug in the report")
+
+        monkeypatch.setattr(invariants, "grandsart_report", broken)
+        with pytest.raises(ValueError, match="bug in the report"):
+            cli.main(["verify", "--max-len", "3"])
+
     def test_missing_subcommand(self):
         code, _, _ = run_cli()
         assert code == 2

@@ -19,6 +19,7 @@ from circwords import (
     verify_kirchhoff,
     word_string,
 )
+from circwords import debruijn
 from circwords.debruijn import connected_components
 from conftest import binary_circular_words, cw, scan_count, u
 
@@ -162,6 +163,24 @@ class TestKirchhoff:
             in_sum = sum(scan_count(w, (a,) + vertex) for a in (0, 1))
             assert report.out_residuals[vertex] == c - out_sum == 0
             assert report.in_residuals[vertex] == c - in_sum == 0
+
+    def test_miscounted_vertex_shows_in_both_residuals(self, monkeypatch):
+        # the vertex counts are counted directly, not summed from the
+        # edge counts, so a wrong vertex count shows up on both sides
+        counted = debruijn.occurrence_vector
+
+        def off_by_one(w, l):
+            ov = counted(w, l)
+            if l == 3:
+                counts = dict(ov.counts)
+                counts[u("010")] = counts.get(u("010"), 0) + 1
+                ov = type(ov)(l=ov.l, d=ov.d, total=ov.total, counts=counts)
+            return ov
+
+        monkeypatch.setattr(debruijn, "occurrence_vector", off_by_one)
+        report = verify_kirchhoff(cw("010011"), 3)
+        assert not report.ok
+        assert report.violations() == [("out", u("010"), 1), ("in", u("010"), 1)]
 
     @given(binary_circular_words(max_n=32), st.integers(1, 4))
     def test_always_holds(self, w, n):

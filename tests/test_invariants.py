@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circwords import (
+    BrokenProjectionError,
     classify_length4,
     complement,
+    decompose_blocks,
     enumerate_words,
     grandsart_differences,
     grandsart_report,
@@ -20,6 +22,7 @@ from circwords import (
     winding_number_graph,
     word_string,
 )
+from circwords import invariants
 from circwords.invariants import (
     NEGATIVE_EDGES,
     POSITIVE_EDGES,
@@ -28,6 +31,7 @@ from circwords.invariants import (
     SQUARE_SOURCE,
     SQUARE_TARGET,
     SQUARE_VERTICES,
+    SquareProjection,
     square_graph_dot,
 )
 from conftest import binary_circular_words, cw, u
@@ -167,6 +171,34 @@ class TestProjection:
                 assert diffs_of(remaining) == base
 
 
+class TestContinuityCheck:
+    """The checks behind k_graph raise on edge data no word can produce."""
+
+    def test_repeated_edge_breaks_the_path(self):
+        # 0011 runs 001 -> 110, so it cannot follow itself
+        with pytest.raises(BrokenProjectionError, match="between 0011 and 0011"):
+            invariants._project([u("0011"), u("0011")])
+
+    def test_break_is_named_inside_a_longer_walk(self):
+        edges = [u("0011"), u("1101"), u("0011"), u("1010"), u("0100")]
+        with pytest.raises(BrokenProjectionError, match="between 1101 and 0011"):
+            invariants._project(edges)
+
+    def test_epsilon_sum_not_a_multiple_of_four(self):
+        edges = (u("0011"), u("1101"))
+        proj = SquareProjection(
+            start_vertex=SQUARE_SOURCE[edges[0]], retained_edges=edges, epsilons=(1, 1)
+        )
+        message = "epsilon sum 2 of 0011 is not a multiple of 4"
+        with pytest.raises(BrokenProjectionError, match=message):
+            invariants._winding(proj, cw("0011"))
+
+    def test_report_raises_on_a_bad_epsilon_sum(self, monkeypatch):
+        monkeypatch.setitem(invariants._EPSILON, u("0011"), 3)
+        with pytest.raises(BrokenProjectionError, match="not a multiple of 4"):
+            grandsart_report(cw("0011"))
+
+
 class TestWindingNumbers:
     def test_paper_examples(self):
         assert winding_number_graph(cw("010011")) == 1
@@ -177,6 +209,27 @@ class TestWindingNumbers:
     def test_trivial_words(self):
         assert winding_number_graph(cw("1111")) == 0
         assert winding_number_decomposition(cw("0101")) == 0
+
+    @given(
+        st.one_of(
+            binary_circular_words(max_n=300),
+            st.integers(1, 300).flatmap(
+                lambda n: st.sampled_from(
+                    [cw("0" * n), cw("1" * n), cw(("01" * n)[:n]), cw(("10" * n)[:n])]
+                )
+            ),
+        )
+    )
+    def test_decomposition_matches_the_block_records(self, w):
+        # signed count of even-length isolated blocks, read off the records;
+        # an unanchored (fully alternating) word winds zero times
+        dec = decompose_blocks(w)
+        expected = 0
+        if not dec.whole_word_alternating:
+            for b in dec.isolated_blocks():
+                if b.length % 2 == 0:
+                    expected += 1 if b.start_letter == 0 else -1
+        assert winding_number_decomposition(w) == expected
 
     def test_higher_winding(self):
         # repeating a word m times multiplies every count, hence k, by m

@@ -28,6 +28,7 @@ from circwords import (
     verify_cks_basis,
     verify_spanning_set,
 )
+from circwords import span
 from circwords.span import _solve, format_coefficients, matrix_csv, sample_words
 from conftest import binary_circular_words, cw, rank_fraction, rank_mod_p, u
 
@@ -292,6 +293,25 @@ class TestCksBasis:
 
     def test_ternary_case(self):
         assert verify_cks_basis(3, 2, 6)
+
+    @pytest.mark.parametrize(
+        "check", [lambda: verify_cks_basis(2, 4, 10), lambda: verify_spanning_set(10)]
+    )
+    def test_kernel_sees_each_distinct_row_once(self, check, monkeypatch):
+        batches = []
+        kernel = span._bareiss_rank
+
+        def recording(rows, echelon):
+            batches.append(list(rows))
+            return kernel(rows, echelon)
+
+        monkeypatch.setattr(span, "_bareiss_rank", recording)
+        assert check()
+        assert len(batches) == 2
+        for rows in batches:
+            assert len(rows) == len(set(rows))
+        # 2046 sample words up to length 10, far fewer distinct count rows
+        assert all(len(rows) < 300 for rows in batches)
 
 
 class TestExpressInSpan:

@@ -1,5 +1,7 @@
 """Circular words: construction, counting, runs, blocks, rotations."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -52,6 +54,18 @@ class TestConstruction:
     def test_bad_letter_rejected(self):
         with pytest.raises(BadLetterError):
             make_circular([0, 2])
+
+    @pytest.mark.parametrize("letters", [(0, 1, 2, 0), (-1, 0), (0, 1, 0.5)])
+    def test_bad_letter_is_named(self, letters):
+        bad = next(a for a in letters if a not in (0, 1))
+        with pytest.raises(BadLetterError, match=f"letter {bad} outside alphabet 0..1"):
+            make_circular(letters)
+
+    def test_parse_circular_checks_against_the_given_alphabet(self):
+        with pytest.raises(BadLetterError, match="letter 2 outside alphabet 0..1"):
+            parse_circular("0120", 2)
+        with pytest.raises(EmptyWordError):
+            parse_circular("", 2)
 
     def test_alphabet_needs_two_letters(self):
         with pytest.raises(BadLetterError):
@@ -150,6 +164,15 @@ class TestOccurrenceVector:
     def test_mirror_duality(self, w, l):
         mirrored = {mirror(f): c for f, c in occurrence_vector(w, l).counts.items()}
         assert occurrence_vector(reverse(w), l).counts == mirrored
+
+    @given(circular_words_any_alphabet(max_n=30), st.data())
+    def test_counts_match_per_position_slicing(self, w, data):
+        # reference: one factor per position, sliced from the word repeated
+        # enough times; l runs past n, where factors wrap more than once
+        l = data.draw(st.integers(1, w.n + 3))
+        ext = w.letters * (l // w.n + 2)
+        expected = Counter(ext[i : i + l] for i in range(w.n))
+        assert occurrence_vector(w, l).counts == expected
 
     def test_mirror_duality_exhaustive_small(self):
         for n in range(1, 11):
