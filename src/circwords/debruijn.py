@@ -14,19 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import AlphabetMismatchError, BadParameterError, SizeLimitError
+from .errors import AlphabetMismatchError, BadParameterError
 from .words import (
+    DEFAULT_SIZE_LIMIT,
     Alphabet,
     CircularWord,
     Letters,
     WordLike,
+    check_size,
     occurrence_vector,
     parse_word,
     word_string,
 )
 
-#: Default cap on d^(n+1), the number of edges of a constructed graph.
-DEFAULT_EDGE_LIMIT = 1 << 20
+#: Default cap on d^(n+1), the number of edges of B(d,n).
+DEFAULT_EDGE_LIMIT = DEFAULT_SIZE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -53,10 +55,7 @@ def build_graph(d: int, n: int, edge_limit: int = DEFAULT_EDGE_LIMIT) -> DeBruij
         raise BadParameterError(f"alphabet needs at least 2 letters, got d={d}")
     if n < 1:
         raise BadParameterError(f"vertex word length must be >= 1, got n={n}")
-    if d ** (n + 1) > edge_limit:
-        raise SizeLimitError(
-            f"B({d},{n}) has {d ** (n + 1)} edges, above the cap of {edge_limit}"
-        )
+    check_size(d, n + 1, "edges", edge_limit)
     alphabet = Alphabet(d)
     return DeBruijnGraph(
         d=d,
@@ -115,9 +114,14 @@ class KirchhoffReport:
 
 
 def verify_kirchhoff(w: CircularWord, n: int) -> KirchhoffReport:
-    """Flow residuals of w at every length-n vertex."""
+    """Flow residuals of w at every length-n vertex.
+
+    Like build_graph, refuses a B(d,n) with more than DEFAULT_EDGE_LIMIT
+    edges, since every vertex gets a residual.
+    """
     if n < 1:
         raise BadParameterError(f"vertex word length must be >= 1, got n={n}")
+    check_size(w.d, n + 1, "edges", DEFAULT_EDGE_LIMIT)
     short = occurrence_vector(w, n).counts
     long = occurrence_vector(w, n + 1).counts
     out_res: dict[Letters, int] = {}

@@ -7,6 +7,10 @@ span.  For factors of length at most l over d letters that dimension is
 the formula, the independent spanning set {0^l} union {1V}, and the
 basis of factors whose first and last letters are nonzero.
 
+Every count |W|_U is the same on all rotations of W, so the sample
+holds one word per rotation class, the necklaces: the same distinct
+count rows as all d^m words of each length, from about d^m/m words.
+
 All arithmetic is exact.  One fraction-free elimination kernel serves
 every caller: it reduces a batch of integer rows against a row echelon
 and keeps the independent ones.  exact_rank starts from an empty
@@ -21,6 +25,7 @@ import csv
 import io
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,20 +36,21 @@ from .errors import (
     AlphabetMismatchError,
     BadParameterError,
     NotInSpanError,
-    SizeLimitError,
 )
 from .words import (
+    DEFAULT_SIZE_LIMIT,
     Alphabet,
     CircularWord,
     Letters,
+    check_size,
     count_occurrences,
-    enumerate_words,
+    enumerate_necklaces,
     occurrence_vector,
     word_string,
 )
 
-#: Default cap on d^max_len, the number of sample words of the top length.
-DEFAULT_WORD_LIMIT = 1 << 20
+#: Default cap on d^max_len, the number of words of the top sample length.
+DEFAULT_WORD_LIMIT = DEFAULT_SIZE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -215,21 +221,32 @@ def predicted_dimension(d: int, l: int) -> int:
     return (d - 1) * d ** (l - 1) + 1
 
 
-def _check_word_limit(d: int, max_len: int, word_limit: int) -> None:
-    """The one size cap of the sample: d^max_len words of the top length."""
-    if d**max_len > word_limit:
-        raise SizeLimitError(
-            f"{d}^{max_len} = {d ** max_len} sample words exceed the cap of {word_limit}"
-        )
+def _flow_relations(d: int, l: int) -> list[list[int]]:
+    """The flow law of B(d,l-1) as rows over the d^l length-l columns.
+
+    Row v is sum_a x[va] - sum_a x[av]: both sums are |W|_v for every
+    circular word W, so every count row is orthogonal to every relation.
+    With the columns in lexicographic order and v read in base d,
+    column va is v*d + a and column av is a*d^(l-1) + v.
+    """
+    vertices = d ** (l - 1)
+    relations = []
+    for v in range(vertices):
+        row = [0] * (vertices * d)
+        for a in range(d):
+            row[v * d + a] += 1
+            row[a * vertices + v] -= 1
+        relations.append(row)
+    return relations
 
 
 def sample_words(d: int, max_len: int, word_limit: int = DEFAULT_WORD_LIMIT) -> list[CircularWord]:
-    """All circular words of each length 1..max_len (raw, not deduplicated)."""
-    _check_word_limit(d, max_len, word_limit)
-    out: list[CircularWord] = []
-    for m in range(1, max_len + 1):
-        out.extend(enumerate_words(d, m))
-    return out
+    """The necklaces of each length 1..max_len, one per rotation class.
+
+    The cap is on d^max_len, the number of all words of the top length.
+    """
+    check_size(d, max_len, "sample words", word_limit)
+    return [w for m in range(1, max_len + 1) for w in enumerate_necklaces(d, m)]
 
 
 @dataclass(frozen=True)
@@ -237,7 +254,10 @@ class SpanReport:
     """Measured rank of the length-l occurrence functionals.
 
     rank_by_length traces the cumulative rank as words of each length
-    join the sample; saturated means the last two lengths added nothing.
+    join the sample.  saturated means the rank is proven to be the
+    dimension: every sample row obeys the flow relations R of B(d,l-1),
+    as every count row of a circular word does, so d^l - rank(R) bounds
+    the dimension from above, and the sample's rank reaches that bound.
     """
 
     d: int
@@ -273,7 +293,8 @@ def span_dimension(
 ) -> SpanReport:
     """Rank of the matrix of all length-l counts over words up to max_len.
 
-    max_len defaults to 2l+2, which saturates the rank for every tested
+    The sample holds the necklaces of each length 1..max_len.  max_len
+    defaults to 2l+2, which saturates the rank for every tested
     alphabet; an unsaturated result triggers a warning since the rank is
     then only a lower bound on the dimension.
     """
@@ -283,8 +304,11 @@ def span_dimension(
         max_len = 2 * l + 2
     if max_len < l:
         raise BadParameterError(f"need max_len >= l, got max_len={max_len} < l={l}")
-    _check_word_limit(d, max_len, word_limit)
+    check_size(d, max_len, "sample words", word_limit)
     columns = tuple(Alphabet(d).words(l))
+    zeros = (0,) * len(columns)
+    relations = _flow_relations(d, l)
+    bound = len(columns) - _bareiss_rank(relations, {})
     echelon: dict[int, list[int]] = {}
     rank_by_length: list[tuple[int, int]] = []
     rank = 0
@@ -293,18 +317,22 @@ def span_dimension(
         # length repeats one of an earlier length: the distinct rows of
         # length m are exactly the new ones, and each is reduced once.
         batch = {
-            tuple(counts.get(u, 0) for u in columns)
-            for counts in (occurrence_vector(w, l).counts for w in enumerate_words(d, m))
+            tuple(map(counts.get, columns, zeros))
+            for counts in (occurrence_vector(w, l).counts for w in enumerate_necklaces(d, m))
         }
         rank = _bareiss_rank(batch, echelon)
         rank_by_length.append((m, rank))
-    saturated = (
-        len(rank_by_length) >= 3
-        and rank_by_length[-1][1] == rank_by_length[-2][1] == rank_by_length[-3][1]
+    # The kept rows span every sample row, so checking them covers the sample.
+    obeyed = all(
+        sum(map(operator.mul, row, relation)) == 0
+        for row in echelon.values()
+        for relation in relations
     )
+    saturated = obeyed and rank == bound
     if not saturated:
         warnings.warn(
-            f"rank of ({d},{l}) functionals still growing at max_len={max_len}; "
+            f"rank {rank} of ({d},{l}) functionals at max_len={max_len} is not "
+            f"certified by the flow-relation bound {bound}; "
             "the reported rank is a lower bound",
             stacklevel=2,
         )
@@ -379,10 +407,10 @@ def express_in_span(
 ) -> tuple[Fraction, ...]:
     """Exact rational coefficients writing |W|_target over the basis columns.
 
-    Solves the linear system sampled on all words of length 1..max_len;
-    free variables (present only when the basis columns are dependent)
-    are pinned to zero.  Raises NotInSpanError when no exact combination
-    exists on the sample.
+    Solves the linear system sampled on the necklaces of length
+    1..max_len; free variables (present only when the basis columns are
+    dependent) are pinned to zero.  Raises NotInSpanError when no exact
+    combination exists on the sample.
     """
     target = tuple(target)
     Alphabet(basis.d).validate(target)

@@ -19,12 +19,27 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator, Mapping, Union
 
-from .errors import BadLetterError, BadParameterError, EmptyFactorError, EmptyWordError
+from .errors import (
+    BadLetterError,
+    BadParameterError,
+    EmptyFactorError,
+    EmptyWordError,
+    SizeLimitError,
+)
 
 Letters = tuple[int, ...]
 
 #: Anything the parsing helpers accept as a word.
 WordLike = Union["Letters", str]
+
+#: Default cap on d^n wherever a loop visits all d^n words of one length.
+DEFAULT_SIZE_LIMIT = 1 << 20
+
+
+def check_size(d: int, n: int, what: str, limit: int) -> None:
+    """The one size-cap policy: refuse a loop over d^n items above limit."""
+    if d**n > limit:
+        raise SizeLimitError(f"{d}^{n} = {d ** n} {what} exceed the cap of {limit}")
 
 
 @dataclass(frozen=True)
@@ -211,9 +226,13 @@ class OccurrenceVector:
         return dict(self.counts)
 
     def dense_items(self) -> Iterator[tuple[Letters, int]]:
-        """(factor, count) for all d^l factors, lexicographically."""
-        for u in Alphabet(self.d).words(self.l):
-            yield u, self.counts.get(u, 0)
+        """(factor, count) for all d^l factors, lexicographically.
+
+        Refuses, before the first item, a d^l above DEFAULT_SIZE_LIMIT.
+        """
+        check_size(self.d, self.l, "factors", DEFAULT_SIZE_LIMIT)
+        counts = self.counts
+        return ((u, counts.get(u, 0)) for u in Alphabet(self.d).words(self.l))
 
 
 def occurrence_vector(w: CircularWord, l: int) -> OccurrenceVector:
@@ -409,8 +428,28 @@ def complement(w: CircularWord) -> CircularWord:
 
 def canonical_rotation(w: CircularWord) -> CircularWord:
     """The lexicographically least rotation (conjugacy-class representative)."""
-    best = min(w.rotate(s).letters for s in range(w.n))
-    return CircularWord(best, w.d)
+    return w.rotate(_least_rotation(w.letters))
+
+
+def _least_rotation(letters: Letters) -> int:
+    """The start of the least rotation, in O(n) comparisons.
+
+    Duval's Lyndon factorisation of the doubled word: each pass over i
+    finds the next Lyndon factor, and the least rotation starts at the
+    last factor that begins before n.
+    """
+    n = len(letters)
+    s = letters + letters
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return start
 
 
 def enumerate_words(d: int, n: int) -> Iterator[CircularWord]:
@@ -419,6 +458,34 @@ def enumerate_words(d: int, n: int) -> Iterator[CircularWord]:
         raise BadParameterError(f"word length must be >= 1, got {n}")
     for letters in Alphabet(d).words(n):
         yield CircularWord(letters, d)
+
+
+def enumerate_necklaces(d: int, n: int) -> Iterator[CircularWord]:
+    """The least rotation of each class of rotations of length n, increasing.
+
+    One word per conjugacy class: d^n/n of them, roughly, instead of d^n.
+    The prenecklace successor of Fredricksen, Kessler and Maiorana
+    (Ruskey, Savage and Wang, J. Algorithms 1992) steps through the
+    prenecklaces in lexicographic order: bump the last letter below d-1
+    at index p-1, then repeat the first p letters to length n.  p is
+    the period of the new prenecklace, and it is a necklace exactly
+    when p divides n.
+    """
+    if n < 1:
+        raise BadParameterError(f"word length must be >= 1, got {n}")
+    a = [0] * n
+    p = 1
+    top = d - 1
+    while True:
+        if n % p == 0:
+            yield CircularWord(tuple(a), d)
+        p = n
+        while p and a[p - 1] == top:
+            p -= 1
+        if not p:
+            return
+        a[p - 1] += 1
+        a = (a[:p] * (n // p + 1))[:n]
 
 
 def random_word(rng: Random, n: int, d: int = 2) -> CircularWord:

@@ -186,6 +186,19 @@ class TestKirchhoff:
     def test_always_holds(self, w, n):
         assert verify_kirchhoff(w, n).ok
 
+    def test_size_limit(self, monkeypatch):
+        # refused before any residual is computed, like build_graph
+        with pytest.raises(SizeLimitError):
+            verify_kirchhoff(cw("01"), 40)
+        with pytest.raises(SizeLimitError):
+            verify_kirchhoff(cw("01"), 20)
+        with pytest.raises(SizeLimitError):
+            verify_kirchhoff(cw("012"), 12)
+        monkeypatch.setattr(debruijn, "DEFAULT_EDGE_LIMIT", 64)
+        assert len(verify_kirchhoff(cw("0100110"), 5).out_residuals) == 32
+        with pytest.raises(SizeLimitError):
+            verify_kirchhoff(cw("0100110"), 6)
+
     def test_exhaustive_small(self):
         for n in range(1, 11):
             for w in enumerate_words(2, n):

@@ -29,7 +29,15 @@ from circwords import (
     verify_spanning_set,
 )
 from circwords import span
-from circwords.span import _solve, format_coefficients, matrix_csv, sample_words
+from circwords.span import (
+    _bareiss_rank,
+    _flow_relations,
+    _sample_rank,
+    _solve,
+    format_coefficients,
+    matrix_csv,
+    sample_words,
+)
 from conftest import binary_circular_words, cw, rank_fraction, rank_mod_p, u
 
 ALL_LENGTH_4 = all_factors_family(2, 4)
@@ -184,7 +192,7 @@ class TestSpanDimension:
         assert first_hit + 1 <= 2 * l + 2
         assert all(r == report.predicted for r in ranks[first_hit:])
 
-    @pytest.mark.parametrize("d,l", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("d,l", [(2, 3), (3, 2), (2, 4)])
     def test_rank_trace_matches_rank_of_each_prefix_sample(self, d, l):
         report = span_dimension(d, l)
         family = all_factors_family(d, l)
@@ -196,6 +204,38 @@ class TestSpanDimension:
             report = span_dimension(2, 4, 5)
         assert not report.saturated
         assert report.rank < report.predicted
+
+    @pytest.mark.parametrize(
+        "d,l,max_len", [(2, 3, 3), (2, 4, 10), (3, 3, 10), (2, 1, 2), (3, 2, 3), (2, 4, 6)]
+    )
+    def test_flow_relations_prove_the_rank(self, d, l, max_len, recwarn):
+        # the rank meets d^l - rank(relations), so it is proven, however
+        # few lengths the sample has
+        report = span_dimension(d, l, max_len)
+        assert report.saturated
+        assert report.rank == report.predicted
+        assert not recwarn.list
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            # same rank, but the sample rows do not obey them: no bound
+            lambda relations: [r[1:] + r[:1] for r in relations],
+            # two of them dropped: their rank is one less, the bound one higher
+            lambda relations: relations[1:-1],
+        ],
+    )
+    def test_no_certificate_from_wrong_relations(self, change, monkeypatch):
+        relations = span._flow_relations
+        monkeypatch.setattr(span, "_flow_relations", lambda d, l: change(relations(d, l)))
+        with pytest.warns(UserWarning, match="lower bound"):
+            report = span_dimension(2, 3, 8)
+        assert report.rank == 5
+        assert not report.saturated
+
+    @pytest.mark.parametrize("d,l", [(2, 1), (2, 2), (2, 4), (2, 6), (3, 3), (4, 2)])
+    def test_flow_relations_have_rank_vertices_minus_one(self, d, l):
+        assert _bareiss_rank(_flow_relations(d, l), {}) == d ** (l - 1) - 1
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -238,6 +278,19 @@ class TestSpanningSet:
         escaped = reduced.extended([u("0101")])
         assert exact_rank(occurrence_matrix(words, escaped)) == 9
 
+    def test_necklace_sample_sees_1010_missing(self, monkeypatch):
+        fam = spanning_set_family(4)
+        reduced = FunctionalFamily(
+            d=2, factors=tuple(f for f in fam.factors if f != u("1010"))
+        )
+        words = sample_words(2, 10)
+        assert _sample_rank(words, reduced) == 8
+        assert _sample_rank(words, reduced.extended([u("0101")])) == 9
+        monkeypatch.setattr(span, "spanning_set_family", lambda l: reduced)
+        monkeypatch.setattr(span, "cks_family", lambda d, l: reduced)
+        assert not verify_spanning_set(10)
+        assert not verify_cks_basis(2, 4, 10)
+
     def test_binary_only(self):
         with pytest.raises(ValueError):
             verify_spanning_set(6, l=2, d=3)
@@ -267,6 +320,9 @@ class TestKirchhoffRelationSpace:
     def test_sum_of_all_eight_relations_is_trivial(self):
         vectors = self._relation_vectors()
         assert [sum(col) for col in zip(*vectors)] == [0] * 16
+
+    def test_flow_relations_are_these_vectors(self):
+        assert sorted(map(tuple, _flow_relations(2, 4))) == sorted(self._relation_vectors())
 
     def test_relation_space_has_rank_seven(self):
         assert exact_rank(IntegerMatrix(tuple(self._relation_vectors()))) == 7
@@ -310,8 +366,8 @@ class TestCksBasis:
         assert len(batches) == 2
         for rows in batches:
             assert len(rows) == len(set(rows))
-        # 2046 sample words up to length 10, far fewer distinct count rows
-        assert all(len(rows) < 300 for rows in batches)
+        # 261 necklaces up to length 10 give 231 distinct count rows
+        assert all(len(rows) == 231 for rows in batches)
 
 
 class TestExpressInSpan:
@@ -358,6 +414,21 @@ class TestExpressInSpan:
                 c * count_occurrences(w, f) for c, f in zip(coeffs, fam.factors)
             )
             assert combined == count_occurrences(w, target)
+
+    @pytest.mark.parametrize("family", [cks_family(2, 4), all_factors_family(2, 3)])
+    def test_necklace_sample_solves_like_all_words(self, family):
+        words = words_up_to(2, 10)
+        m = occurrence_matrix(words, family)
+        for target in enumerate_words(2, 4):
+            t = [count_occurrences(w, target.letters) for w in words]
+            rows = [r + (b,) for r, b in zip(m.entries, t)]
+            try:
+                expected = _solve(rows, m.ncols)
+            except NotInSpanError:
+                with pytest.raises(NotInSpanError):
+                    express_in_span(target.letters, family, 10)
+            else:
+                assert express_in_span(target.letters, family, 10) == expected
 
     @settings(max_examples=300)
     @given(linear_systems())
@@ -406,7 +477,15 @@ class TestMarginalization:
 
 class TestSampleWords:
     def test_counts(self):
-        assert len(sample_words(2, 5)) == 2 + 4 + 8 + 16 + 32
+        # one word per rotation class of each length
+        assert len(sample_words(2, 5)) == 2 + 3 + 4 + 6 + 8
+
+    def test_same_distinct_rows_as_all_words(self):
+        family = all_factors_family(3, 3)
+        for m in range(1, 7):
+            every = set(occurrence_matrix(list(enumerate_words(3, m)), family).entries)
+            necklaces = [w for w in sample_words(3, m) if w.n == m]
+            assert set(occurrence_matrix(necklaces, family).entries) == every
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):

@@ -1,5 +1,6 @@
 """Circular words: construction, counting, runs, blocks, rotations."""
 
+import math
 from collections import Counter
 
 import pytest
@@ -9,14 +10,17 @@ from hypothesis import strategies as st
 from circwords import (
     Alphabet,
     BadLetterError,
+    CircularWord,
     EmptyFactorError,
     EmptyWordError,
     IsolatedBlock,
     LongRunBlock,
     Run,
+    SizeLimitError,
     canonical_rotation,
     count_occurrences,
     decompose_blocks,
+    enumerate_necklaces,
     enumerate_words,
     is_palindrome,
     is_palindromic_pair,
@@ -31,6 +35,7 @@ from circwords import (
     runs,
     word_string,
 )
+from circwords import words
 from conftest import (
     binary_circular_words,
     circular_words_any_alphabet,
@@ -39,6 +44,20 @@ from conftest import (
     u,
     unrolled_count,
 )
+
+
+@st.composite
+def periodic_words(draw):
+    """A random block over 2..4 letters, repeated 2..6 times."""
+    d = draw(st.integers(2, 4))
+    block = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=6))
+    return CircularWord(tuple(block) * draw(st.integers(2, 6)), d)
+
+
+def necklace_count(d, n):
+    """(1/n) sum over k | n of phi(k) d^(n/k), the number of rotation classes."""
+    phi = lambda k: sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
+    return sum(phi(k) * d ** (n // k) for k in range(1, n + 1) if n % k == 0) // n
 
 
 class TestConstruction:
@@ -151,6 +170,16 @@ class TestOccurrenceVector:
         items = list(ov.dense_items())
         assert len(items) == 9
         assert sum(c for _, c in items) == 2
+
+    def test_dense_items_capped_before_the_first_item(self, monkeypatch):
+        with pytest.raises(SizeLimitError):
+            occurrence_vector(cw("01"), 21).dense_items()
+        with pytest.raises(SizeLimitError):
+            occurrence_vector(cw("012"), 13).dense_items()
+        monkeypatch.setattr(words, "DEFAULT_SIZE_LIMIT", 8)
+        assert len(list(occurrence_vector(cw("0110"), 3).dense_items())) == 8
+        with pytest.raises(SizeLimitError):
+            occurrence_vector(cw("0110"), 4).dense_items()
 
     @given(circular_words_any_alphabet(), st.integers(1, 6))
     def test_counts_sum_to_length(self, w, l):
@@ -311,11 +340,17 @@ class TestRotations:
     def test_canonical_rotation(self):
         assert canonical_rotation(cw("010")) == cw("001")
 
-    @given(circular_words_any_alphabet())
+    @given(
+        st.one_of(
+            circular_words_any_alphabet(),
+            periodic_words(),
+            st.builds(lambda a, n: CircularWord((a,) * n, 4), st.integers(0, 3), st.integers(1, 30)),
+        )
+    )
     def test_canonical_is_minimal_rotation(self, w):
         rotations = [w.rotate(s).letters for s in range(w.n)]
         canon = canonical_rotation(w)
-        assert canon.letters in rotations
+        assert canon.d == w.d
         assert canon.letters == min(rotations)
 
     @given(binary_circular_words(), st.lists(st.integers(0, 1), min_size=1, max_size=6), st.integers(-8, 8))
@@ -338,6 +373,39 @@ class TestEnumeration:
     def test_bad_length(self):
         with pytest.raises(ValueError):
             list(enumerate_words(2, 0))
+
+
+class TestNecklaces:
+    @pytest.mark.parametrize("d,max_n", [(2, 9), (3, 9), (4, 7)])
+    def test_one_least_rotation_per_class_in_order(self, d, max_n):
+        for n in range(1, max_n + 1):
+            got = [w.letters for w in enumerate_necklaces(d, n)]
+            classes = {canonical_rotation(w).letters for w in enumerate_words(d, n)}
+            assert got == sorted(classes)
+            assert all(w.d == d for w in enumerate_necklaces(d, n))
+
+    def test_four_letters_length_eight_and_nine(self):
+        for n in (8, 9):
+            got = [w.letters for w in enumerate_necklaces(4, n)]
+            assert got == sorted(set(got))
+            assert all(canonical_rotation(CircularWord(a, 4)).letters == a for a in got)
+            assert len(got) == necklace_count(4, n)
+
+    @pytest.mark.parametrize("d,max_n", [(2, 14), (3, 10), (4, 7)])
+    def test_count_is_the_necklace_formula(self, d, max_n):
+        for n in range(1, max_n + 1):
+            assert sum(1 for _ in enumerate_necklaces(d, n)) == necklace_count(d, n)
+        assert necklace_count(2, 14) == 1182 and necklace_count(3, 10) == 5934
+
+    def test_binary_length_four(self):
+        got = [str(w) for w in enumerate_necklaces(2, 4)]
+        assert got == ["0000", "0001", "0011", "0101", "0111", "1111"]
+
+    def test_bad_parameters(self):
+        with pytest.raises(ValueError):
+            list(enumerate_necklaces(2, 0))
+        with pytest.raises(BadLetterError):
+            list(enumerate_necklaces(1, 3))
 
 
 class TestPeriodicFactors:
