@@ -15,8 +15,8 @@ import sys
 from random import Random
 from typing import Sequence
 
-from . import debruijn, invariants, span
-from .errors import CircwordsError
+from . import debruijn, invariants, span, words
+from .errors import CircwordsError, SizeLimitError
 from .words import (
     CircularWord,
     count_occurrences,
@@ -125,6 +125,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CircwordsError(f"--max-len must be >= 1, got {args.max_len}")
     if args.random < 0 or args.rand_len < 1:
         raise CircwordsError("--random must be >= 0 and --rand-len >= 1")
+    limit = words.DEFAULT_SIZE_LIMIT
+    words.check_size(2, args.max_len, f"words of length {args.max_len}", limit)
+    if args.rand_len > limit:
+        raise SizeLimitError(
+            f"--rand-len {args.rand_len} letters exceed the cap of {limit}"
+        )
     checked = 0
     violations = 0
     first = None

@@ -11,7 +11,10 @@ in-edge counts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import product, repeat
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import AlphabetMismatchError, BadParameterError
@@ -124,13 +127,31 @@ def verify_kirchhoff(w: CircularWord, n: int) -> KirchhoffReport:
     check_size(w.d, n + 1, "edges", DEFAULT_EDGE_LIMIT)
     short = occurrence_vector(w, n).counts
     long = occurrence_vector(w, n + 1).counts
-    out_res: dict[Letters, int] = {}
-    in_res: dict[Letters, int] = {}
-    for u in Alphabet(w.d).words(n):
-        c = short.get(u, 0)
-        out_res[u] = c - sum(long.get(u + (a,), 0) for a in range(w.d))
-        in_res[u] = c - sum(long.get((a,) + u, 0) for a in range(w.d))
+    out_res, in_res = _flow_residuals(w.d, n, short, long)
     return KirchhoffReport(n=n, out_residuals=out_res, in_residuals=in_res)
+
+
+def _flow_residuals(
+    d: int, n: int, short: Mapping[Letters, int], long: Mapping[Letters, int]
+) -> tuple[dict[Letters, int], dict[Letters, int]]:
+    """Out- and in-residuals of every length-n vertex, lexicographically.
+
+    The edge counts are read once into a dense list in lexicographic
+    order.  Vertex i's out-edges ua sit at i·d + a, so the out-sums are
+    the sum of the d strided slices edges[a::d]; its in-edges au sit at
+    a·d^n + i, so the in-sums are the sum of the d blocks of d^n edges.
+    The vertex counts are the length-n counts as given, not marginals.
+    """
+    vertices = tuple(product(range(d), repeat=n))
+    size = len(vertices)
+    edges = list(map(long.get, product(range(d), repeat=n + 1), repeat(0)))
+    counts = list(map(short.get, vertices, repeat(0)))
+    add = partial(map, operator.add)
+    out_sums = reduce(add, (edges[a::d] for a in range(d)))
+    in_sums = reduce(add, (edges[a * size : (a + 1) * size] for a in range(d)))
+    out_res = dict(zip(vertices, map(operator.sub, counts, out_sums)))
+    in_res = dict(zip(vertices, map(operator.sub, counts, in_sums)))
+    return out_res, in_res
 
 
 def _undirected_components(

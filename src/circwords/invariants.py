@@ -15,7 +15,7 @@ out of the run structure of W, via its blocks of isolated letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from . import debruijn
 from .errors import BadParameterError, BrokenProjectionError
@@ -24,13 +24,13 @@ from .words import (
     CircularWord,
     Letters,
     WordLike,
+    _codes,
+    _factor_table,
     _run_blocks,
     _run_lengths,
     _run_starts,
-    _windows,
     is_palindrome,
     mirror,
-    occurrence_vector,
     parse_word,
     word_string,
 )
@@ -91,17 +91,24 @@ ROTATION: dict[Letters, Letters] = {
     SQUARE_SOURCE[e]: SQUARE_TARGET[e] for e in POSITIVE_EDGES
 }
 
-#: Each square edge mapped to itself, so one lookup both picks the square
-#: edges out of a factor stream and shares one tuple per edge.
-_RETAIN: dict[Letters, Letters] = {e: e for e in SQUARE_EDGES}
+#: The length-4 words in code order (words._codes): _EDGES[code] is the edge.
+_EDGES = _factor_table(2, 4)
 
-#: The pairs (e, f) of square edges where f leaves the vertex e enters.
-_CONTINUING: frozenset[tuple[Letters, Letters]] = frozenset(
-    (e, f)
-    for e in SQUARE_EDGES
-    for f in SQUARE_EDGES
-    if SQUARE_TARGET[e] == SQUARE_SOURCE[f]
-)
+#: Every byte that is not the code of a square edge, for bytes.translate to delete.
+_NOT_SQUARE = bytes(sorted(set(range(256)) - {_EDGES.index(e) for e in SQUARE_EDGES}))
+
+
+def _vertex_table(vertex: Mapping[Letters, Letters]) -> bytes:
+    """A bytes.translate table taking each square edge's code to its vertex's code."""
+    table = bytearray(256)
+    vertices = _factor_table(2, 3)
+    for e, v in vertex.items():
+        table[_EDGES.index(e)] = vertices.index(v)
+    return bytes(table)
+
+
+_SOURCE_CODE = _vertex_table(SQUARE_SOURCE)
+_TARGET_CODE = _vertex_table(SQUARE_TARGET)
 
 
 @dataclass(frozen=True)
@@ -148,19 +155,20 @@ def _require_binary(w: CircularWord) -> None:
         raise BadParameterError("the occurrence-difference invariant is binary-only")
 
 
-_PAIRS = tuple((p, mirror(p)) for p in POSITIVE_EDGES)
+#: The codes of each positive edge and its mirror, in the difference order.
+_PAIR_CODES = tuple((_EDGES.index(p), _EDGES.index(mirror(p))) for p in POSITIVE_EDGES)
 
 
-def _diffs(w: CircularWord) -> tuple[int, int, int, int]:
-    counts = occurrence_vector(w, 4).counts
-    diffs = (counts.get(p, 0) - counts.get(q, 0) for p, q in _PAIRS)
+def _diffs(codes: bytes) -> tuple[int, int, int, int]:
+    """The four pair differences, counted from a word's length-4 factor codes."""
+    diffs = (codes.count(p) - codes.count(q) for p, q in _PAIR_CODES)
     return tuple(diffs)  # type: ignore[return-value]
 
 
 def grandsart_differences(w: CircularWord) -> tuple[int, int, int, int]:
     """The four pair differences of length-4 occurrence counts."""
     _require_binary(w)
-    return _diffs(w)
+    return _diffs(_codes(w.letters, 2, 4))
 
 
 @dataclass(frozen=True)
@@ -181,25 +189,29 @@ class SquareProjection:
         return sum(self.epsilons)
 
 
-def _project(edges: Iterable[Letters]) -> SquareProjection:
-    """Keep the square edges of a closed edge sequence, in order, and orient them.
+def _project(codes: bytes) -> SquareProjection:
+    """Keep the square edges of a closed path, in order, and orient them.
 
-    The retained edges must chain, the last one into the first: the set
-    of their consecutive pairs is tested against the allowed pairs, and
-    only when that fails is the sequence walked to name the break.
+    codes holds the path's edges as length-4 factor codes (words._codes).
+    The retained edges must chain, the last one into the first: the
+    target vertex of each must be the source vertex of the next, which
+    is one comparison of two translated byte strings, and only when that
+    fails is the path walked to name the break.
     """
-    retained = tuple(filter(None, map(_RETAIN.get, edges)))
-    following = retained[1:] + retained[:1]
-    if not _CONTINUING.issuperset(zip(retained, following)):
-        for e, nxt in zip(retained, following):
-            if (e, nxt) not in _CONTINUING:
+    retained = codes.translate(None, _NOT_SQUARE)
+    sources = retained.translate(_SOURCE_CODE)
+    if retained.translate(_TARGET_CODE) != sources[1:] + sources[:1]:
+        for e, nxt in zip(retained, retained[1:] + retained[:1]):
+            if _TARGET_CODE[e] != _SOURCE_CODE[nxt]:
                 raise BrokenProjectionError(
-                    f"square path breaks between {word_string(e)} and {word_string(nxt)}"
+                    "square path breaks between "
+                    f"{word_string(_EDGES[e])} and {word_string(_EDGES[nxt])}"
                 )
+    edges = tuple(map(_EDGES.__getitem__, retained))
     return SquareProjection(
-        start_vertex=SQUARE_SOURCE[retained[0]] if retained else None,
-        retained_edges=retained,
-        epsilons=tuple(map(_EPSILON.__getitem__, retained)),
+        start_vertex=SQUARE_SOURCE[edges[0]] if edges else None,
+        retained_edges=edges,
+        epsilons=tuple(map(_EPSILON.__getitem__, edges)),
     )
 
 
@@ -214,7 +226,7 @@ def _winding(proj: SquareProjection, w: CircularWord) -> int:
 def project_to_square(w: CircularWord) -> SquareProjection:
     """Erase all non-square edges from w's closed path and orient the rest."""
     _require_binary(w)
-    return _project(_windows(w.letters, 4))
+    return _project(_codes(w.letters, 2, 4))
 
 
 def winding_number_graph(w: CircularWord) -> int:
@@ -274,16 +286,18 @@ class GrandsartReport:
 
 
 def grandsart_report(w: CircularWord) -> GrandsartReport:
-    """The diffs and both winding numbers, each from its own scan of w.
+    """The diffs and both winding numbers, each by its own route.
 
-    The diffs come from the length-4 counts, k_graph from the ordered
-    walk of the square edges, k_decomposition from the run structure.
+    The diffs come from the counts of the length-4 factor codes, k_graph
+    from the ordered walk of the square edges among the same codes,
+    k_decomposition from the run structure.
     """
     _require_binary(w)
+    codes = _codes(w.letters, 2, 4)
     return GrandsartReport(
         word=w,
-        diffs=_diffs(w),
-        k_graph=_winding(_project(_windows(w.letters, 4)), w),
+        diffs=_diffs(codes),
+        k_graph=_winding(_project(codes), w),
         k_decomposition=winding_number_decomposition(w),
     )
 

@@ -16,6 +16,7 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from random import Random
 from typing import Iterator, Mapping, Union
 
@@ -37,7 +38,14 @@ DEFAULT_SIZE_LIMIT = 1 << 20
 
 
 def check_size(d: int, n: int, what: str, limit: int) -> None:
-    """The one size-cap policy: refuse a loop over d^n items above limit."""
+    """The one size-cap policy: refuse a loop over d^n items above limit.
+
+    With d >= 2, d^n >= 2^n, so an n at least 64 past the bit length of
+    the limit is refused without building d^n: written out it could take
+    more memory than the loop, or more digits than str() allows.
+    """
+    if d >= 2 and n >= limit.bit_length() + 64:
+        raise SizeLimitError(f"{d}^{n} {what} exceed the cap of {limit}")
     if d**n > limit:
         raise SizeLimitError(f"{d}^{n} = {d ** n} {what} exceed the cap of {limit}")
 
@@ -134,6 +142,38 @@ def _windows(letters: Letters, l: int) -> Iterator[Letters]:
     reps, extra = divmod(l - 1, n)
     ext = letters * (reps + 1) + letters[:extra]
     return zip(*(ext[j : j + n] for j in range(l)))
+
+
+def _codes(letters: Letters, d: int, l: int) -> bytes:
+    """The code of each circular factor of length l, one byte per position.
+
+    Byte i is sum_k a[i+k]·d^(l-1-k), the index of the factor at
+    position i in lexicographic order (see _factor_table); d^l must be
+    at most 256.  The letters, extended circularly by their first l-1,
+    sit one per byte in one integer x, and y = sum_j d^j·(x >> 8j),
+    taken by Horner's rule, adds to each byte its l-1 predecessors,
+    weighted, in a few C-level big-integer operations.  No byte carries
+    into the next, because every field is at most d^l - 1 <= 255; the
+    first l-1 bytes hold partial sums and are dropped.
+    """
+    n = len(letters)
+    raw = bytes(letters)
+    reps, extra = divmod(l - 1, n)
+    ext = raw * (reps + 1) + raw[:extra]
+    x = int.from_bytes(ext, "big")
+    y = x >> 8 * (l - 1)
+    for j in range(l - 2, -1, -1):
+        y = y * d + (x >> 8 * j)
+    return y.to_bytes(len(ext), "big")[l - 1 :]
+
+
+@cache
+def _factor_table(d: int, l: int) -> tuple[Letters, ...]:
+    """The d^l words of length l in code order, so table[code] is the factor.
+
+    Only called with d^l <= 256, so the cache stays small.
+    """
+    return tuple(itertools.product(range(d), repeat=l))
 
 
 def make_circular(letters, alphabet: Alphabet = BINARY) -> CircularWord:
@@ -236,11 +276,21 @@ class OccurrenceVector:
 
 
 def occurrence_vector(w: CircularWord, l: int) -> OccurrenceVector:
-    """Count every length-l factor of w in one scan."""
+    """Count every length-l factor of w in one scan.
+
+    The factors are counted as byte codes when d^l <= 256, and as letter
+    tuples from _windows otherwise.
+    """
     if l < 1:
         raise BadParameterError(f"factor length must be >= 1, got {l}")
-    counts = Counter(_windows(w.letters, l))
-    return OccurrenceVector(l=l, d=w.d, total=w.n, counts=dict(counts))
+    d = w.d
+    if l <= 8 and d**l <= 256:
+        # One byte per factor code; the keys are decoded in first-occurrence order.
+        table = _factor_table(d, l)
+        counts = {table[c]: k for c, k in Counter(_codes(w.letters, d, l)).items()}
+    else:
+        counts = dict(Counter(_windows(w.letters, l)))
+    return OccurrenceVector(l=l, d=d, total=w.n, counts=counts)
 
 
 def mirror(u: Letters) -> Letters:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from circwords import cli, invariants, parse_circular
+from circwords import cli, invariants, parse_circular, words
 
 
 def run_cli(*args):
@@ -107,6 +107,41 @@ class TestVerify:
         code, _, _ = run_cli("verify", "--max-len", "4", "--bogus")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--max-len", "21"], "2^21 = 2097152 words of length 21 exceed the cap of 1048576"),
+            (["--max-len", "40"],
+             "2^40 = 1099511627776 words of length 40 exceed the cap of 1048576"),
+            (["--max-len", "100000"],
+             "2^100000 words of length 100000 exceed the cap of 1048576"),
+            (["--max-len", "3", "--random", "1", "--rand-len", "1048577"],
+             "--rand-len 1048577 letters exceed the cap of 1048576"),
+        ],
+    )
+    def test_oversized_sweep_is_refused_before_the_first_word(
+        self, argv, message, monkeypatch, capsys
+    ):
+        def unreachable(w):
+            raise AssertionError(f"checked {w}")
+
+        monkeypatch.setattr(invariants, "grandsart_report", unreachable)
+        assert cli.main(["verify", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_sweep_cap_boundary(self, monkeypatch, capsys):
+        # the default --rand-len 64 sits at this cap
+        monkeypatch.setattr(words, "DEFAULT_SIZE_LIMIT", 64)
+        assert cli.main(["verify", "--max-len", "6"]) == 0
+        assert capsys.readouterr().out == "126 words checked, 0 violations\n"
+        assert cli.main(["verify", "--max-len", "7"]) == 2
+        assert "2^7 = 128 words of length 7 exceed the cap of 64" in capsys.readouterr().err
+        argv = ["verify", "--max-len", "1", "--random", "2", "--rand-len"]
+        assert cli.main([*argv, "64"]) == 0
+        assert capsys.readouterr().out == "4 words checked, 0 violations\n"
+        assert cli.main([*argv, "65"]) == 2
+        assert "--rand-len 65 letters exceed the cap of 64" in capsys.readouterr().err
+
 
 class TestRank:
     def test_paper_dimension(self, capsys):
@@ -193,6 +228,7 @@ class TestUsage:
             ["rank", "--l", "0"],
             ["rank", "--l", "-1"],
             ["rank", "--l", "1", "--spanning-set"],
+            ["rank", "--l", "10000"],
             ["dot", "--n", "0"],
             ["dot", "--d", "1"],
             ["dot", "--highlight", "0"],

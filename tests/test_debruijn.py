@@ -1,5 +1,6 @@
 """De Bruijn graphs: structure, word paths, flow law, trees, DOT export."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -185,6 +186,23 @@ class TestKirchhoff:
     @given(binary_circular_words(max_n=32), st.integers(1, 4))
     def test_always_holds(self, w, n):
         assert verify_kirchhoff(w, n).ok
+
+    @given(st.data())
+    def test_residuals_match_the_per_vertex_loop(self, data):
+        # arbitrary counts, so the residuals are not all zero; the
+        # reference is the per-vertex loop the dense marginals replaced
+        d, n = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 4))
+        factors = lambda l: st.tuples(*[st.integers(0, d - 1)] * l)
+        short = data.draw(st.dictionaries(factors(n), st.integers(0, 9), max_size=20))
+        long = data.draw(st.dictionaries(factors(n + 1), st.integers(0, 9), max_size=40))
+        out_ref, in_ref = {}, {}
+        for v in itertools.product(range(d), repeat=n):
+            c = short.get(v, 0)
+            out_ref[v] = c - sum(long.get(v + (a,), 0) for a in range(d))
+            in_ref[v] = c - sum(long.get((a,) + v, 0) for a in range(d))
+        out_res, in_res = debruijn._flow_residuals(d, n, short, long)
+        assert list(out_res.items()) == list(out_ref.items())
+        assert list(in_res.items()) == list(in_ref.items())
 
     def test_size_limit(self, monkeypatch):
         # refused before any residual is computed, like build_graph

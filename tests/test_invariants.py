@@ -37,6 +37,11 @@ from circwords.invariants import (
 from conftest import binary_circular_words, cw, u
 
 
+def edge_codes(*edges: str) -> bytes:
+    """Length-4 binary edges as factor codes: each edge read as a binary number."""
+    return bytes(int(e, 2) for e in edges)
+
+
 class TestClassification:
     def test_palindromes(self):
         got = {word_string(p) for p in classify_length4().palindromes}
@@ -177,12 +182,21 @@ class TestContinuityCheck:
     def test_repeated_edge_breaks_the_path(self):
         # 0011 runs 001 -> 110, so it cannot follow itself
         with pytest.raises(BrokenProjectionError, match="between 0011 and 0011"):
-            invariants._project([u("0011"), u("0011")])
+            invariants._project(edge_codes("0011", "0011"))
 
     def test_break_is_named_inside_a_longer_walk(self):
-        edges = [u("0011"), u("1101"), u("0011"), u("1010"), u("0100")]
+        edges = edge_codes("0011", "1101", "0011", "1010", "0100")
         with pytest.raises(BrokenProjectionError, match="between 1101 and 0011"):
             invariants._project(edges)
+
+    def test_non_square_codes_are_skipped_before_the_check(self):
+        # 0001 and 1111 are erased; 0100 then 0011 chains 010 -> 001 -> ...
+        edges = edge_codes("0001", "0100", "1111", "0011", "1101", "1010")
+        proj = invariants._project(edges)
+        assert [word_string(e) for e in proj.retained_edges] == [
+            "0100", "0011", "1101", "1010",
+        ]
+        assert proj.retained_edges[0] is invariants._EDGES[0b0100]
 
     def test_epsilon_sum_not_a_multiple_of_four(self):
         edges = (u("0011"), u("1101"))

@@ -1,5 +1,6 @@
 """Circular words: construction, counting, runs, blocks, rotations."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -197,11 +198,26 @@ class TestOccurrenceVector:
     @given(circular_words_any_alphabet(max_n=30), st.data())
     def test_counts_match_per_position_slicing(self, w, data):
         # reference: one factor per position, sliced from the word repeated
-        # enough times; l runs past n, where factors wrap more than once
-        l = data.draw(st.integers(1, w.n + 3))
+        # enough times.  l runs past n, where factors wrap more than once,
+        # and past the largest l with d^l <= 256, where the factors are
+        # counted as letter tuples instead of byte codes; the keys come in
+        # first-occurrence order either way.
+        coded = max(l for l in range(1, 9) if w.d**l <= 256)
+        lengths = st.integers(1, max(w.n, coded) + 3)
+        l = data.draw(st.one_of(st.sampled_from((coded, coded + 1)), lengths))
         ext = w.letters * (l // w.n + 2)
         expected = Counter(ext[i : i + l] for i in range(w.n))
-        assert occurrence_vector(w, l).counts == expected
+        counts = occurrence_vector(w, l).counts
+        assert counts == expected
+        assert list(counts) == list(expected)
+
+    @given(circular_words_any_alphabet(max_n=12), st.data())
+    def test_codes_index_the_factors_lexicographically(self, w, data):
+        l = data.draw(st.integers(1, max(l for l in range(1, 9) if w.d**l <= 256)))
+        codes = words._codes(w.letters, w.d, l)
+        table = words._factor_table(w.d, l)
+        assert table == tuple(itertools.product(range(w.d), repeat=l))
+        assert [table[c] for c in codes] == w.factors(l)
 
     def test_mirror_duality_exhaustive_small(self):
         for n in range(1, 11):
@@ -211,6 +227,23 @@ class TestOccurrenceVector:
                         mirror(f): c for f, c in occurrence_vector(w, l).counts.items()
                     }
                     assert occurrence_vector(reverse(w), l).counts == mirrored
+
+
+class TestSizeCap:
+    def test_huge_exponent_is_refused_without_being_built(self):
+        message = r"^2\^1000000000 words exceed the cap of 1048576$"
+        with pytest.raises(SizeLimitError, match=message):
+            words.check_size(2, 10**9, "words", words.DEFAULT_SIZE_LIMIT)
+        words.check_size(1, 10**9, "words", words.DEFAULT_SIZE_LIMIT)
+
+    def test_count_is_written_out_up_to_64_bits_past_the_cap(self):
+        # the cap 2^20 has bit length 21, so 2^84 is written and 2^85 is not
+        with pytest.raises(SizeLimitError, match=rf"^2\^84 = {2**84} words exceed"):
+            words.check_size(2, 84, "words", 1 << 20)
+        with pytest.raises(SizeLimitError, match=r"^2\^85 words exceed"):
+            words.check_size(2, 85, "words", 1 << 20)
+        with pytest.raises(SizeLimitError, match=rf"^3\^84 = {3**84} words exceed"):
+            words.check_size(3, 84, "words", 1 << 20)
 
 
 class TestMirror:
