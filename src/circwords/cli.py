@@ -126,7 +126,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.random < 0 or args.rand_len < 1:
         raise CircwordsError("--random must be >= 0 and --rand-len >= 1")
     limit = words.DEFAULT_SIZE_LIMIT
-    words.check_size(2, args.max_len, f"words of length {args.max_len}", limit)
+    words.check_size(2, args.max_len, f"words of length {args.max_len}")
     if args.rand_len > limit:
         raise SizeLimitError(
             f"--rand-len {args.rand_len} letters exceed the cap of {limit}"

@@ -19,7 +19,6 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import AlphabetMismatchError, BadParameterError
 from .words import (
-    DEFAULT_SIZE_LIMIT,
     Alphabet,
     CircularWord,
     Letters,
@@ -29,9 +28,6 @@ from .words import (
     parse_word,
     word_string,
 )
-
-#: Default cap on d^(n+1), the number of edges of B(d,n).
-DEFAULT_EDGE_LIMIT = DEFAULT_SIZE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -52,13 +48,13 @@ class DeBruijnGraph:
         return edge[1:]
 
 
-def build_graph(d: int, n: int, edge_limit: int = DEFAULT_EDGE_LIMIT) -> DeBruijnGraph:
+def build_graph(d: int, n: int) -> DeBruijnGraph:
     """Construct B(d,n), refusing sizes whose edge count exceeds the cap."""
     if d < 2:
         raise BadParameterError(f"alphabet needs at least 2 letters, got d={d}")
     if n < 1:
         raise BadParameterError(f"vertex word length must be >= 1, got n={n}")
-    check_size(d, n + 1, "edges", edge_limit)
+    check_size(d, n + 1, "edges")
     alphabet = Alphabet(d)
     return DeBruijnGraph(
         d=d,
@@ -119,12 +115,12 @@ class KirchhoffReport:
 def verify_kirchhoff(w: CircularWord, n: int) -> KirchhoffReport:
     """Flow residuals of w at every length-n vertex.
 
-    Like build_graph, refuses a B(d,n) with more than DEFAULT_EDGE_LIMIT
-    edges, since every vertex gets a residual.
+    Like build_graph, refuses a B(d,n) whose d^(n+1) edges exceed the
+    cap, since every vertex gets a residual.
     """
     if n < 1:
         raise BadParameterError(f"vertex word length must be >= 1, got n={n}")
-    check_size(w.d, n + 1, "edges", DEFAULT_EDGE_LIMIT)
+    check_size(w.d, n + 1, "edges")
     short = occurrence_vector(w, n).counts
     long = occurrence_vector(w, n + 1).counts
     out_res, in_res = _flow_residuals(w.d, n, short, long)

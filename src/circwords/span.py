@@ -7,22 +7,31 @@ span.  For factors of length at most l over d letters that dimension is
 the formula, the independent spanning set {0^l} union {1V}, and the
 basis of factors whose first and last letters are nonzero.
 
-Every count |W|_U is the same on all rotations of W, so the sample
-holds one word per rotation class, the necklaces: the same distinct
-count rows as all d^m words of each length, from about d^m/m words.
+Every question is answered from one sample and one echelon.  The sample
+holds one word per rotation class, the necklaces: every count |W|_U is
+the same on all rotations of W, so they give the same distinct count
+rows as all d^m words of each length, from about d^m/m words.  Each row
+holds a word's d^l counts of length-l factors in lexicographic order,
+and _sample_echelon reduces the distinct rows into one row echelon.
+For |u| <= l, |W|_u is the sum of the row over the block of columns
+that start with u, and |W| is the sum of the whole row; so a family's
+values are block sums, a fixed linear map, and taken on the kept rows
+they span the same space as on the whole sample.  Ranks and solutions
+depend only on that space.  One cap bounds d^max_len and d^l before
+anything is built.
 
 All arithmetic is exact.  One fraction-free elimination kernel serves
 every caller: it reduces a batch of integer rows against a row echelon
 and keeps the independent ones.  exact_rank starts from an empty
-echelon; span_dimension keeps one echelon across lengths and feeds it
-only the rows new at each length; express_in_span reduces the [A | b]
-rows and back-substitutes, with rationals only in that last step.
+echelon; the sampler keeps one echelon across lengths and feeds it only
+the rows new at each length; express_in_span reduces the [A | b] rows
+of the kept rows and back-substitutes, with rationals only in that last
+step.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+import itertools
 import json
 import math
 import operator
@@ -38,19 +47,14 @@ from .errors import (
     NotInSpanError,
 )
 from .words import (
-    DEFAULT_SIZE_LIMIT,
     Alphabet,
     CircularWord,
     Letters,
     check_size,
-    count_occurrences,
     enumerate_necklaces,
     occurrence_vector,
     word_string,
 )
-
-#: Default cap on d^max_len, the number of words of the top sample length.
-DEFAULT_WORD_LIMIT = DEFAULT_SIZE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -160,17 +164,6 @@ def occurrence_matrix(
     return IntegerMatrix(tuple(rows))
 
 
-def matrix_csv(words: Sequence[CircularWord], family: FunctionalFamily) -> str:
-    """CSV dump: word digit-string first, then the counts."""
-    m = occurrence_matrix(words, family)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("word",) + family.column_labels())
-    for w, row in zip(words, m.entries):
-        writer.writerow((str(w),) + row)
-    return buf.getvalue()
-
-
 def exact_rank(m: IntegerMatrix) -> int:
     """Rank over the rationals, by fraction-free elimination of the rows."""
     return _bareiss_rank(m.entries, {})
@@ -206,16 +199,6 @@ def _bareiss_rank(rows: Collection[Sequence[int]], echelon: dict[int, list[int]]
     return len(echelon)
 
 
-def _sample_rank(words: Sequence[CircularWord], family: FunctionalFamily) -> int:
-    """Rank of the family's counts on the sample words.
-
-    A repeated row adds nothing to the row space, so each distinct row
-    goes to the kernel once, in the order it first occurs.
-    """
-    rows = occurrence_matrix(words, family).entries
-    return exact_rank(IntegerMatrix(tuple(dict.fromkeys(rows))))
-
-
 def predicted_dimension(d: int, l: int) -> int:
     """(d-1) d^(l-1) + 1, the cyclomatic number of B(d,l-1)."""
     return (d - 1) * d ** (l - 1) + 1
@@ -240,13 +223,80 @@ def _flow_relations(d: int, l: int) -> list[list[int]]:
     return relations
 
 
-def sample_words(d: int, max_len: int, word_limit: int = DEFAULT_WORD_LIMIT) -> list[CircularWord]:
-    """The necklaces of each length 1..max_len, one per rotation class.
+def _sample_echelon(
+    d: int, l: int, max_len: int
+) -> tuple[dict[int, list[int]], list[tuple[int, int]]]:
+    """An echelon of the length-l count rows of the sample, and its rank trace.
 
-    The cap is on d^max_len, the number of all words of the top length.
+    The sample is the necklaces of each length 1..max_len, and a row is
+    the word's d^l counts of length-l factors in lexicographic order.
+    The cap is on d^max_len, the number of all words of the top length,
+    and on d^l, the width of a row; both are checked before anything is
+    built.  rank_by_length holds (m, rank) after the words of length m.
     """
-    check_size(d, max_len, "sample words", word_limit)
-    return [w for m in range(1, max_len + 1) for w in enumerate_necklaces(d, m)]
+    check_size(d, max_len, "sample words")
+    check_size(d, l, "count columns")
+    width = d**l
+    echelon: dict[int, list[int]] = {}
+    rank_by_length = []
+    for m in range(1, max_len + 1):
+        # The counts of a length-m word sum to m, so no row of this
+        # length repeats one of an earlier length: the distinct rows of
+        # length m are exactly the new ones, and each is reduced once.
+        batch = set()
+        for w in enumerate_necklaces(d, m):
+            row = [0] * width
+            for v, count in occurrence_vector(w, l).counts.items():
+                row[_index(v, d)] = count
+            batch.add(tuple(row))
+        rank_by_length.append((m, _bareiss_rank(batch, echelon)))
+    return echelon, rank_by_length
+
+
+def _index(u: Letters, d: int) -> int:
+    """The position of u among the d^|u| words of its length, lexicographically."""
+    i = 0
+    for a in u:
+        i = i * d + a
+    return i
+
+
+def _marginals(
+    rows: Iterable[Sequence[int]],
+    d: int,
+    l: int,
+    factors: Sequence[Letters],
+    include_length: bool,
+) -> list[tuple[int, ...]]:
+    """The family's values on each row of length-l counts, as block sums.
+
+    For |u| <= l, |W|_u is the sum of |W|_v over the length-l words v
+    that start with u, and in lexicographic order those v are one block
+    of d^(l-|u|) columns, from index(u) * d^(l-|u|).  |W| is the sum of
+    the whole row, the leading value when include_length is set.  The
+    map is linear, so it may be applied to any combination of count rows.
+    """
+    blocks = []
+    for u in factors:
+        width = d ** (l - len(u))
+        start = _index(u, d) * width
+        blocks.append((start, start + width))
+    values = []
+    for row in rows:
+        sums = list(itertools.accumulate(row, initial=0))
+        head = (sums[-1],) if include_length else ()
+        values.append(head + tuple(sums[b] - sums[a] for a, b in blocks))
+    return values
+
+
+def _family_rank(echelon: dict[int, list[int]], l: int, family: FunctionalFamily) -> int:
+    """Rank of the family's values on the sample, from the sample's echelon.
+
+    The value rows are the count rows times a fixed 0/1 matrix, so they
+    span the same space as the echelon rows times that matrix.
+    """
+    values = _marginals(echelon.values(), family.d, l, family.factors, family.include_length)
+    return _bareiss_rank(values, {})
 
 
 @dataclass(frozen=True)
@@ -285,12 +335,7 @@ class SpanReport:
         return json.dumps(self.to_dict())
 
 
-def span_dimension(
-    d: int,
-    l: int,
-    max_len: int | None = None,
-    word_limit: int = DEFAULT_WORD_LIMIT,
-) -> SpanReport:
+def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
     """Rank of the matrix of all length-l counts over words up to max_len.
 
     The sample holds the necklaces of each length 1..max_len.  max_len
@@ -304,24 +349,10 @@ def span_dimension(
         max_len = 2 * l + 2
     if max_len < l:
         raise BadParameterError(f"need max_len >= l, got max_len={max_len} < l={l}")
-    check_size(d, max_len, "sample words", word_limit)
-    columns = tuple(Alphabet(d).words(l))
-    zeros = (0,) * len(columns)
+    echelon, rank_by_length = _sample_echelon(d, l, max_len)
+    rank = len(echelon)
     relations = _flow_relations(d, l)
-    bound = len(columns) - _bareiss_rank(relations, {})
-    echelon: dict[int, list[int]] = {}
-    rank_by_length: list[tuple[int, int]] = []
-    rank = 0
-    for m in range(1, max_len + 1):
-        # The counts of a length-m word sum to m, so no row of this
-        # length repeats one of an earlier length: the distinct rows of
-        # length m are exactly the new ones, and each is reduced once.
-        batch = {
-            tuple(map(counts.get, columns, zeros))
-            for counts in (occurrence_vector(w, l).counts for w in enumerate_necklaces(d, m))
-        }
-        rank = _bareiss_rank(batch, echelon)
-        rank_by_length.append((m, rank))
+    bound = d**l - _bareiss_rank(relations, {})
     # The kept rows span every sample row, so checking them covers the sample.
     obeyed = all(
         sum(map(operator.mul, row, relation)) == 0
@@ -342,18 +373,13 @@ def span_dimension(
         lengths=tuple(range(1, max_len + 1)),
         rank=rank,
         predicted=predicted_dimension(d, l),
-        relations=len(columns) - rank,
+        relations=d**l - rank,
         rank_by_length=tuple(rank_by_length),
         saturated=saturated,
     )
 
 
-def verify_spanning_set(
-    max_len: int,
-    l: int = 4,
-    d: int = 2,
-    word_limit: int = DEFAULT_WORD_LIMIT,
-) -> bool:
+def verify_spanning_set(max_len: int, l: int = 4, d: int = 2) -> bool:
     """Check that {0^l} union {1V} is independent and spans all length-l counts.
 
     Requires rank equal to 2^(l-1)+1 on the set alone, no rank growth
@@ -363,24 +389,19 @@ def verify_spanning_set(
     """
     if d != 2:
         raise BadParameterError("the 1V spanning set is defined for binary words")
-    words = sample_words(d, max_len, word_limit)
+    echelon, _ = _sample_echelon(d, l, max_len)
     family = spanning_set_family(l)
     expected = predicted_dimension(d, l)
-    if _sample_rank(words, family) != expected:
+    if _family_rank(echelon, l, family) != expected:
         return False
     full = family.extended(Alphabet(d).words(l))
-    if _sample_rank(words, full) != expected:
+    if _family_rank(echelon, l, full) != expected:
         return False
     tree_edges = [u for u in family.factors if u[0] == 1 and u != (1,) * l]
     return debruijn.is_spanning_tree(debruijn.build_graph(2, l - 1), tree_edges)
 
 
-def verify_cks_basis(
-    d: int,
-    l: int,
-    max_len: int,
-    word_limit: int = DEFAULT_WORD_LIMIT,
-) -> bool:
+def verify_cks_basis(d: int, l: int, max_len: int) -> bool:
     """Check the nonzero-first-and-last-letter basis of all counts up to l.
 
     The candidate basis is the length functional plus every factor of
@@ -388,38 +409,38 @@ def verify_cks_basis(
     rank (d-1)d^(l-1)+1 and absorb every factor of length <= l without
     rank growth.
     """
-    words = sample_words(d, max_len, word_limit)
+    echelon, _ = _sample_echelon(d, l, max_len)
     basis = cks_family(d, l)
     expected = predicted_dimension(d, l)
-    if _sample_rank(words, basis) != expected:
+    if _family_rank(echelon, l, basis) != expected:
         return False
     everything = basis.extended(
         u for m in range(1, l + 1) for u in Alphabet(d).words(m)
     )
-    return _sample_rank(words, everything) == expected
+    return _family_rank(echelon, l, everything) == expected
 
 
 def express_in_span(
-    target: Letters,
-    basis: FunctionalFamily,
-    max_len: int,
-    word_limit: int = DEFAULT_WORD_LIMIT,
+    target: Letters, basis: FunctionalFamily, max_len: int
 ) -> tuple[Fraction, ...]:
     """Exact rational coefficients writing |W|_target over the basis columns.
 
     Solves the linear system sampled on the necklaces of length
     1..max_len; free variables (present only when the basis columns are
     dependent) are pinned to zero.  Raises NotInSpanError when no exact
-    combination exists on the sample.
+    combination exists on the sample.  The sample rows count the factors
+    of length L, the longest of the target and the basis factors, so d^L
+    is capped like d^max_len.
     """
     target = tuple(target)
     Alphabet(basis.d).validate(target)
     if len(target) == 0:
         raise BadParameterError("express the length functional via include_length instead")
-    words = sample_words(basis.d, max_len, word_limit)
-    m = occurrence_matrix(words, basis)
-    t = [count_occurrences(w, target) for w in words]
-    return _solve({r + (b,) for r, b in zip(m.entries, t)}, m.ncols)
+    factors = basis.factors + (target,)
+    l = max(map(len, factors))
+    echelon, _ = _sample_echelon(basis.d, l, max_len)
+    rows = _marginals(echelon.values(), basis.d, l, factors, basis.include_length)
+    return _solve(rows, basis.ncols)
 
 
 def _solve(rows: Collection[Sequence[int]], ncols: int) -> tuple[Fraction, ...]:
@@ -439,18 +460,6 @@ def _solve(rows: Collection[Sequence[int]], ncols: int) -> tuple[Fraction, ...]:
         rest = sum(r[j] * solution[j] for j in range(col + 1, ncols))
         solution[col] = (r[ncols] - rest) / Fraction(r[col])
     return tuple(solution)
-
-
-def format_coefficients(
-    coefficients: Sequence[Fraction], family: FunctionalFamily
-) -> str:
-    """One 'label: p/q' line per nonzero coefficient."""
-    lines = [
-        f"{label}: {c}"
-        for label, c in zip(family.column_labels(), coefficients)
-        if c
-    ]
-    return "\n".join(lines)
 
 
 def marginalization_check(w: CircularWord, l: int) -> bool:

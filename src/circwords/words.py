@@ -33,17 +33,19 @@ Letters = tuple[int, ...]
 #: Anything the parsing helpers accept as a word.
 WordLike = Union["Letters", str]
 
-#: Default cap on d^n wherever a loop visits all d^n words of one length.
+#: The one cap on d^n wherever a loop visits all d^n words of one length.
 DEFAULT_SIZE_LIMIT = 1 << 20
 
 
-def check_size(d: int, n: int, what: str, limit: int) -> None:
-    """The one size-cap policy: refuse a loop over d^n items above limit.
+def check_size(d: int, n: int, what: str) -> None:
+    """The one size-cap policy: refuse a loop over d^n items above the cap.
 
-    With d >= 2, d^n >= 2^n, so an n at least 64 past the bit length of
-    the limit is refused without building d^n: written out it could take
-    more memory than the loop, or more digits than str() allows.
+    The cap is DEFAULT_SIZE_LIMIT, read at each call.  With d >= 2,
+    d^n >= 2^n, so an n at least 64 past the bit length of the cap is
+    refused without building d^n: written out it could take more memory
+    than the loop, or more digits than str() allows.
     """
+    limit = DEFAULT_SIZE_LIMIT
     if d >= 2 and n >= limit.bit_length() + 64:
         raise SizeLimitError(f"{d}^{n} {what} exceed the cap of {limit}")
     if d**n > limit:
@@ -176,11 +178,6 @@ def _factor_table(d: int, l: int) -> tuple[Letters, ...]:
     return tuple(itertools.product(range(d), repeat=l))
 
 
-def make_circular(letters, alphabet: Alphabet = BINARY) -> CircularWord:
-    """Build a circular word, validating letters against the alphabet."""
-    return CircularWord(tuple(letters), alphabet.d)
-
-
 #: The letters a word's text may hold: the ASCII digits only.
 _DIGITS = {str(i): i for i in range(10)}
 
@@ -270,7 +267,7 @@ class OccurrenceVector:
 
         Refuses, before the first item, a d^l above DEFAULT_SIZE_LIMIT.
         """
-        check_size(self.d, self.l, "factors", DEFAULT_SIZE_LIMIT)
+        check_size(self.d, self.l, "factors")
         counts = self.counts
         return ((u, counts.get(u, 0)) for u in Alphabet(self.d).words(self.l))
 
@@ -301,12 +298,6 @@ def mirror(u: Letters) -> Letters:
 def is_palindrome(u: Letters) -> bool:
     u = tuple(u)
     return u == u[::-1]
-
-
-def is_palindromic_pair(u: Letters, v: Letters) -> bool:
-    """Same length, mirror images of each other, and neither a palindrome."""
-    u, v = tuple(u), tuple(v)
-    return len(u) == len(v) and v == u[::-1] and not is_palindrome(u)
 
 
 @dataclass(frozen=True)
@@ -462,18 +453,6 @@ def decompose_blocks(w: CircularWord) -> BlockDecomposition:
         else:
             blocks.append(LongRunBlock(tuple(group)))
     return BlockDecomposition(n=w.n, blocks=tuple(blocks), whole_word_alternating=False)
-
-
-def rotate(w: CircularWord, s: int) -> CircularWord:
-    return w.rotate(s)
-
-
-def reverse(w: CircularWord) -> CircularWord:
-    return w.reverse()
-
-
-def complement(w: CircularWord) -> CircularWord:
-    return w.complement()
 
 
 def canonical_rotation(w: CircularWord) -> CircularWord:

@@ -20,7 +20,7 @@ from circwords import (
     verify_kirchhoff,
     word_string,
 )
-from circwords import debruijn
+from circwords import debruijn, words
 from circwords.debruijn import connected_components
 from conftest import binary_circular_words, cw, scan_count, u
 
@@ -69,12 +69,14 @@ class TestBuildGraph:
         assert len(g.vertices) == 9
         assert len(g.edges) == 27
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
         with pytest.raises(SizeLimitError):
             build_graph(2, 25)
-        build_graph(2, 5, edge_limit=64)
+        monkeypatch.setattr(words, "DEFAULT_SIZE_LIMIT", 64)
+        build_graph(2, 5)
+        monkeypatch.setattr(words, "DEFAULT_SIZE_LIMIT", 63)
         with pytest.raises(SizeLimitError):
-            build_graph(2, 5, edge_limit=63)
+            build_graph(2, 5)
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -212,10 +214,13 @@ class TestKirchhoff:
             verify_kirchhoff(cw("01"), 20)
         with pytest.raises(SizeLimitError):
             verify_kirchhoff(cw("012"), 12)
-        monkeypatch.setattr(debruijn, "DEFAULT_EDGE_LIMIT", 64)
+        monkeypatch.setattr(words, "DEFAULT_SIZE_LIMIT", 64)
         assert len(verify_kirchhoff(cw("0100110"), 5).out_residuals) == 32
         with pytest.raises(SizeLimitError):
             verify_kirchhoff(cw("0100110"), 6)
+        monkeypatch.setattr(words, "DEFAULT_SIZE_LIMIT", 63)
+        with pytest.raises(SizeLimitError):
+            verify_kirchhoff(cw("0100110"), 5)
 
     def test_exhaustive_small(self):
         for n in range(1, 11):

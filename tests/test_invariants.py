@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 from circwords import (
     BrokenProjectionError,
     classify_length4,
-    complement,
     decompose_blocks,
     enumerate_words,
     grandsart_differences,
     grandsart_report,
     mirror,
     project_to_square,
-    reverse,
-    rotate,
     winding_number_decomposition,
     winding_number_graph,
     word_string,
@@ -292,7 +289,7 @@ class TestReport:
     @given(binary_circular_words(max_n=48), st.integers(-64, 64))
     def test_rotation_invariance(self, w, s):
         a = grandsart_report(w)
-        b = grandsart_report(rotate(w, s))
+        b = grandsart_report(w.rotate(s))
         assert a.diffs == b.diffs
         assert a.k_graph == b.k_graph
         assert a.k_decomposition == b.k_decomposition
@@ -300,12 +297,12 @@ class TestReport:
     def test_mirror_antisymmetry_exhaustive(self):
         for n in range(1, 13):
             for w in enumerate_words(2, n):
-                assert winding_number_graph(reverse(w)) == -winding_number_graph(w)
+                assert winding_number_graph(w.reverse()) == -winding_number_graph(w)
 
     def test_complement_antisymmetry_exhaustive(self):
         for n in range(1, 13):
             for w in enumerate_words(2, n):
-                assert winding_number_graph(complement(w)) == -winding_number_graph(w)
+                assert winding_number_graph(w.complement()) == -winding_number_graph(w)
 
 
 class TestSquareDot:

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circwords import (
+    Alphabet,
     AlphabetMismatchError,
+    CircularWord,
     FunctionalFamily,
     IntegerMatrix,
     NotInSpanError,
@@ -17,11 +19,13 @@ from circwords import (
     cks_family,
     count_occurrences,
     cyclomatic_number,
+    enumerate_necklaces,
     enumerate_words,
     exact_rank,
     express_in_span,
     marginalization_check,
     occurrence_matrix,
+    occurrence_vector,
     predicted_dimension,
     span_dimension,
     spanning_set_family,
@@ -29,22 +33,33 @@ from circwords import (
     verify_spanning_set,
 )
 from circwords import span
-from circwords.span import (
-    _bareiss_rank,
-    _flow_relations,
-    _sample_rank,
-    _solve,
-    format_coefficients,
-    matrix_csv,
-    sample_words,
+from circwords.span import _bareiss_rank, _flow_relations, _marginals, _sample_echelon, _solve
+from conftest import (
+    binary_circular_words,
+    circular_words_any_alphabet,
+    cw,
+    rank_fraction,
+    rank_mod_p,
+    u,
 )
-from conftest import binary_circular_words, cw, rank_fraction, rank_mod_p, u
 
 ALL_LENGTH_4 = all_factors_family(2, 4)
 
 
 def words_up_to(d, max_len):
     return [w for m in range(1, max_len + 1) for w in enumerate_words(d, m)]
+
+
+def necklaces_up_to(d, max_len):
+    return [w for m in range(1, max_len + 1) for w in enumerate_necklaces(d, m)]
+
+
+def set_cap(monkeypatch, cap):
+    monkeypatch.setattr("circwords.words.DEFAULT_SIZE_LIMIT", cap)
+
+
+def never(*args):
+    raise AssertionError("built past the cap")
 
 
 def solve_gauss_jordan(rows, ncols):
@@ -125,11 +140,6 @@ class TestOccurrenceMatrix:
     def test_duplicate_factors_rejected(self):
         with pytest.raises(ValueError):
             FunctionalFamily(d=2, factors=(u("01"), u("01")))
-
-    def test_csv_dump(self):
-        fam = FunctionalFamily(d=2, factors=(u("0"), u("1")))
-        text = matrix_csv([cw("001"), cw("11")], fam)
-        assert text == "word,0,1\n001,2,1\n11,0,2\n"
 
 
 class TestExactRank:
@@ -237,11 +247,20 @@ class TestSpanDimension:
     def test_flow_relations_have_rank_vertices_minus_one(self, d, l):
         assert _bareiss_rank(_flow_relations(d, l), {}) == d ** (l - 1) - 1
 
-    def test_preconditions(self):
+    def test_preconditions(self, monkeypatch):
         with pytest.raises(ValueError):
             span_dimension(2, 4, 3)
+        set_cap(monkeypatch, 1024)
+        assert span_dimension(2, 4, 10).saturated
+        set_cap(monkeypatch, 1023)
         with pytest.raises(SizeLimitError):
-            span_dimension(2, 4, 10, word_limit=512)
+            span_dimension(2, 4, 10)
+
+    def test_refuses_before_the_flow_relations(self, monkeypatch):
+        monkeypatch.setattr(span, "_flow_relations", never)
+        set_cap(monkeypatch, 255)
+        with pytest.raises(SizeLimitError):
+            span_dimension(2, 3, 8)
 
     def test_json_round_trip(self):
         import json
@@ -283,9 +302,9 @@ class TestSpanningSet:
         reduced = FunctionalFamily(
             d=2, factors=tuple(f for f in fam.factors if f != u("1010"))
         )
-        words = sample_words(2, 10)
-        assert _sample_rank(words, reduced) == 8
-        assert _sample_rank(words, reduced.extended([u("0101")])) == 9
+        words = necklaces_up_to(2, 10)
+        assert exact_rank(occurrence_matrix(words, reduced)) == 8
+        assert exact_rank(occurrence_matrix(words, reduced.extended([u("0101")]))) == 9
         monkeypatch.setattr(span, "spanning_set_family", lambda l: reduced)
         monkeypatch.setattr(span, "cks_family", lambda d, l: reduced)
         assert not verify_spanning_set(10)
@@ -363,11 +382,14 @@ class TestCksBasis:
 
         monkeypatch.setattr(span, "_bareiss_rank", recording)
         assert check()
-        assert len(batches) == 2
-        for rows in batches:
-            assert len(rows) == len(set(rows))
+        # one sampling batch per length 1..10, then one elimination per family
+        assert len(batches) == 12
+        sampled, families = batches[:10], batches[10:]
+        rows = [r for batch in sampled for r in batch]
         # 261 necklaces up to length 10 give 231 distinct count rows
-        assert all(len(rows) == 231 for rows in batches)
+        assert len(rows) == len(set(rows)) == 231
+        # a family's values are taken on the 9 kept rows, not on the sample
+        assert all(len(batch) <= 9 for batch in families)
 
 
 class TestExpressInSpan:
@@ -441,11 +463,6 @@ class TestExpressInSpan:
         else:
             assert _solve(rows, ncols) == expected
 
-    def test_format_coefficients(self):
-        fam = FunctionalFamily(d=2, factors=(u("1"),), include_length=True)
-        text = format_coefficients((Fraction(1, 2), Fraction(-2)), fam)
-        assert text == "length: 1/2\n1: -2"
-
 
 class TestMarginalization:
     def test_paper_example(self):
@@ -476,17 +493,97 @@ class TestMarginalization:
 
 
 class TestSampleWords:
+    """The sample: one necklace per rotation class of each length."""
+
     def test_counts(self):
-        # one word per rotation class of each length
-        assert len(sample_words(2, 5)) == 2 + 3 + 4 + 6 + 8
+        assert len(necklaces_up_to(2, 5)) == 2 + 3 + 4 + 6 + 8
 
     def test_same_distinct_rows_as_all_words(self):
         family = all_factors_family(3, 3)
         for m in range(1, 7):
             every = set(occurrence_matrix(list(enumerate_words(3, m)), family).entries)
-            necklaces = [w for w in sample_words(3, m) if w.n == m]
+            necklaces = list(enumerate_necklaces(3, m))
             assert set(occurrence_matrix(necklaces, family).entries) == every
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
+        set_cap(monkeypatch, 2**12)
+        echelon, rank_by_length = _sample_echelon(2, 4, 12)
+        assert len(echelon) == 9
+        assert rank_by_length[-1] == (12, 9)
+        set_cap(monkeypatch, 2**12 - 1)
         with pytest.raises(SizeLimitError):
-            sample_words(2, 12, word_limit=2**11 - 1)
+            _sample_echelon(2, 4, 12)
+
+
+def _dense_row(w, l):
+    counts = occurrence_vector(w, l)
+    return [c for _, c in counts.dense_items()]
+
+
+class TestMarginals:
+    @settings(max_examples=200)
+    @given(
+        circular_words_any_alphabet(max_d=3, max_n=14),
+        st.sampled_from(["cks", "spanning", "mixed"]),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    def test_block_sums_are_the_counts(self, w, kind, l, include_length):
+        if kind == "cks":
+            family = cks_family(w.d, l)
+        elif kind == "spanning":
+            w = CircularWord(tuple(a % 2 for a in w.letters), 2)
+            family = spanning_set_family(l)
+        else:
+            factors = [v for m in (1, l) for v in Alphabet(w.d).words(m)][::3]
+            family = FunctionalFamily(w.d, tuple(dict.fromkeys(factors)), include_length)
+        (values,) = _marginals(
+            [_dense_row(w, l)], w.d, l, family.factors, family.include_length
+        )
+        assert values == occurrence_matrix([w], family).entries[0]
+
+    def test_length_is_the_row_sum(self):
+        family = FunctionalFamily(2, (u("1"),), include_length=True)
+        assert _marginals([[5, -2, 0, 7]], 2, 2, family.factors, True) == [(10, 7)]
+
+
+class TestCaps:
+    # max_len < l in each case, so the cap on d^l is the one that binds;
+    # below it the call is refused before any family is built
+    def test_cks_cap_boundary(self, monkeypatch):
+        set_cap(monkeypatch, 2**5)
+        assert verify_cks_basis(2, 5, 4) is False
+        set_cap(monkeypatch, 2**5 - 1)
+        monkeypatch.setattr(span, "cks_family", never)
+        with pytest.raises(SizeLimitError):
+            verify_cks_basis(2, 5, 4)
+
+    def test_spanning_set_cap_boundary(self, monkeypatch):
+        set_cap(monkeypatch, 2**6)
+        assert verify_spanning_set(4, l=6) is False
+        set_cap(monkeypatch, 2**6 - 1)
+        monkeypatch.setattr(span, "spanning_set_family", never)
+        with pytest.raises(SizeLimitError):
+            verify_spanning_set(4, l=6)
+
+    def test_express_caps_the_longest_factor(self, monkeypatch):
+        # the target is longer than every basis factor and than max_len;
+        # |W|_000000 is |W| on 0^n and 0 elsewhere, outside the span
+        set_cap(monkeypatch, 2**6)
+        with pytest.raises(NotInSpanError):
+            express_in_span(u("000000"), cks_family(2, 2), 4)
+        set_cap(monkeypatch, 2**6 - 1)
+        with pytest.raises(SizeLimitError):
+            express_in_span(u("000000"), cks_family(2, 2), 4)
+
+    def test_express_caps_a_long_basis_factor(self, monkeypatch):
+        basis = FunctionalFamily(2, (u("1"), u("111111")), include_length=True)
+        set_cap(monkeypatch, 2**6)
+        assert express_in_span(u("0"), basis, 4) == (1, -1, 0)
+        set_cap(monkeypatch, 2**6 - 1)
+        with pytest.raises(SizeLimitError):
+            express_in_span(u("0"), basis, 4)
+
+    def test_binary_target_past_20_letters_is_refused(self):
+        with pytest.raises(SizeLimitError):
+            express_in_span((0,) * 21, cks_family(2, 1), 1)
