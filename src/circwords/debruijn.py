@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import product, repeat
+from itertools import product
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import AlphabetMismatchError, BadParameterError
@@ -23,8 +23,8 @@ from .words import (
     CircularWord,
     Letters,
     WordLike,
+    _dense_counts,
     check_size,
-    occurrence_vector,
     parse_word,
     word_string,
 )
@@ -116,35 +116,38 @@ def verify_kirchhoff(w: CircularWord, n: int) -> KirchhoffReport:
     """Flow residuals of w at every length-n vertex.
 
     Like build_graph, refuses a B(d,n) whose d^(n+1) edges exceed the
-    cap, since every vertex gets a residual.
+    cap, since every vertex gets a residual.  The vertex and the edge
+    counts are both counted from w, as dense lists in lexicographic
+    order.
     """
     if n < 1:
         raise BadParameterError(f"vertex word length must be >= 1, got n={n}")
-    check_size(w.d, n + 1, "edges")
-    short = occurrence_vector(w, n).counts
-    long = occurrence_vector(w, n + 1).counts
-    out_res, in_res = _flow_residuals(w.d, n, short, long)
+    d = w.d
+    check_size(d, n + 1, "edges")
+    counts = _dense_counts(w.letters, d, n)
+    edges = _dense_counts(w.letters, d, n + 1)
+    out_res, in_res = _flow_residuals(d, n, counts, edges)
     return KirchhoffReport(n=n, out_residuals=out_res, in_residuals=in_res)
 
 
 def _flow_residuals(
-    d: int, n: int, short: Mapping[Letters, int], long: Mapping[Letters, int]
+    d: int, n: int, counts: Sequence[int], edges: Sequence[int]
 ) -> tuple[dict[Letters, int], dict[Letters, int]]:
     """Out- and in-residuals of every length-n vertex, lexicographically.
 
-    The edge counts are read once into a dense list in lexicographic
-    order.  Vertex i's out-edges ua sit at i·d + a, so the out-sums are
-    the sum of the d strided slices edges[a::d]; its in-edges au sit at
-    a·d^n + i, so the in-sums are the sum of the d blocks of d^n edges.
-    The vertex counts are the length-n counts as given, not marginals.
+    counts holds the d^n vertex counts and edges the d^(n+1) edge
+    counts, each in lexicographic order.  Vertex i's out-edges ua sit at
+    i·d + a, so the out-sums are the sum of the d strided slices
+    edges[a::d]; its in-edges au sit at a·d^n + i, so the in-sums are the
+    sum of the d blocks of d^n edges.  The vertex counts are used as
+    given, not taken as marginals of the edges, so a miscounted vertex
+    shows on both sides.
     """
-    vertices = tuple(product(range(d), repeat=n))
-    size = len(vertices)
-    edges = list(map(long.get, product(range(d), repeat=n + 1), repeat(0)))
-    counts = list(map(short.get, vertices, repeat(0)))
+    size = len(counts)
     add = partial(map, operator.add)
     out_sums = reduce(add, (edges[a::d] for a in range(d)))
     in_sums = reduce(add, (edges[a * size : (a + 1) * size] for a in range(d)))
+    vertices = tuple(product(range(d), repeat=n))
     out_res = dict(zip(vertices, map(operator.sub, counts, out_sums)))
     in_res = dict(zip(vertices, map(operator.sub, counts, in_sums)))
     return out_res, in_res

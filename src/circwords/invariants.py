@@ -14,6 +14,7 @@ out of the run structure of W, via its blocks of isolated letters.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -26,9 +27,6 @@ from .words import (
     WordLike,
     _codes,
     _factor_table,
-    _run_blocks,
-    _run_lengths,
-    _run_starts,
     is_palindrome,
     mirror,
     parse_word,
@@ -49,9 +47,14 @@ NEGATIVE_EDGES: tuple[Letters, ...] = tuple(mirror(e) for e in POSITIVE_EDGES)
 SQUARE_EDGES: frozenset[Letters] = frozenset(POSITIVE_EDGES + NEGATIVE_EDGES)
 SQUARE_VERTICES: frozenset[Letters] = frozenset(e[:3] for e in SQUARE_EDGES)
 
-_EPSILON: dict[Letters, int] = {
-    **{e: +1 for e in POSITIVE_EDGES},
-    **{e: -1 for e in NEGATIVE_EDGES},
+#: The length-4 words in code order (words._codes): _EDGES[code] is the edge.
+_EDGES = _factor_table(2, 4)
+
+#: The code of each square edge and its epsilon: +1 on the positive
+#: quarter turns, -1 on their mirrors.
+_EPSILON: dict[int, int] = {
+    **{_EDGES.index(e): +1 for e in POSITIVE_EDGES},
+    **{_EDGES.index(e): -1 for e in NEGATIVE_EDGES},
 }
 
 
@@ -91,11 +94,8 @@ ROTATION: dict[Letters, Letters] = {
     SQUARE_SOURCE[e]: SQUARE_TARGET[e] for e in POSITIVE_EDGES
 }
 
-#: The length-4 words in code order (words._codes): _EDGES[code] is the edge.
-_EDGES = _factor_table(2, 4)
-
 #: Every byte that is not the code of a square edge, for bytes.translate to delete.
-_NOT_SQUARE = bytes(sorted(set(range(256)) - {_EDGES.index(e) for e in SQUARE_EDGES}))
+_NOT_SQUARE = bytes(sorted(set(range(256)) - set(_EPSILON)))
 
 
 def _vertex_table(vertex: Mapping[Letters, Letters]) -> bytes:
@@ -177,7 +177,10 @@ class SquareProjection:
 
     The retained edges, in position order, walk the square graph; each
     carries epsilon +1 (positive quarter turn) or -1.  Their sum is a
-    multiple of 4, four times the winding number.
+    multiple of 4, four times the winding number.  It is also
+    d1+d2+d3+d4, identically: each edge's count enters the sum once,
+    with the sign its pair's difference gives it.  This record is for
+    project_to_square; the report reads the walk's codes directly.
     """
 
     start_vertex: Letters | None
@@ -189,14 +192,15 @@ class SquareProjection:
         return sum(self.epsilons)
 
 
-def _project(codes: bytes) -> SquareProjection:
-    """Keep the square edges of a closed path, in order, and orient them.
+def _square_walk(codes: bytes) -> bytes:
+    """The codes of the square edges of a closed path, in path order.
 
-    codes holds the path's edges as length-4 factor codes (words._codes).
-    The retained edges must chain, the last one into the first: the
-    target vertex of each must be the source vertex of the next, which
-    is one comparison of two translated byte strings, and only when that
-    fails is the path walked to name the break.
+    codes holds the path's edges as length-4 factor codes (words._codes),
+    and every other code is erased.  The retained edges must chain, the
+    last one into the first: the target vertex of each must be the
+    source vertex of the next, which is one comparison of two translated
+    byte strings, and only when that fails is the walk followed to name
+    the break.
     """
     retained = codes.translate(None, _NOT_SQUARE)
     sources = retained.translate(_SOURCE_CODE)
@@ -207,20 +211,32 @@ def _project(codes: bytes) -> SquareProjection:
                     "square path breaks between "
                     f"{word_string(_EDGES[e])} and {word_string(_EDGES[nxt])}"
                 )
+    return retained
+
+
+def _epsilon_sum(retained: bytes) -> int:
+    """The epsilon sum of a square walk, from the count of each edge's code."""
+    return sum(eps * retained.count(c) for c, eps in _EPSILON.items())
+
+
+def _project(codes: bytes) -> SquareProjection:
+    """The checked square walk of a closed path, as a record of edges and epsilons."""
+    retained = _square_walk(codes)
     edges = tuple(map(_EDGES.__getitem__, retained))
     return SquareProjection(
         start_vertex=SQUARE_SOURCE[edges[0]] if edges else None,
         retained_edges=edges,
-        epsilons=tuple(map(_EPSILON.__getitem__, edges)),
+        epsilons=tuple(map(_EPSILON.__getitem__, retained)),
     )
 
 
-def _winding(proj: SquareProjection, w: CircularWord) -> int:
+def _winding(epsilon_sum: int, w: CircularWord) -> int:
     """The epsilon sum of w's projection divided by 4, which it must divide."""
-    s = proj.epsilon_sum
-    if s % 4:
-        raise BrokenProjectionError(f"epsilon sum {s} of {w} is not a multiple of 4")
-    return s // 4
+    if epsilon_sum % 4:
+        raise BrokenProjectionError(
+            f"epsilon sum {epsilon_sum} of {w} is not a multiple of 4"
+        )
+    return epsilon_sum // 4
 
 
 def project_to_square(w: CircularWord) -> SquareProjection:
@@ -231,28 +247,44 @@ def project_to_square(w: CircularWord) -> SquareProjection:
 
 def winding_number_graph(w: CircularWord) -> int:
     """Net turns of the projected path: the epsilon sum divided by 4."""
-    return _winding(project_to_square(w), w)
+    _require_binary(w)
+    return _winding(_epsilon_sum(_square_walk(_codes(w.letters, 2, 4))), w)
+
+
+#: A bytes.translate table taking a length-3 factor code to 1 when its
+#: middle letter is isolated (010 or 101), to 0 otherwise.
+_ISOLATED = bytes(c in (0b010, 0b101) for c in range(256))
+
+#: The maximal arcs of isolated letters in a string of isolated flags.
+_ISOLATED_BLOCK = re.compile(rb"\x01+")
 
 
 def winding_number_decomposition(w: CircularWord) -> int:
     """The winding number read off the isolated-letter blocks.
 
     Counts even-length isolated blocks starting with 0 minus those
-    starting with 1.  A word that is one block, all long runs or fully
-    alternating, has no anchored isolated block and winds zero times.
-    An isolated block has one letter per run, so its length is its run
-    count and its first letter that of its first run.
+    starting with 1.  A letter is isolated, a run of length 1, exactly
+    when the length-3 factor centred on it is 010 or 101, so the flags
+    come from the length-3 factor codes in one bytes.translate.  They
+    are rotated to start at a letter that is not isolated, and each
+    match of a run of flags is then one isolated block, anchored after
+    a long run.  A word with no isolated letter, or with nothing else
+    (fully alternating), has no anchored block and winds zero times.
     """
     _require_binary(w)
     letters = w.letters
-    starts = _run_starts(letters)
-    blocks = _run_blocks(_run_lengths(starts, w.n))
-    if len(blocks) == 1:
+    # flags[i] is the flag of letter i+1, the middle of the factor at i
+    flags = _codes(letters, 2, 3).translate(_ISOLATED)
+    anchor = flags.find(0)
+    if anchor < 0 or 1 not in flags:
         return 0
+    flags = flags[anchor:] + flags[:anchor]
+    n = w.n
     k = 0
-    for first, end, isolated in blocks:
-        if isolated and (end - first) % 2 == 0:
-            k += 1 - 2 * letters[starts[first]]
+    for block in _ISOLATED_BLOCK.finditer(flags):
+        first, end = block.span()
+        if (end - first) % 2 == 0:
+            k += 1 - 2 * letters[(anchor + first + 1) % n]
     return k
 
 
@@ -286,18 +318,23 @@ class GrandsartReport:
 
 
 def grandsart_report(w: CircularWord) -> GrandsartReport:
-    """The diffs and both winding numbers, each by its own route.
+    """The diffs and both winding numbers, read from factor codes alone.
 
-    The diffs come from the counts of the length-4 factor codes, k_graph
-    from the ordered walk of the square edges among the same codes,
-    k_decomposition from the run structure.
+    The diffs are counts of the length-4 factor codes.  k_graph is the
+    epsilon sum of the square walk among the same codes, counted per
+    code, divided by 4.  That sum is d1+d2+d3+d4 identically, so this
+    route is not a third count: what it adds is that the walk closes
+    and that the sum is a multiple of 4, and it raises
+    BrokenProjectionError if either fails.  k_decomposition comes from
+    the isolated-letter blocks, read off the length-3 factor codes.  No
+    edge, run or block record is built.
     """
     _require_binary(w)
     codes = _codes(w.letters, 2, 4)
     return GrandsartReport(
         word=w,
         diffs=_diffs(codes),
-        k_graph=_winding(_project(codes), w),
+        k_graph=_winding(_epsilon_sum(_square_walk(codes)), w),
         k_decomposition=winding_number_decomposition(w),
     )
 

@@ -169,6 +169,11 @@ def _codes(letters: Letters, d: int, l: int) -> bytes:
     return y.to_bytes(len(ext), "big")[l - 1 :]
 
 
+def _fits_a_byte(d: int, l: int) -> bool:
+    """Whether every length-l factor code fits in one byte (d^l <= 256)."""
+    return l <= 8 and d**l <= 256
+
+
 @cache
 def _factor_table(d: int, l: int) -> tuple[Letters, ...]:
     """The d^l words of length l in code order, so table[code] is the factor.
@@ -176,6 +181,19 @@ def _factor_table(d: int, l: int) -> tuple[Letters, ...]:
     Only called with d^l <= 256, so the cache stays small.
     """
     return tuple(itertools.product(range(d), repeat=l))
+
+
+def _dense_counts(letters: Letters, d: int, l: int) -> list[int]:
+    """The count of every length-l factor, all d^l of them, lexicographically.
+
+    Entry c counts the factor with code c: one bytes.count per code
+    when d^l <= 256, a Counter over _windows looked up in lexicographic
+    order otherwise.  The caller bounds d^l (check_size).
+    """
+    if _fits_a_byte(d, l):
+        return list(map(_codes(letters, d, l).count, range(d**l)))
+    counts = Counter(_windows(letters, l))
+    return list(map(counts.get, itertools.product(range(d), repeat=l), itertools.repeat(0)))
 
 
 #: The letters a word's text may hold: the ASCII digits only.
@@ -281,7 +299,7 @@ def occurrence_vector(w: CircularWord, l: int) -> OccurrenceVector:
     if l < 1:
         raise BadParameterError(f"factor length must be >= 1, got {l}")
     d = w.d
-    if l <= 8 and d**l <= 256:
+    if _fits_a_byte(d, l):
         # One byte per factor code; the keys are decoded in first-occurrence order.
         table = _factor_table(d, l)
         counts = {table[c]: k for c, k in Counter(_codes(w.letters, d, l)).items()}

@@ -1,12 +1,14 @@
 """CLI contract: outputs, formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from circwords import cli, invariants, parse_circular, words
+from circwords import cli, debruijn, invariants, parse_circular, words
+from circwords.debruijn import KirchhoffReport
 
 
 def run_cli(*args):
@@ -141,6 +143,85 @@ class TestVerify:
         assert capsys.readouterr().out == "4 words checked, 0 violations\n"
         assert cli.main([*argv, "65"]) == 2
         assert "--rand-len 65 letters exceed the cap of 64" in capsys.readouterr().err
+
+    def test_inconsistent_report_is_a_counterexample(self, monkeypatch, capsys):
+        # words with exactly two 1s get a wrong k_decomposition: of the 30
+        # words of length 1..4, that is 11, then 011, 101, 110 and six more
+        real = invariants.grandsart_report
+
+        def faulty(w):
+            report = real(w)
+            if w.letters.count(1) == 2:
+                report = dataclasses.replace(report, k_decomposition=report.k_graph + 1)
+            return report
+
+        monkeypatch.setattr(invariants, "grandsart_report", faulty)
+        assert cli.main(["verify", "--max-len", "4"]) == 1
+        assert capsys.readouterr().out == (
+            "counterexample 11: inconsistent occurrence differences\n"
+            "30 words checked, 10 violations\n"
+        )
+
+    def test_nonzero_residual_is_a_counterexample(self, monkeypatch, capsys):
+        # every word of length 3, the 8 swept and the 5 random ones, gets
+        # a nonzero out-residual at 010 while its report stays consistent
+        real = debruijn.verify_kirchhoff
+
+        def faulty(w, n):
+            report = real(w, n)
+            if w.n == 3:
+                out = {**report.out_residuals, (0, 1, 0): 1}
+                report = KirchhoffReport(n=n, out_residuals=out, in_residuals=report.in_residuals)
+            return report
+
+        monkeypatch.setattr(debruijn, "verify_kirchhoff", faulty)
+        argv = ["verify", "--max-len", "4", "--random", "5", "--rand-len", "3"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().out == (
+            "counterexample 000: nonzero flow residual at n=3\n"
+            "35 words checked, 13 violations\n"
+        )
+
+
+class TestSweepPath:
+    """The sweep and the report build no occurrence, run, block or edge record."""
+
+    @pytest.fixture
+    def no_records(self, monkeypatch):
+        # every binding, so a module that imports one of these by name is caught too
+        def refuse(name):
+            def raiser(*args, **kwargs):
+                raise AssertionError(f"{name} called on the sweep path")
+            return raiser
+
+        banned = {
+            id(words.occurrence_vector): "occurrence_vector",
+            id(words.runs): "runs",
+            id(words.decompose_blocks): "decompose_blocks",
+            id(invariants._project): "_project",
+        }
+        modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "circwords"]
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if id(value) in banned:
+                    monkeypatch.setattr(mod, key, refuse(banned[id(value)]))
+
+    def test_verify(self, no_records, capsys):
+        argv = ["verify", "--max-len", "8", "--random", "3", "--rand-len", "200"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "513 words checked, 0 violations\n"
+
+    @pytest.mark.parametrize("word", ["0", "01", "010011", "101100", "0000", "0101010101"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_report(self, no_records, word, fmt, capsys):
+        assert cli.main(["report", word, "--format", fmt]) == 0
+        assert word in capsys.readouterr().out
+
+    def test_the_guard_bites(self, no_records):
+        with pytest.raises(AssertionError, match="runs called on the sweep path"):
+            words.runs(parse_circular("0011"))
+        with pytest.raises(AssertionError, match="_project called"):
+            invariants.project_to_square(parse_circular("0011"))
 
 
 class TestRank:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from circwords import (
     AlphabetMismatchError,
+    CircularWord,
     SizeLimitError,
     build_graph,
     cyclomatic_number,
@@ -170,17 +171,15 @@ class TestKirchhoff:
     def test_miscounted_vertex_shows_in_both_residuals(self, monkeypatch):
         # the vertex counts are counted directly, not summed from the
         # edge counts, so a wrong vertex count shows up on both sides
-        counted = debruijn.occurrence_vector
+        counted = debruijn._dense_counts
 
-        def off_by_one(w, l):
-            ov = counted(w, l)
+        def off_by_one(letters, d, l):
+            counts = counted(letters, d, l)
             if l == 3:
-                counts = dict(ov.counts)
-                counts[u("010")] = counts.get(u("010"), 0) + 1
-                ov = type(ov)(l=ov.l, d=ov.d, total=ov.total, counts=counts)
-            return ov
+                counts[0b010] += 1
+            return counts
 
-        monkeypatch.setattr(debruijn, "occurrence_vector", off_by_one)
+        monkeypatch.setattr(debruijn, "_dense_counts", off_by_one)
         report = verify_kirchhoff(cw("010011"), 3)
         assert not report.ok
         assert report.violations() == [("out", u("010"), 1), ("in", u("010"), 1)]
@@ -191,20 +190,40 @@ class TestKirchhoff:
 
     @given(st.data())
     def test_residuals_match_the_per_vertex_loop(self, data):
-        # arbitrary counts, so the residuals are not all zero; the
-        # reference is the per-vertex loop the dense marginals replaced
+        # arbitrary dense counts, so the residuals are not all zero; the
+        # reference is the per-vertex loop the slice sums replaced
         d, n = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 4))
-        factors = lambda l: st.tuples(*[st.integers(0, d - 1)] * l)
-        short = data.draw(st.dictionaries(factors(n), st.integers(0, 9), max_size=20))
-        long = data.draw(st.dictionaries(factors(n + 1), st.integers(0, 9), max_size=40))
+        vertices = list(itertools.product(range(d), repeat=n))
+        edges = list(itertools.product(range(d), repeat=n + 1))
+        counts = lambda k: st.lists(st.integers(0, 9), min_size=k, max_size=k)
+        short = data.draw(counts(len(vertices)))
+        long = data.draw(counts(len(edges)))
+        at = dict(zip(edges, long))
         out_ref, in_ref = {}, {}
-        for v in itertools.product(range(d), repeat=n):
-            c = short.get(v, 0)
-            out_ref[v] = c - sum(long.get(v + (a,), 0) for a in range(d))
-            in_ref[v] = c - sum(long.get((a,) + v, 0) for a in range(d))
+        for v, c in zip(vertices, short):
+            out_ref[v] = c - sum(at[v + (a,)] for a in range(d))
+            in_ref[v] = c - sum(at[(a,) + v] for a in range(d))
         out_res, in_res = debruijn._flow_residuals(d, n, short, long)
         assert list(out_res.items()) == list(out_ref.items())
         assert list(in_res.items()) == list(in_ref.items())
+
+    @given(st.data())
+    def test_code_route_matches_the_occurrence_vectors(self, data):
+        # d^(n+1) on both sides of 256: (2,8), (3,5) and (4,4) count
+        # windows, the rest byte codes
+        d = data.draw(st.integers(2, 4))
+        n = data.draw(st.sampled_from({2: [1, 3, 7, 8], 3: [1, 2, 4, 5], 4: [1, 2, 3, 4]}[d]))
+        letters = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=40))
+        w = CircularWord(tuple(letters), d)
+        short = occurrence_vector(w, n)
+        long = occurrence_vector(w, n + 1)
+        out_ref, in_ref = {}, {}
+        for v in itertools.product(range(d), repeat=n):
+            out_ref[v] = short[v] - sum(long[v + (a,)] for a in range(d))
+            in_ref[v] = short[v] - sum(long[(a,) + v] for a in range(d))
+        report = verify_kirchhoff(w, n)
+        assert list(report.out_residuals.items()) == list(out_ref.items())
+        assert list(report.in_residuals.items()) == list(in_ref.items())
 
     def test_size_limit(self, monkeypatch):
         # refused before any residual is computed, like build_graph

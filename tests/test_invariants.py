@@ -34,6 +34,18 @@ from circwords.invariants import (
 from conftest import binary_circular_words, cw, u
 
 
+#: Words up to length 300, with the constant and alternating families
+#: (no isolated letter, or nothing but isolated letters) drawn often.
+words_and_families = st.one_of(
+    binary_circular_words(max_n=300),
+    st.integers(1, 300).flatmap(
+        lambda n: st.sampled_from(
+            [cw("0" * n), cw("1" * n), cw(("01" * n)[:n]), cw(("10" * n)[:n])]
+        )
+    ),
+)
+
+
 def edge_codes(*edges: str) -> bytes:
     """Length-4 binary edges as factor codes: each edge read as a binary number."""
     return bytes(int(e, 2) for e in edges)
@@ -202,12 +214,30 @@ class TestContinuityCheck:
         )
         message = "epsilon sum 2 of 0011 is not a multiple of 4"
         with pytest.raises(BrokenProjectionError, match=message):
-            invariants._winding(proj, cw("0011"))
+            invariants._winding(proj.epsilon_sum, cw("0011"))
 
     def test_report_raises_on_a_bad_epsilon_sum(self, monkeypatch):
-        monkeypatch.setitem(invariants._EPSILON, u("0011"), 3)
+        # the one epsilon table, keyed by edge code, that the report and
+        # the projection record both read
+        monkeypatch.setitem(invariants._EPSILON, 0b0011, 3)
+        assert project_to_square(cw("0011")).epsilons == (3, -1)
         with pytest.raises(BrokenProjectionError, match="not a multiple of 4"):
             grandsart_report(cw("0011"))
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (("0011", "0011"), "between 0011 and 0011"),
+            (("0011", "1101", "0011", "1010", "0100"), "between 1101 and 0011"),
+            (("0001", "0100", "1111", "1101"), "between 0100 and 1101"),
+        ],
+    )
+    def test_both_routes_name_the_same_break(self, edges, message, monkeypatch):
+        # the report reads the same walk check as the projection record
+        monkeypatch.setattr(invariants, "_codes", lambda letters, d, l: edge_codes(*edges))
+        for route in (project_to_square, winding_number_graph, grandsart_report):
+            with pytest.raises(BrokenProjectionError, match=f"square path breaks {message}$"):
+                route(cw("0011"))
 
 
 class TestWindingNumbers:
@@ -221,16 +251,7 @@ class TestWindingNumbers:
         assert winding_number_graph(cw("1111")) == 0
         assert winding_number_decomposition(cw("0101")) == 0
 
-    @given(
-        st.one_of(
-            binary_circular_words(max_n=300),
-            st.integers(1, 300).flatmap(
-                lambda n: st.sampled_from(
-                    [cw("0" * n), cw("1" * n), cw(("01" * n)[:n]), cw(("10" * n)[:n])]
-                )
-            ),
-        )
-    )
+    @given(words_and_families)
     def test_decomposition_matches_the_block_records(self, w):
         # signed count of even-length isolated blocks, read off the records;
         # an unanchored (fully alternating) word winds zero times
@@ -241,6 +262,14 @@ class TestWindingNumbers:
                 if b.length % 2 == 0:
                     expected += 1 if b.start_letter == 0 else -1
         assert winding_number_decomposition(w) == expected
+
+    @given(words_and_families)
+    def test_report_winding_matches_the_projection_record(self, w):
+        # the epsilon sum counted per code equals the record's, and both
+        # are d1+d2+d3+d4 identically
+        report = grandsart_report(w)
+        epsilon_sum = project_to_square(w).epsilon_sum
+        assert 4 * report.k_graph == epsilon_sum == sum(report.diffs)
 
     def test_higher_winding(self):
         # repeating a word m times multiplies every count, hence k, by m
