@@ -14,6 +14,7 @@ out of the run structure of W, via its blocks of isolated letters.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -216,7 +217,7 @@ def _square_walk(codes: bytes) -> bytes:
 
 def _epsilon_sum(retained: bytes) -> int:
     """The epsilon sum of a square walk, from the count of each edge's code."""
-    return sum(eps * retained.count(c) for c, eps in _EPSILON.items())
+    return sum(map(operator.mul, map(retained.count, _EPSILON), _EPSILON.values()))
 
 
 def _project(codes: bytes) -> SquareProjection:

@@ -193,7 +193,8 @@ def _dense_counts(letters: Letters, d: int, l: int) -> list[int]:
     if _fits_a_byte(d, l):
         return list(map(_codes(letters, d, l).count, range(d**l)))
     counts = Counter(_windows(letters, l))
-    return list(map(counts.get, itertools.product(range(d), repeat=l), itertools.repeat(0)))
+    factors = itertools.product(range(d), repeat=l)
+    return list(map(counts.get, factors, itertools.repeat(0)))
 
 
 #: The letters a word's text may hold: the ASCII digits only.

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from circwords import cli, debruijn, invariants, parse_circular, words
-from circwords.debruijn import KirchhoffReport
 
 
 def run_cli(*args):
@@ -171,7 +170,7 @@ class TestVerify:
             report = real(w, n)
             if w.n == 3:
                 out = {**report.out_residuals, (0, 1, 0): 1}
-                report = KirchhoffReport(n=n, out_residuals=out, in_residuals=report.in_residuals)
+                report = dataclasses.replace(report, out_residuals=out)
             return report
 
         monkeypatch.setattr(debruijn, "verify_kirchhoff", faulty)

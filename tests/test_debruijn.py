@@ -212,7 +212,8 @@ class TestKirchhoff:
         # d^(n+1) on both sides of 256: (2,8), (3,5) and (4,4) count
         # windows, the rest byte codes
         d = data.draw(st.integers(2, 4))
-        n = data.draw(st.sampled_from({2: [1, 3, 7, 8], 3: [1, 2, 4, 5], 4: [1, 2, 3, 4]}[d]))
+        lengths = {2: [1, 3, 7, 8], 3: [1, 2, 4, 5], 4: [1, 2, 3, 4]}
+        n = data.draw(st.sampled_from(lengths[d]))
         letters = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=40))
         w = CircularWord(tuple(letters), d)
         short = occurrence_vector(w, n)

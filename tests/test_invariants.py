@@ -235,8 +235,9 @@ class TestContinuityCheck:
     def test_both_routes_name_the_same_break(self, edges, message, monkeypatch):
         # the report reads the same walk check as the projection record
         monkeypatch.setattr(invariants, "_codes", lambda letters, d, l: edge_codes(*edges))
+        message = f"square path breaks {message}$"
         for route in (project_to_square, winding_number_graph, grandsart_report):
-            with pytest.raises(BrokenProjectionError, match=f"square path breaks {message}$"):
+            with pytest.raises(BrokenProjectionError, match=message):
                 route(cw("0011"))
 
 
