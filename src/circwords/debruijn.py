@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import product
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import AlphabetMismatchError, BadParameterError
 from .words import (
@@ -136,21 +136,31 @@ def _flow_residuals(
     """Out- and in-residuals of every length-n vertex, lexicographically.
 
     counts holds the d^n vertex counts and edges the d^(n+1) edge
-    counts, each in lexicographic order.  Vertex i's out-edges ua sit at
-    i·d + a, so the out-sums are the sum of the d strided slices
-    edges[a::d]; its in-edges au sit at a·d^n + i, so the in-sums are the
-    sum of the d blocks of d^n edges.  The vertex counts are used as
+    counts, each in lexicographic order.  The vertex counts are used as
     given, not taken as marginals of the edges, so a miscounted vertex
     shows on both sides.
     """
-    size = len(counts)
-    add = partial(map, operator.add)
-    out_sums = reduce(add, (edges[a::d] for a in range(d)))
-    in_sums = reduce(add, (edges[a * size : (a + 1) * size] for a in range(d)))
+    out_sums, in_sums = _edge_sums(d, edges)
     vertices = tuple(product(range(d), repeat=n))
     out_res = dict(zip(vertices, map(operator.sub, counts, out_sums)))
     in_res = dict(zip(vertices, map(operator.sub, counts, in_sums)))
     return out_res, in_res
+
+
+def _edge_sums(d: int, edges: Sequence[int]) -> tuple[Iterator[int], Iterator[int]]:
+    """The out-sums and the in-sums of every vertex, lexicographically.
+
+    edges holds the d^(n+1) edge counts of B(d,n) in lexicographic
+    order.  Vertex i's out-edges ua sit at i·d + a, so the out-sums are
+    the sum of the d strided slices edges[a::d]; its in-edges au sit at
+    a·d^n + i, so the in-sums are the sum of the d blocks of d^n edges.
+    Both are lazy, summed in C as they are read.
+    """
+    size = len(edges) // d
+    add = partial(map, operator.add)
+    out_sums = reduce(add, (edges[a::d] for a in range(d)))
+    in_sums = reduce(add, (edges[a * size : (a + 1) * size] for a in range(d)))
+    return out_sums, in_sums
 
 
 def _undirected_components(

@@ -20,6 +20,17 @@ they span the same space as on the whole sample.  Ranks and solutions
 depend only on that space.  One cap bounds d^max_len and d^l before
 anything is built.
 
+Every count row obeys the flow law of B(d,l-1): it lies in the null
+space of the flow relations R, the cycle space of that connected
+digraph (Biggs, Algebraic Graph Theory, ch. 4-5), of dimension
+d^l - rank(R).  span_dimension passes that bound to the sampler.  Once
+the rank meets it and every kept row obeys the law, the kept rows span
+null(R), so from then on a row adds rank exactly when it breaks the
+law.  Each later row is checked against the law in O(d^l) slice sums
+instead of eliminated, and only a row that breaks it goes to the
+kernel, so the echelon and the rank trace are the same as if every row
+had been eliminated.
+
 All arithmetic is exact.  One fraction-free elimination kernel serves
 every caller: it reduces a batch of integer rows against a row echelon
 and keeps the independent ones.  exact_rank starts from an empty
@@ -36,7 +47,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable, Sequence
 
@@ -50,6 +61,7 @@ from .words import (
     Alphabet,
     CircularWord,
     Letters,
+    _dense_counts,
     check_size,
     enumerate_necklaces,
     occurrence_vector,
@@ -223,33 +235,61 @@ def _flow_relations(d: int, l: int) -> list[list[int]]:
     return relations
 
 
+def _check_sample(d: int, l: int, max_len: int) -> None:
+    """Refuse a sample over the cap, or a bad alphabet, before anything is built.
+
+    The cap is on d^max_len, the number of all words of the top length,
+    and on d^l, the width of a row.
+    """
+    check_size(d, max_len, "sample words")
+    check_size(d, l, "count columns")
+    Alphabet(d)
+
+
+def _obeys_flow_law(row: Sequence[int], d: int) -> bool:
+    """Whether a row of length-l counts obeys the flow law of B(d,l-1).
+
+    At every vertex the out-sum equals the in-sum: the same check as
+    every row of _flow_relations, in O(d^l) C-level slice sums.
+    """
+    out_sums, in_sums = debruijn._edge_sums(d, row)
+    return list(out_sums) == list(in_sums)
+
+
 def _sample_echelon(
-    d: int, l: int, max_len: int
+    d: int, l: int, max_len: int, bound: int | None = None
 ) -> tuple[dict[int, list[int]], list[tuple[int, int]]]:
     """An echelon of the length-l count rows of the sample, and its rank trace.
 
     The sample is the necklaces of each length 1..max_len, and a row is
     the word's d^l counts of length-l factors in lexicographic order.
-    The cap is on d^max_len, the number of all words of the top length,
-    and on d^l, the width of a row; both are checked before anything is
-    built.  rank_by_length holds (m, rank) after the words of length m.
+    Both caps (_check_sample) are checked before anything is built.
+    rank_by_length holds (m, rank) after the words of length m.
+
+    bound, when given, is d^l - rank(R) for the flow relations R of
+    B(d,l-1), the dimension of null(R).  Once the rank meets it and every
+    kept row obeys the flow law, the kept rows span null(R), so a later
+    row is in their span exactly when it obeys the law: it would reduce
+    to zero.  Such rows are checked, not eliminated; a row that breaks
+    the law still goes to the kernel.  The echelon and the trace are the
+    same as without the bound.
     """
-    check_size(d, max_len, "sample words")
-    check_size(d, l, "count columns")
-    width = d**l
+    _check_sample(d, l, max_len)
     echelon: dict[int, list[int]] = {}
     rank_by_length = []
+    certified = False
     for m in range(1, max_len + 1):
         # The counts of a length-m word sum to m, so no row of this
         # length repeats one of an earlier length: the distinct rows of
         # length m are exactly the new ones, and each is reduced once.
-        batch = set()
-        for w in enumerate_necklaces(d, m):
-            row = [0] * width
-            for v, count in occurrence_vector(w, l).counts.items():
-                row[_index(v, d)] = count
-            batch.add(tuple(row))
-        rank_by_length.append((m, _bareiss_rank(batch, echelon)))
+        batch = {tuple(_dense_counts(w.letters, d, l)) for w in enumerate_necklaces(d, m)}
+        if certified:
+            batch = [row for row in batch if not _obeys_flow_law(row, d)]
+        rank = _bareiss_rank(batch, echelon)
+        rank_by_length.append((m, rank))
+        certified = certified or (
+            rank == bound and all(_obeys_flow_law(row, d) for row in echelon.values())
+        )
     return echelon, rank_by_length
 
 
@@ -289,13 +329,15 @@ def _marginals(
     return values
 
 
-def _family_rank(echelon: dict[int, list[int]], l: int, family: FunctionalFamily) -> int:
-    """Rank of the family's values on the sample, from the sample's echelon.
+def _family_rank(
+    echelon: Collection[Sequence[int]], l: int, family: FunctionalFamily
+) -> int:
+    """Rank of the family's values on the sample, from the sample's kept rows.
 
     The value rows are the count rows times a fixed 0/1 matrix, so they
-    span the same space as the echelon rows times that matrix.
+    span the same space as the kept rows times that matrix.
     """
-    values = _marginals(echelon.values(), family.d, l, family.factors, family.include_length)
+    values = _marginals(echelon, family.d, l, family.factors, family.include_length)
     return _bareiss_rank(values, {})
 
 
@@ -308,6 +350,14 @@ class SpanReport:
     dimension: every sample row obeys the flow relations R of B(d,l-1),
     as every count row of a circular word does, so d^l - rank(R) bounds
     the dimension from above, and the sample's rank reaches that bound.
+    Rows sampled after that point are checked against the flow law
+    instead of eliminated: the kept rows then span null(R), so a row
+    that obeys the law adds no rank, and one that breaks it is
+    eliminated, so the trace reads as if every row had been.
+
+    echelon holds the kept rows in order of their leading columns; every
+    sample row is in their span, so other families' ranks can be read
+    off them.  It is not part of to_dict.
     """
 
     d: int
@@ -318,6 +368,7 @@ class SpanReport:
     relations: int
     rank_by_length: tuple[tuple[int, int], ...]
     saturated: bool
+    echelon: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -341,7 +392,8 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
     The sample holds the necklaces of each length 1..max_len.  max_len
     defaults to 2l+2, which saturates the rank for every tested
     alphabet; an unsaturated result triggers a warning since the rank is
-    then only a lower bound on the dimension.
+    then only a lower bound on the dimension.  Both caps are checked
+    before the flow relations are built.
     """
     if l < 1:
         raise BadParameterError(f"factor length must be >= 1, got {l}")
@@ -349,11 +401,13 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
         max_len = 2 * l + 2
     if max_len < l:
         raise BadParameterError(f"need max_len >= l, got max_len={max_len} < l={l}")
-    echelon, rank_by_length = _sample_echelon(d, l, max_len)
-    rank = len(echelon)
+    _check_sample(d, l, max_len)
     relations = _flow_relations(d, l)
     bound = d**l - _bareiss_rank(relations, {})
-    # The kept rows span every sample row, so checking them covers the sample.
+    echelon, rank_by_length = _sample_echelon(d, l, max_len, bound)
+    rank = len(echelon)
+    # The kept rows span every sample row they reduced, and every row
+    # checked instead obeys the flow law, so checking them covers the sample.
     obeyed = all(
         sum(map(operator.mul, row, relation)) == 0
         for row in echelon.values()
@@ -376,6 +430,7 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
         relations=d**l - rank,
         rank_by_length=tuple(rank_by_length),
         saturated=saturated,
+        echelon=tuple(tuple(echelon[col]) for col in sorted(echelon)),
     )
 
 
@@ -387,9 +442,18 @@ def verify_spanning_set(max_len: int, l: int = 4, d: int = 2) -> bool:
     cross-check) that the 1V words minus the loop 1^l form a spanning
     tree of B(2,l-1).
     """
+    _require_binary(d)
+    return _spanning_set_holds(_sample_echelon(d, l, max_len)[0].values(), l, d)
+
+
+def _require_binary(d: int) -> None:
     if d != 2:
         raise BadParameterError("the 1V spanning set is defined for binary words")
-    echelon, _ = _sample_echelon(d, l, max_len)
+
+
+def _spanning_set_holds(echelon: Collection[Sequence[int]], l: int, d: int) -> bool:
+    """verify_spanning_set on the kept rows of a sample of length-l counts."""
+    _require_binary(d)
     family = spanning_set_family(l)
     expected = predicted_dimension(d, l)
     if _family_rank(echelon, l, family) != expected:
@@ -409,7 +473,11 @@ def verify_cks_basis(d: int, l: int, max_len: int) -> bool:
     rank (d-1)d^(l-1)+1 and absorb every factor of length <= l without
     rank growth.
     """
-    echelon, _ = _sample_echelon(d, l, max_len)
+    return _cks_basis_holds(_sample_echelon(d, l, max_len)[0].values(), d, l)
+
+
+def _cks_basis_holds(echelon: Collection[Sequence[int]], d: int, l: int) -> bool:
+    """verify_cks_basis on the kept rows of a sample of length-l counts."""
     basis = cks_family(d, l)
     expected = predicted_dimension(d, l)
     if _family_rank(echelon, l, basis) != expected:

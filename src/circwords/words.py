@@ -40,13 +40,14 @@ DEFAULT_SIZE_LIMIT = 1 << 20
 def check_size(d: int, n: int, what: str) -> None:
     """The one size-cap policy: refuse a loop over d^n items above the cap.
 
-    The cap is DEFAULT_SIZE_LIMIT, read at each call.  With d >= 2,
-    d^n >= 2^n, so an n at least 64 past the bit length of the cap is
+    The cap is DEFAULT_SIZE_LIMIT, read at each call.  With |d| >= 2,
+    |d^n| >= 2^n, so an n at least 64 past the bit length of the cap is
     refused without building d^n: written out it could take more memory
-    than the loop, or more digits than str() allows.
+    than the loop, or more digits than str() allows.  A negative d is
+    refused later as an alphabet, but its power must not be built first.
     """
     limit = DEFAULT_SIZE_LIMIT
-    if d >= 2 and n >= limit.bit_length() + 64:
+    if abs(d) >= 2 and n >= limit.bit_length() + 64:
         raise SizeLimitError(f"{d}^{n} {what} exceed the cap of {limit}")
     if d**n > limit:
         raise SizeLimitError(f"{d}^{n} = {d ** n} {what} exceed the cap of {limit}")

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from circwords import cli, debruijn, invariants, parse_circular, words
 
@@ -255,6 +257,39 @@ class TestRank:
         code, _, err = run_cli("rank", "--d", "2", "--l", "4", "--max-len", "25")
         assert code == 2
         assert "error" in err
+
+
+class TestRankFailureModes:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        d=st.integers(-2, 3),
+        l=st.integers(-1, 4),
+        max_len=st.one_of(st.none(), st.integers(-1, 7)),
+        extra=st.sets(st.sampled_from(["--cks", "--spanning-set"])),
+        fmt=st.sampled_from(["text", "json"]),
+    )
+    @pytest.mark.filterwarnings("ignore:rank .* is not certified")
+    def test_exits_0_1_or_2_and_never_raises(self, d, l, max_len, extra, fmt, capsys):
+        argv = ["rank", "--d", str(d), "--l", str(l), "--format", fmt, *sorted(extra)]
+        if max_len is not None:
+            argv += ["--max-len", str(max_len)]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith("error: ")
+            assert out == ""
+
+    def test_sample_cap_boundary(self, monkeypatch, capsys):
+        argv = ["rank", "--l", "4", "--max-len", "12"]
+        monkeypatch.setattr(words, "DEFAULT_SIZE_LIMIT", 2**12)
+        assert cli.main(argv) == 0
+        assert "saturated true" in capsys.readouterr().out
+        monkeypatch.setattr(words, "DEFAULT_SIZE_LIMIT", 2**12 - 1)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: 2^12 = 4096 sample words exceed the cap of 4095\n"
+        )
 
 
 class TestDot:

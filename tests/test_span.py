@@ -515,6 +515,90 @@ class TestSampleWords:
             _sample_echelon(2, 4, 12)
 
 
+def flow_bound(d, l):
+    return d**l - _bareiss_rank(_flow_relations(d, l), {})
+
+
+class TestCertifiedSample:
+    """Rows past the certificate are checked against the flow law, not eliminated."""
+
+    @pytest.mark.parametrize(
+        "d,l,max_len",
+        [(2, 1, 3), (2, 3, 8), (2, 4, 5), (2, 4, 10), (2, 6, 14), (3, 2, 6), (3, 3, 10), (4, 2, 5)],
+    )
+    def test_same_echelon_and_trace_as_without_the_bound(self, d, l, max_len):
+        # (2,4,5) stops short of its bound, so the check never starts there
+        plain = _sample_echelon(d, l, max_len)
+        checked = _sample_echelon(d, l, max_len, flow_bound(d, l))
+        assert checked[1] == plain[1]
+        assert list(checked[0].items()) == list(plain[0].items())
+
+    def test_kernel_sees_no_row_after_the_certifying_length(self, monkeypatch):
+        batches = []
+        kernel = span._bareiss_rank
+
+        def recording(rows, echelon):
+            batches.append(list(rows))
+            return kernel(rows, echelon)
+
+        monkeypatch.setattr(span, "_bareiss_rank", recording)
+        report = span_dimension(2, 4, 10)
+        assert report.saturated
+        # the flow relations first, then one batch per length 1..10
+        assert len(batches) == 11
+        assert report.rank_by_length[5] == (6, 9)
+        assert [len(batch) for batch in batches[7:]] == [0, 0, 0, 0]
+
+    def test_a_row_that_breaks_the_law_is_eliminated(self, monkeypatch):
+        # one length-8 row gets an extra 0001, an edge out of vertex 000
+        # into 001, so it breaks the flow law past the certificate at 6
+        corrupt = u("00010111")
+        counts = span._dense_counts
+        reduced = []
+        kernel = span._bareiss_rank
+
+        def miscount(letters, d, l):
+            row = counts(letters, d, l)
+            if letters == corrupt:
+                row[1] += 1
+            return row
+
+        def recording(rows, echelon):
+            reduced.extend(map(tuple, rows))
+            return kernel(rows, echelon)
+
+        monkeypatch.setattr(span, "_dense_counts", miscount)
+        monkeypatch.setattr(span, "_bareiss_rank", recording)
+        with pytest.warns(UserWarning, match="lower bound"):
+            report = span_dimension(2, 4, 10)
+        bad = counts(corrupt, 2, 4)
+        bad[1] += 1
+        assert tuple(bad) in reduced
+        assert report.rank_by_length[5:] == ((6, 9), (7, 9), (8, 10), (9, 10), (10, 10))
+        assert report.rank == 10
+        assert not report.saturated
+
+    def test_a_kept_row_that_breaks_the_law_keeps_every_row_eliminated(self, monkeypatch):
+        # a corrupt length-5 row lifts the rank to the bound 9 one length
+        # early; the kept rows then do not span null(R), and every later
+        # row must still be reduced for the trace to stay exact
+        corrupt = u("00011")
+        counts = span._dense_counts
+
+        def miscount(letters, d, l):
+            row = counts(letters, d, l)
+            if letters == corrupt:
+                row[1] += 1
+            return row
+
+        monkeypatch.setattr(span, "_dense_counts", miscount)
+        plain = _sample_echelon(2, 4, 8)
+        checked = _sample_echelon(2, 4, 8, flow_bound(2, 4))
+        assert plain[1][4] == (5, 9)
+        assert plain[1][-1] == (8, 10)
+        assert checked == plain
+
+
 def _dense_row(w, l):
     counts = occurrence_vector(w, l)
     return [c for _, c in counts.dense_items()]

@@ -232,6 +232,10 @@ class TestSizeCap:
             words.check_size(2, 10**9, "words")
         words.check_size(1, 10**9, "words")
 
+    def test_huge_exponent_of_a_negative_base_is_refused_without_being_built(self):
+        with pytest.raises(SizeLimitError, match=r"^-1000\^1000000000 words exceed"):
+            words.check_size(-1000, 10**9, "words")
+
     def test_count_is_written_out_up_to_64_bits_past_the_cap(self):
         # the cap 2^20 has bit length 21, so 2^84 is written and 2^85 is not
         with pytest.raises(SizeLimitError, match=rf"^2\^84 = {2**84} words exceed"):
