@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from random import Random
@@ -131,20 +132,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise SizeLimitError(
             f"--rand-len {args.rand_len} letters exceed the cap of {limit}"
         )
+    rng = Random(args.seed)
+    swept = (w for n in range(1, args.max_len + 1) for w in enumerate_words(2, n))
+    drawn = (random_word(rng, args.rand_len) for _ in range(args.random))
     checked = 0
     violations = 0
     first = None
-    for n in range(1, args.max_len + 1):
-        for w in enumerate_words(2, n):
-            reason = _check_word(w)
-            checked += 1
-            if reason is not None:
-                violations += 1
-                if first is None:
-                    first = (w, reason)
-    rng = Random(args.seed)
-    for _ in range(args.random):
-        w = random_word(rng, args.rand_len)
+    for w in itertools.chain(swept, drawn):
         reason = _check_word(w)
         checked += 1
         if reason is not None:

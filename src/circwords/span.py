@@ -20,16 +20,19 @@ they span the same space as on the whole sample.  Ranks and solutions
 depend only on that space.  One cap bounds d^max_len and d^l before
 anything is built.
 
-Every count row obeys the flow law of B(d,l-1): it lies in the null
-space of the flow relations R, the cycle space of that connected
-digraph (Biggs, Algebraic Graph Theory, ch. 4-5), of dimension
-d^l - rank(R).  span_dimension passes that bound to the sampler.  Once
-the rank meets it and every kept row obeys the law, the kept rows span
-null(R), so from then on a row adds rank exactly when it breaks the
-law.  Each later row is checked against the law in O(d^l) slice sums
-instead of eliminated, and only a row that breaks it goes to the
-kernel, so the echelon and the rank trace are the same as if every row
-had been eliminated.
+Every count row obeys the flow law of B(d,l-1): at every vertex the
+out-sum equals the in-sum, so the row lies in the cycle space of that
+digraph.  Its flow relations form the incidence matrix, of rank V - c
+for V vertices and c weakly connected components (Biggs, Algebraic
+Graph Theory, ch. 4), so the cycle space has dimension d^l - d^(l-1) + c,
+the cyclomatic number of B(d,l-1); c comes from the package's one
+union-find, and no relation matrix is built.  Once the sample's rank
+meets that bound and every kept row obeys the law, the kept rows span
+the cycle space, so from then on a row adds rank exactly when it
+breaks the law.  Each later row is checked against the law in O(d^l)
+slice sums instead of eliminated, and only a row that breaks it goes
+to the kernel, so the echelon and the rank trace are the same as if
+every row had been eliminated.
 
 All arithmetic is exact.  One fraction-free elimination kernel serves
 every caller: it reduces a batch of integer rows against a row echelon
@@ -45,7 +48,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -216,25 +218,6 @@ def predicted_dimension(d: int, l: int) -> int:
     return (d - 1) * d ** (l - 1) + 1
 
 
-def _flow_relations(d: int, l: int) -> list[list[int]]:
-    """The flow law of B(d,l-1) as rows over the d^l length-l columns.
-
-    Row v is sum_a x[va] - sum_a x[av]: both sums are |W|_v for every
-    circular word W, so every count row is orthogonal to every relation.
-    With the columns in lexicographic order and v read in base d,
-    column va is v*d + a and column av is a*d^(l-1) + v.
-    """
-    vertices = d ** (l - 1)
-    relations = []
-    for v in range(vertices):
-        row = [0] * (vertices * d)
-        for a in range(d):
-            row[v * d + a] += 1
-            row[a * vertices + v] -= 1
-        relations.append(row)
-    return relations
-
-
 def _check_sample(d: int, l: int, max_len: int) -> None:
     """Refuse a sample over the cap, or a bad alphabet, before anything is built.
 
@@ -249,32 +232,39 @@ def _check_sample(d: int, l: int, max_len: int) -> None:
 def _obeys_flow_law(row: Sequence[int], d: int) -> bool:
     """Whether a row of length-l counts obeys the flow law of B(d,l-1).
 
-    At every vertex the out-sum equals the in-sum: the same check as
-    every row of _flow_relations, in O(d^l) C-level slice sums.
+    At every vertex the out-sum equals the in-sum, checked in O(d^l)
+    C-level slice sums (debruijn._edge_sums).
     """
     out_sums, in_sums = debruijn._edge_sums(d, row)
     return list(out_sums) == list(in_sums)
 
 
 def _sample_echelon(
-    d: int, l: int, max_len: int, bound: int | None = None
-) -> tuple[dict[int, list[int]], list[tuple[int, int]]]:
-    """An echelon of the length-l count rows of the sample, and its rank trace.
+    d: int, l: int, max_len: int
+) -> tuple[dict[int, list[int]], list[tuple[int, int]], int, bool]:
+    """An echelon of the length-l count rows of the sample, and its certificate.
 
     The sample is the necklaces of each length 1..max_len, and a row is
     the word's d^l counts of length-l factors in lexicographic order.
     Both caps (_check_sample) are checked before anything is built.
+    Returns (echelon, rank_by_length, bound, certified), where
     rank_by_length holds (m, rank) after the words of length m.
 
-    bound, when given, is d^l - rank(R) for the flow relations R of
-    B(d,l-1), the dimension of null(R).  Once the rank meets it and every
-    kept row obeys the flow law, the kept rows span null(R), so a later
-    row is in their span exactly when it obeys the law: it would reduce
-    to zero.  Such rows are checked, not eliminated; a row that breaks
-    the law still goes to the kernel.  The echelon and the trace are the
-    same as without the bound.
+    bound is the cyclomatic number of B(d,l-1), d^l - d^(l-1) + c with c
+    its weakly connected components from the union-find: the dimension
+    of its cycle space, which holds every count row.  certified is set
+    once the rank meets the bound with every kept row obeying the flow
+    law.  The kept rows then span the cycle space, so a later row is in
+    their span exactly when it obeys the law: it would reduce to zero.
+    Such rows are checked, not eliminated; a row that breaks the law
+    still goes to the kernel and lifts the rank above the bound.  The
+    echelon and the trace are the same as if every row had been
+    eliminated.
     """
     _check_sample(d, l, max_len)
+    vertices = tuple(itertools.product(range(d), repeat=l - 1))
+    edges = itertools.product(range(d), repeat=l)
+    bound = d**l - len(vertices) + debruijn._undirected_components(vertices, edges)
     echelon: dict[int, list[int]] = {}
     rank_by_length = []
     certified = False
@@ -290,7 +280,7 @@ def _sample_echelon(
         certified = certified or (
             rank == bound and all(_obeys_flow_law(row, d) for row in echelon.values())
         )
-    return echelon, rank_by_length
+    return echelon, rank_by_length, bound, certified
 
 
 def _index(u: Letters, d: int) -> int:
@@ -347,13 +337,14 @@ class SpanReport:
 
     rank_by_length traces the cumulative rank as words of each length
     join the sample.  saturated means the rank is proven to be the
-    dimension: every sample row obeys the flow relations R of B(d,l-1),
-    as every count row of a circular word does, so d^l - rank(R) bounds
-    the dimension from above, and the sample's rank reaches that bound.
-    Rows sampled after that point are checked against the flow law
-    instead of eliminated: the kept rows then span null(R), so a row
-    that obeys the law adds no rank, and one that breaks it is
-    eliminated, so the trace reads as if every row had been.
+    dimension: every count row of a circular word obeys the flow law of
+    B(d,l-1), so the cyclomatic number of that graph bounds the
+    dimension from above, and the sample's rank reaches that bound with
+    every kept row obeying the law.  Rows sampled after that point are
+    checked against the flow law instead of eliminated: the kept rows
+    then span the cycle space, so a row that obeys the law adds no rank,
+    and one that breaks it is eliminated, so the trace reads as if every
+    row had been.
 
     echelon holds the kept rows in order of their leading columns; every
     sample row is in their span, so other families' ranks can be read
@@ -392,8 +383,9 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
     The sample holds the necklaces of each length 1..max_len.  max_len
     defaults to 2l+2, which saturates the rank for every tested
     alphabet; an unsaturated result triggers a warning since the rank is
-    then only a lower bound on the dimension.  Both caps are checked
-    before the flow relations are built.
+    then only a lower bound on the dimension.  The bound is the
+    cyclomatic number of B(d,l-1), taken from the union-find after both
+    caps are checked; no relation matrix is built.
     """
     if l < 1:
         raise BadParameterError(f"factor length must be >= 1, got {l}")
@@ -401,19 +393,10 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
         max_len = 2 * l + 2
     if max_len < l:
         raise BadParameterError(f"need max_len >= l, got max_len={max_len} < l={l}")
-    _check_sample(d, l, max_len)
-    relations = _flow_relations(d, l)
-    bound = d**l - _bareiss_rank(relations, {})
-    echelon, rank_by_length = _sample_echelon(d, l, max_len, bound)
+    echelon, rank_by_length, bound, certified = _sample_echelon(d, l, max_len)
     rank = len(echelon)
-    # The kept rows span every sample row they reduced, and every row
-    # checked instead obeys the flow law, so checking them covers the sample.
-    obeyed = all(
-        sum(map(operator.mul, row, relation)) == 0
-        for row in echelon.values()
-        for relation in relations
-    )
-    saturated = obeyed and rank == bound
+    # A row that broke the law after the certificate lifts the rank past it.
+    saturated = certified and rank == bound
     if not saturated:
         warnings.warn(
             f"rank {rank} of ({d},{l}) functionals at max_len={max_len} is not "
@@ -496,19 +479,32 @@ def express_in_span(
     Solves the linear system sampled on the necklaces of length
     1..max_len; free variables (present only when the basis columns are
     dependent) are pinned to zero.  Raises NotInSpanError when no exact
-    combination exists on the sample.  The sample rows count the factors
-    of length L, the longest of the target and the basis factors, so d^L
-    is capped like d^max_len.
+    combination exists on the sample, which a sample word then disproves.
+    The sample rows count the factors of length L, the longest of the
+    target and the basis factors, so d^L is capped like d^max_len.  The
+    coefficients are proven for every circular word when the sample's
+    rank is certified as in span_dimension; otherwise a warning says they
+    hold on the sample only.
     """
+    if max_len < 1:
+        raise BadParameterError(f"max_len must be >= 1, got {max_len}")
     target = tuple(target)
     Alphabet(basis.d).validate(target)
     if len(target) == 0:
         raise BadParameterError("express the length functional via include_length instead")
     factors = basis.factors + (target,)
     l = max(map(len, factors))
-    echelon, _ = _sample_echelon(basis.d, l, max_len)
+    echelon, _, bound, certified = _sample_echelon(basis.d, l, max_len)
     rows = _marginals(echelon.values(), basis.d, l, factors, basis.include_length)
-    return _solve(rows, basis.ncols)
+    coefficients = _solve(rows, basis.ncols)
+    if not (certified and len(echelon) == bound):
+        warnings.warn(
+            f"rank {len(echelon)} of ({basis.d},{l}) functionals at max_len={max_len} "
+            f"is not certified by the flow-relation bound {bound}; "
+            "the reported coefficients hold on the sample only",
+            stacklevel=2,
+        )
+    return coefficients
 
 
 def _solve(rows: Collection[Sequence[int]], ncols: int) -> tuple[Fraction, ...]:

@@ -94,9 +94,6 @@ class CircularWord:
     def n(self) -> int:
         return len(self.letters)
 
-    def letter(self, i: int) -> int:
-        return self.letters[i % self.n]
-
     def factor(self, i: int, l: int) -> Letters:
         """The length-l factor starting at position i, read periodically."""
         n = self.n

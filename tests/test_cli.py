@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from circwords import cli, debruijn, invariants, parse_circular, words
+from circwords import cli, debruijn, invariants, parse_circular, parse_word, words
+from conftest import unrolled_count
 
 
 def run_cli(*args):
@@ -290,6 +291,97 @@ class TestRankFailureModes:
         assert capsys.readouterr().err == (
             "error: 2^12 = 4096 sample words exceed the cap of 4095\n"
         )
+
+
+# ASCII digits weighted to binary, a bad letter, non-ASCII digits and a space
+TEXTS = st.text(alphabet=st.sampled_from(list("0101" + "0123456789" + "x٣²१ ")), max_size=8)
+DRAWN = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def is_digit_string(text):
+    return text != "" and all(c in "0123456789" for c in text)
+
+
+class TestFailureModes:
+    """count, report, verify and dot on drawn input: exit 0, 1 or 2, never raise."""
+
+    @staticmethod
+    def run(argv, capsys):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith("error: ")
+            assert err.count("\n") == 1
+            assert out == ""
+        return code, out
+
+    @DRAWN
+    @given(word=TEXTS, factor=TEXTS)
+    def test_count(self, word, factor, capsys):
+        code, out = self.run(["count", word, factor], capsys)
+        if is_digit_string(word) and is_digit_string(factor):
+            assert code == 0
+            assert out == f"{unrolled_count(parse_word(word), parse_word(factor))}\n"
+        else:
+            assert code == 2
+
+    @DRAWN
+    @given(word=TEXTS, fmt=st.sampled_from(["text", "json", "csv"]))
+    def test_report(self, word, fmt, capsys):
+        code, _ = self.run(["report", word, "--format", fmt], capsys)
+        binary = is_digit_string(word) and set(word) <= {"0", "1"}
+        assert code == (0 if binary else 2)
+
+    @DRAWN
+    @given(
+        max_len=st.integers(-1, 8),
+        random=st.integers(-1, 3),
+        rand_len=st.integers(-1, 40),
+        binding=st.sampled_from(["sweep", "rand_len", "edges"]),
+        slack=st.integers(-1, 1),
+    )
+    def test_verify(self, max_len, random, rand_len, binding, slack, capsys, monkeypatch):
+        # the cap sits at one of the sizes the run needs: 2^max_len swept
+        # words, rand_len letters, or the 16 edges of B(2,3) in Kirchhoff
+        sizes = {"sweep": 2 ** max(max_len, 0), "rand_len": rand_len, "edges": 16}
+        cap = sizes[binding] + slack
+        monkeypatch.setattr(words, "DEFAULT_SIZE_LIMIT", cap)
+        argv = ["verify", "--max-len", str(max_len), "--random", str(random),
+                "--rand-len", str(rand_len)]
+        code, out = self.run(argv, capsys)
+        valid = max_len >= 1 and random >= 0 and rand_len >= 1
+        assert code == (0 if valid and max(sizes.values()) <= cap else 2)
+        if code == 0:
+            checked = 2 ** (max_len + 1) - 2 + random
+            assert out == f"{checked} words checked, 0 violations\n"
+
+    @DRAWN
+    @given(
+        d=st.integers(-1, 3),
+        n=st.integers(-1, 5),
+        slack=st.integers(-1, 1),
+        word=st.one_of(st.none(), TEXTS),
+        highlight=st.one_of(st.none(), st.text(alphabet=st.sampled_from(list("01,2x")), max_size=10)),
+        square=st.booleans(),
+    )
+    def test_dot(self, d, n, slack, word, highlight, square, capsys, monkeypatch):
+        # the cap sits at the d^(n+1) edges of B(d,n); a bad d or n is
+        # refused whatever the cap
+        edges = d ** (n + 1) if d >= 2 and n >= 1 else 16
+        monkeypatch.setattr(words, "DEFAULT_SIZE_LIMIT", edges + slack)
+        argv = ["dot", "--d", str(d), "--n", str(n)]
+        argv += ["--word", word] if word is not None else []
+        argv += ["--highlight", highlight] if highlight is not None else []
+        argv += ["--square"] if square else []
+        code, out = self.run(argv, capsys)
+        if highlight is None and square:
+            assert code == 0
+        elif highlight is None and word is None:
+            assert code == (0 if d >= 2 and n >= 1 and slack >= 0 else 2)
+            assert out.count("->") == (edges if code == 0 else 0)
 
 
 class TestDot:

@@ -32,8 +32,8 @@ from circwords import (
     verify_cks_basis,
     verify_spanning_set,
 )
-from circwords import span
-from circwords.span import _bareiss_rank, _flow_relations, _marginals, _sample_echelon, _solve
+from circwords import debruijn, span
+from circwords.span import _bareiss_rank, _marginals, _sample_echelon, _solve
 from conftest import (
     binary_circular_words,
     circular_words_any_alphabet,
@@ -60,6 +60,37 @@ def set_cap(monkeypatch, cap):
 
 def never(*args):
     raise AssertionError("built past the cap")
+
+
+def _flow_relations(d, l):
+    """Reference: the flow law of B(d,l-1) as dense rows over the d^l columns.
+
+    Row v is sum_a x[va] - sum_a x[av]; column va is v*d + a and column
+    av is a*d^(l-1) + v, with v read in base d.
+    """
+    vertices = d ** (l - 1)
+    relations = []
+    for v in range(vertices):
+        row = [0] * (vertices * d)
+        for a in range(d):
+            row[v * d + a] += 1
+            row[a * vertices + v] -= 1
+        relations.append(row)
+    return relations
+
+
+EDGE_SUMS = debruijn._edge_sums
+COMPONENTS = debruijn._undirected_components
+
+
+def rotated_in_sums(d, edges):
+    out_sums, in_sums = EDGE_SUMS(d, edges)
+    in_sums = list(in_sums)
+    return out_sums, in_sums[1:] + in_sums[:1]
+
+
+def one_more_component(vertices, edges):
+    return COMPONENTS(vertices, edges) + 1
 
 
 def solve_gauss_jordan(rows, ncols):
@@ -227,17 +258,17 @@ class TestSpanDimension:
         assert not recwarn.list
 
     @pytest.mark.parametrize(
-        "change",
+        "patch",
         [
-            # same rank, but the sample rows do not obey them: no bound
-            lambda relations: [r[1:] + r[:1] for r in relations],
-            # two of them dropped: their rank is one less, the bound one higher
-            lambda relations: relations[1:-1],
+            # the right bound, but a law the sample rows do not obey: the
+            # in-sums come out rotated, so the kept rows fail the check
+            lambda mp: mp.setattr(debruijn, "_edge_sums", rotated_in_sums),
+            # one extra component: the bound is one higher than the rank
+            lambda mp: mp.setattr(debruijn, "_undirected_components", one_more_component),
         ],
     )
-    def test_no_certificate_from_wrong_relations(self, change, monkeypatch):
-        relations = span._flow_relations
-        monkeypatch.setattr(span, "_flow_relations", lambda d, l: change(relations(d, l)))
+    def test_no_certificate_from_wrong_relations(self, patch, monkeypatch):
+        patch(monkeypatch)
         with pytest.warns(UserWarning, match="lower bound"):
             report = span_dimension(2, 3, 8)
         assert report.rank == 5
@@ -245,7 +276,10 @@ class TestSpanDimension:
 
     @pytest.mark.parametrize("d,l", [(2, 1), (2, 2), (2, 4), (2, 6), (3, 3), (4, 2)])
     def test_flow_relations_have_rank_vertices_minus_one(self, d, l):
-        assert _bareiss_rank(_flow_relations(d, l), {}) == d ** (l - 1) - 1
+        rank = _bareiss_rank(_flow_relations(d, l), {})
+        assert rank == d ** (l - 1) - 1
+        # the sampler's bound, from the union-find, is d^l - rank(R)
+        assert _sample_echelon(d, l, l)[2] == d**l - rank
 
     def test_preconditions(self, monkeypatch):
         with pytest.raises(ValueError):
@@ -257,7 +291,8 @@ class TestSpanDimension:
             span_dimension(2, 4, 10)
 
     def test_refuses_before_the_flow_relations(self, monkeypatch):
-        monkeypatch.setattr(span, "_flow_relations", never)
+        # the bound's union-find is the first thing built after the caps
+        monkeypatch.setattr(debruijn, "_undirected_components", never)
         set_cap(monkeypatch, 255)
         with pytest.raises(SizeLimitError):
             span_dimension(2, 3, 8)
@@ -386,8 +421,9 @@ class TestCksBasis:
         assert len(batches) == 12
         sampled, families = batches[:10], batches[10:]
         rows = [r for batch in sampled for r in batch]
-        # 261 necklaces up to length 10 give 231 distinct count rows
-        assert len(rows) == len(set(rows)) == 231
+        # 261 necklaces up to length 10 give 231 distinct count rows; the
+        # kernel sees the 37 of lengths 1..6, where the rank is certified
+        assert len(rows) == len(set(rows)) == 37
         # a family's values are taken on the 9 kept rows, not on the sample
         assert all(len(batch) <= 9 for batch in families)
 
@@ -416,6 +452,22 @@ class TestExpressInSpan:
     def test_identity(self):
         fam = FunctionalFamily(d=2, factors=(u("0110"),))
         assert express_in_span(u("0110"), fam, 8) == (Fraction(1),)
+
+    def test_certified_coefficients(self, recwarn):
+        # |W|_0011 = |W|_11 - |W|_111 - |W|_1011, proven for every word
+        coeffs = express_in_span(u("0011"), cks_family(2, 4), 10)
+        assert coeffs == (0, 0, 1, 0, -1, 0, -1, 0, 0)
+        assert not recwarn.list
+
+    def test_uncertified_coefficients_warn(self):
+        # up to length 2 the sample's rank is 3 of 9: |W|_0011 is 0 on it
+        with pytest.warns(UserWarning, match="hold on the sample only"):
+            coeffs = express_in_span(u("0011"), cks_family(2, 4), 2)
+        assert coeffs == (0,) * 9
+
+    def test_empty_sample_is_refused(self):
+        with pytest.raises(ValueError, match="max_len must be >= 1"):
+            express_in_span(u("0011"), cks_family(2, 4), 0)
 
     def test_not_in_span(self):
         fam = FunctionalFamily(d=2, factors=(u("11"),))
@@ -507,16 +559,23 @@ class TestSampleWords:
 
     def test_size_limit(self, monkeypatch):
         set_cap(monkeypatch, 2**12)
-        echelon, rank_by_length = _sample_echelon(2, 4, 12)
-        assert len(echelon) == 9
+        echelon, rank_by_length, bound, certified = _sample_echelon(2, 4, 12)
+        assert len(echelon) == bound == 9
+        assert certified
         assert rank_by_length[-1] == (12, 9)
         set_cap(monkeypatch, 2**12 - 1)
         with pytest.raises(SizeLimitError):
             _sample_echelon(2, 4, 12)
 
 
-def flow_bound(d, l):
-    return d**l - _bareiss_rank(_flow_relations(d, l), {})
+def plain_sample(d, l, max_len):
+    """Reference sampler: every distinct row of every length goes to the kernel."""
+    echelon = {}
+    rank_by_length = []
+    for m in range(1, max_len + 1):
+        batch = {tuple(span._dense_counts(w.letters, d, l)) for w in enumerate_necklaces(d, m)}
+        rank_by_length.append((m, _bareiss_rank(batch, echelon)))
+    return echelon, rank_by_length
 
 
 class TestCertifiedSample:
@@ -528,10 +587,11 @@ class TestCertifiedSample:
     )
     def test_same_echelon_and_trace_as_without_the_bound(self, d, l, max_len):
         # (2,4,5) stops short of its bound, so the check never starts there
-        plain = _sample_echelon(d, l, max_len)
-        checked = _sample_echelon(d, l, max_len, flow_bound(d, l))
+        plain = plain_sample(d, l, max_len)
+        checked = _sample_echelon(d, l, max_len)
         assert checked[1] == plain[1]
         assert list(checked[0].items()) == list(plain[0].items())
+        assert checked[3] is ((d, l, max_len) != (2, 4, 5))
 
     def test_kernel_sees_no_row_after_the_certifying_length(self, monkeypatch):
         batches = []
@@ -544,10 +604,10 @@ class TestCertifiedSample:
         monkeypatch.setattr(span, "_bareiss_rank", recording)
         report = span_dimension(2, 4, 10)
         assert report.saturated
-        # the flow relations first, then one batch per length 1..10
-        assert len(batches) == 11
+        # one batch per length 1..10
+        assert len(batches) == 10
         assert report.rank_by_length[5] == (6, 9)
-        assert [len(batch) for batch in batches[7:]] == [0, 0, 0, 0]
+        assert [len(batch) for batch in batches[6:]] == [0, 0, 0, 0]
 
     def test_a_row_that_breaks_the_law_is_eliminated(self, monkeypatch):
         # one length-8 row gets an extra 0001, an edge out of vertex 000
@@ -592,11 +652,11 @@ class TestCertifiedSample:
             return row
 
         monkeypatch.setattr(span, "_dense_counts", miscount)
-        plain = _sample_echelon(2, 4, 8)
-        checked = _sample_echelon(2, 4, 8, flow_bound(2, 4))
+        plain = plain_sample(2, 4, 8)
+        checked = _sample_echelon(2, 4, 8)
         assert plain[1][4] == (5, 9)
         assert plain[1][-1] == (8, 10)
-        assert checked == plain
+        assert checked == (*plain, 9, False)
 
 
 def _dense_row(w, l):
@@ -663,7 +723,9 @@ class TestCaps:
     def test_express_caps_a_long_basis_factor(self, monkeypatch):
         basis = FunctionalFamily(2, (u("1"), u("111111")), include_length=True)
         set_cap(monkeypatch, 2**6)
-        assert express_in_span(u("0"), basis, 4) == (1, -1, 0)
+        # words up to length 4 cannot certify the rank of length-6 counts
+        with pytest.warns(UserWarning, match="hold on the sample only"):
+            assert express_in_span(u("0"), basis, 4) == (1, -1, 0)
         set_cap(monkeypatch, 2**6 - 1)
         with pytest.raises(SizeLimitError):
             express_in_span(u("0"), basis, 4)
