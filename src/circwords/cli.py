@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import sys
+import warnings
 from random import Random
 from typing import Sequence
 
@@ -201,13 +202,24 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The warnings the command raises go to stderr after it returns, one
+    `warning: <message>` line each, so stderr names no source file; on
+    a usage error only the `error:` line is printed.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return _HANDLERS[args.command](args)
-    except CircwordsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = _HANDLERS[args.command](args)
+        except CircwordsError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -6,14 +6,16 @@ suffix.  The occurrence counts of a circular word satisfy a flow
 conservation law at every vertex: each occurrence of a length-n factor
 extends uniquely one letter to the left and one to the right, so the
 vertex count equals the sum of its out-edge counts and the sum of its
-in-edge counts.
+in-edge counts.  verify_kirchhoff decides the law by comparing the
+word's edge codes, cut to their prefixes and to their suffixes, with
+its vertex codes, and counts residuals only to name a violation.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -24,6 +26,8 @@ from .words import (
     Letters,
     WordLike,
     _dense_counts,
+    _factor_table,
+    _fits_a_byte,
     check_size,
     parse_word,
     word_string,
@@ -116,18 +120,50 @@ def verify_kirchhoff(w: CircularWord, n: int) -> KirchhoffReport:
     """Flow residuals of w at every length-n vertex.
 
     Like build_graph, refuses a B(d,n) whose d^(n+1) edges exceed the
-    cap, since every vertex gets a residual.  The vertex and the edge
-    counts are both counted from w, as dense lists in lexicographic
-    order.
+    cap, since every vertex gets a residual.  When d^(n+1) <= 256 the
+    law is decided on w's factor codes (CircularWord.codes): the edge
+    at position i runs from the vertex at i to the vertex at i+1, so
+    when the edge codes cut to their prefixes equal the vertex codes,
+    and cut to their suffixes equal the vertex codes rotated by one,
+    every vertex has as many out-edges and in-edges as occurrences and
+    every residual is 0.  The vertex codes are made from the letters,
+    not from the edges, so a miscounted vertex breaks both comparisons.
+    Only when a comparison fails, or the codes do not fit a byte, are
+    the vertex and the edge counts counted from w, as dense lists in
+    lexicographic order, to name the residuals.
     """
     if n < 1:
         raise BadParameterError(f"vertex word length must be >= 1, got n={n}")
     d = w.d
     check_size(d, n + 1, "edges")
+    if _fits_a_byte(d, n + 1):
+        edges, vertices = w.codes(n + 1), w.codes(n)
+        prefix, suffix = _end_tables(d, n)
+        if (
+            edges.translate(prefix) == vertices
+            and edges.translate(suffix) == vertices[1:] + vertices[:1]
+        ):
+            zeros = _factor_table(d, n)
+            return KirchhoffReport(
+                n=n,
+                out_residuals=dict.fromkeys(zeros, 0),
+                in_residuals=dict.fromkeys(zeros, 0),
+            )
     counts = _dense_counts(w.letters, d, n)
     edges = _dense_counts(w.letters, d, n + 1)
     out_res, in_res = _flow_residuals(d, n, counts, edges)
     return KirchhoffReport(n=n, out_residuals=out_res, in_residuals=in_res)
+
+
+@cache
+def _end_tables(d: int, n: int) -> tuple[bytes, bytes]:
+    """bytes.translate tables taking an edge code of B(d,n) to the code of
+    its source (its prefix) and of its target (its suffix).
+
+    Only called with d^(n+1) <= 256, so the cache stays small.
+    """
+    size = d**n
+    return bytes(c // d for c in range(256)), bytes(c % size for c in range(256))
 
 
 def _flow_residuals(
@@ -141,7 +177,10 @@ def _flow_residuals(
     shows on both sides.
     """
     out_sums, in_sums = _edge_sums(d, edges)
-    vertices = tuple(product(range(d), repeat=n))
+    if _fits_a_byte(d, n):
+        vertices = _factor_table(d, n)
+    else:
+        vertices = tuple(product(range(d), repeat=n))
     out_res = dict(zip(vertices, map(operator.sub, counts, out_sums)))
     in_res = dict(zip(vertices, map(operator.sub, counts, in_sums)))
     return out_res, in_res

@@ -26,7 +26,6 @@ from .words import (
     CircularWord,
     Letters,
     WordLike,
-    _codes,
     _factor_table,
     is_palindrome,
     mirror,
@@ -48,7 +47,7 @@ NEGATIVE_EDGES: tuple[Letters, ...] = tuple(mirror(e) for e in POSITIVE_EDGES)
 SQUARE_EDGES: frozenset[Letters] = frozenset(POSITIVE_EDGES + NEGATIVE_EDGES)
 SQUARE_VERTICES: frozenset[Letters] = frozenset(e[:3] for e in SQUARE_EDGES)
 
-#: The length-4 words in code order (words._codes): _EDGES[code] is the edge.
+#: The length-4 words in code order (CircularWord.codes): _EDGES[code] is the edge.
 _EDGES = _factor_table(2, 4)
 
 #: The code of each square edge and its epsilon: +1 on the positive
@@ -169,7 +168,7 @@ def _diffs(codes: bytes) -> tuple[int, int, int, int]:
 def grandsart_differences(w: CircularWord) -> tuple[int, int, int, int]:
     """The four pair differences of length-4 occurrence counts."""
     _require_binary(w)
-    return _diffs(_codes(w.letters, 2, 4))
+    return _diffs(w.codes(4))
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,7 @@ class SquareProjection:
 def _square_walk(codes: bytes) -> bytes:
     """The codes of the square edges of a closed path, in path order.
 
-    codes holds the path's edges as length-4 factor codes (words._codes),
+    codes holds the path's edges as length-4 factor codes (CircularWord.codes),
     and every other code is erased.  The retained edges must chain, the
     last one into the first: the target vertex of each must be the
     source vertex of the next, which is one comparison of two translated
@@ -243,13 +242,13 @@ def _winding(epsilon_sum: int, w: CircularWord) -> int:
 def project_to_square(w: CircularWord) -> SquareProjection:
     """Erase all non-square edges from w's closed path and orient the rest."""
     _require_binary(w)
-    return _project(_codes(w.letters, 2, 4))
+    return _project(w.codes(4))
 
 
 def winding_number_graph(w: CircularWord) -> int:
     """Net turns of the projected path: the epsilon sum divided by 4."""
     _require_binary(w)
-    return _winding(_epsilon_sum(_square_walk(_codes(w.letters, 2, 4))), w)
+    return _winding(_epsilon_sum(_square_walk(w.codes(4))), w)
 
 
 #: A bytes.translate table taking a length-3 factor code to 1 when its
@@ -275,7 +274,7 @@ def winding_number_decomposition(w: CircularWord) -> int:
     _require_binary(w)
     letters = w.letters
     # flags[i] is the flag of letter i+1, the middle of the factor at i
-    flags = _codes(letters, 2, 3).translate(_ISOLATED)
+    flags = w.codes(3).translate(_ISOLATED)
     anchor = flags.find(0)
     if anchor < 0 or 1 not in flags:
         return 0
@@ -328,10 +327,12 @@ def grandsart_report(w: CircularWord) -> GrandsartReport:
     and that the sum is a multiple of 4, and it raises
     BrokenProjectionError if either fails.  k_decomposition comes from
     the isolated-letter blocks, read off the length-3 factor codes.  No
-    edge, run or block record is built.
+    edge, run or block record is built.  Both code strings are the
+    word's own (CircularWord.codes), made once and kept with it, so a
+    flow check on the same word after the report makes neither again.
     """
     _require_binary(w)
-    codes = _codes(w.letters, 2, 4)
+    codes = w.codes(4)
     return GrandsartReport(
         word=w,
         diffs=_diffs(codes),

@@ -16,7 +16,7 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from random import Random
 from typing import Iterator, Mapping, Union
 
@@ -94,6 +94,28 @@ class CircularWord:
     def n(self) -> int:
         return len(self.letters)
 
+    @cached_property
+    def _code_memo(self) -> dict[int, bytes]:
+        # Not a field: kept in the instance dict on first use, out of ==, hash and repr.
+        return {}
+
+    def codes(self, l: int) -> bytes:
+        """The code of each circular factor of length l, one byte per position.
+
+        The string of _codes, made on the first call for each l and kept
+        with the word, so the report and the flow check share it.
+        Raises BadParameterError unless 1 <= l and d^l <= 256.
+        """
+        memo = self._code_memo
+        codes = memo.get(l)
+        if codes is None:
+            if l < 1 or not _fits_a_byte(self.d, l):
+                raise BadParameterError(
+                    f"factor codes need 1 <= l and {self.d}^l <= 256, got l={l}"
+                )
+            codes = memo[l] = _codes(self.letters, self.d, l)
+        return codes
+
     def factor(self, i: int, l: int) -> Letters:
         """The length-l factor starting at position i, read periodically."""
         n = self.n
@@ -154,17 +176,20 @@ def _codes(letters: Letters, d: int, l: int) -> bytes:
     taken by Horner's rule, adds to each byte its l-1 predecessors,
     weighted, in a few C-level big-integer operations.  No byte carries
     into the next, because every field is at most d^l - 1 <= 255; the
-    first l-1 bytes hold partial sums and are dropped.
+    first l-1 bytes hold partial sums and are dropped.  On a long word
+    at most four buffers of its length are alive at once: each is freed
+    as soon as the next step no longer needs it.
     """
     n = len(letters)
     raw = bytes(letters)
     reps, extra = divmod(l - 1, n)
-    ext = raw * (reps + 1) + raw[:extra]
-    x = int.from_bytes(ext, "big")
+    x = int.from_bytes(raw * (reps + 1) + raw[:extra], "big")
+    del raw
     y = x >> 8 * (l - 1)
     for j in range(l - 2, -1, -1):
-        y = y * d + (x >> 8 * j)
-    return y.to_bytes(len(ext), "big")[l - 1 :]
+        y *= d
+        y += x >> 8 * j
+    return y.to_bytes(n + l - 1, "big")[l - 1 :]
 
 
 def _fits_a_byte(d: int, l: int) -> bool:

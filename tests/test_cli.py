@@ -219,6 +219,21 @@ class TestSweepPath:
         assert cli.main(["report", word, "--format", fmt]) == 0
         assert word in capsys.readouterr().out
 
+    def test_each_word_makes_its_codes_once(self, monkeypatch, capsys):
+        # one length-3 and one length-4 code string for each of the 510
+        # words, shared by the report and the flow check
+        calls = []
+        made = words._codes
+
+        def counted(letters, d, l):
+            calls.append(l)
+            return made(letters, d, l)
+
+        monkeypatch.setattr(words, "_codes", counted)
+        assert cli.main(["verify", "--max-len", "8"]) == 0
+        assert capsys.readouterr().out == "510 words checked, 0 violations\n"
+        assert sorted(calls) == [3] * 510 + [4] * 510
+
     def test_the_guard_bites(self, no_records):
         with pytest.raises(AssertionError, match="runs called on the sweep path"):
             words.runs(parse_circular("0011"))
@@ -254,6 +269,15 @@ class TestRank:
         assert payload["rank"] == payload["predicted"] == 5
         assert payload["cks_basis"] is True
 
+    def test_lower_bound_warning_is_one_line(self):
+        # the message alone, with no source file or line of the package
+        code, _, err = run_cli("rank", "--d", "2", "--l", "4", "--max-len", "5")
+        assert code == 1
+        assert err == (
+            "warning: rank 8 of (2,4) functionals at max_len=5 is not certified by "
+            "the flow-relation bound 9; the reported rank is a lower bound\n"
+        )
+
     def test_size_limit_is_usage_error(self):
         code, _, err = run_cli("rank", "--d", "2", "--l", "4", "--max-len", "25")
         assert code == 2
@@ -269,7 +293,6 @@ class TestRankFailureModes:
         extra=st.sets(st.sampled_from(["--cks", "--spanning-set"])),
         fmt=st.sampled_from(["text", "json"]),
     )
-    @pytest.mark.filterwarnings("ignore:rank .* is not certified")
     def test_exits_0_1_or_2_and_never_raises(self, d, l, max_len, extra, fmt, capsys):
         argv = ["rank", "--d", str(d), "--l", str(l), "--format", fmt, *sorted(extra)]
         if max_len is not None:

@@ -169,20 +169,45 @@ class TestKirchhoff:
             assert report.in_residuals[vertex] == c - in_sum == 0
 
     def test_miscounted_vertex_shows_in_both_residuals(self, monkeypatch):
-        # the vertex counts are counted directly, not summed from the
-        # edge counts, so a wrong vertex count shows up on both sides
-        counted = debruijn._dense_counts
+        # the vertex codes are made from the letters, not cut from the
+        # edge codes, so a wrong vertex code breaks both comparisons and
+        # shows up on both sides: 010011's vertex 100 is read as 010
+        made = words._codes
 
-        def off_by_one(letters, d, l):
-            counts = counted(letters, d, l)
-            if l == 3:
-                counts[0b010] += 1
-            return counts
+        def miscoded(letters, d, l):
+            codes = made(letters, d, l)
+            return codes.replace(bytes([0b100]), bytes([0b010])) if l == 3 else codes
 
-        monkeypatch.setattr(debruijn, "_dense_counts", off_by_one)
+        monkeypatch.setattr(words, "_codes", miscoded)
         report = verify_kirchhoff(cw("010011"), 3)
         assert not report.ok
-        assert report.violations() == [("out", u("010"), 1), ("in", u("010"), 1)]
+        assert report.violations() == [
+            ("out", u("010"), 1),
+            ("out", u("100"), -1),
+            ("in", u("010"), 1),
+            ("in", u("100"), -1),
+        ]
+
+    @pytest.mark.parametrize(
+        "read_as, violations",
+        [
+            # 0011 read as 0010 keeps its source 001: only the suffix
+            # comparison sees it, as 010 gaining an in-edge and 011 losing one
+            ("0010", [("in", u("010"), -1), ("in", u("011"), 1)]),
+            # read as 1011 it keeps its target 011: only the prefix comparison
+            ("1011", [("out", u("001"), 1), ("out", u("101"), -1)]),
+        ],
+    )
+    def test_miscoded_edge_shows_on_one_side(self, read_as, violations, monkeypatch):
+        made = words._codes
+        wrong = bytes([int(read_as, 2)])
+
+        def miscoded(letters, d, l):
+            codes = made(letters, d, l)
+            return codes.replace(bytes([0b0011]), wrong) if l == 4 else codes
+
+        monkeypatch.setattr(words, "_codes", miscoded)
+        assert verify_kirchhoff(cw("010011"), 3).violations() == violations
 
     @given(binary_circular_words(max_n=32), st.integers(1, 4))
     def test_always_holds(self, w, n):
@@ -225,6 +250,12 @@ class TestKirchhoff:
         report = verify_kirchhoff(w, n)
         assert list(report.out_residuals.items()) == list(out_ref.items())
         assert list(report.in_residuals.items()) == list(in_ref.items())
+        # the string comparison's report equals the counted route's
+        counts = words._dense_counts(w.letters, d, n)
+        edges = words._dense_counts(w.letters, d, n + 1)
+        out_res, in_res = debruijn._flow_residuals(d, n, counts, edges)
+        assert list(report.out_residuals.items()) == list(out_res.items())
+        assert list(report.in_residuals.items()) == list(in_res.items())
 
     def test_size_limit(self, monkeypatch):
         # refused before any residual is computed, like build_graph

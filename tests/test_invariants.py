@@ -19,7 +19,7 @@ from circwords import (
     winding_number_graph,
     word_string,
 )
-from circwords import invariants
+from circwords import invariants, words
 from circwords.invariants import (
     NEGATIVE_EDGES,
     POSITIVE_EDGES,
@@ -234,7 +234,7 @@ class TestContinuityCheck:
     )
     def test_both_routes_name_the_same_break(self, edges, message, monkeypatch):
         # the report reads the same walk check as the projection record
-        monkeypatch.setattr(invariants, "_codes", lambda letters, d, l: edge_codes(*edges))
+        monkeypatch.setattr(words, "_codes", lambda letters, d, l: edge_codes(*edges))
         message = f"square path breaks {message}$"
         for route in (project_to_square, winding_number_graph, grandsart_report):
             with pytest.raises(BrokenProjectionError, match=message):

@@ -33,6 +33,7 @@ from circwords import (
     word_string,
 )
 from circwords import words
+from circwords.errors import BadParameterError
 from conftest import (
     binary_circular_words,
     circular_words_any_alphabet,
@@ -214,6 +215,21 @@ class TestOccurrenceVector:
         table = words._factor_table(w.d, l)
         assert table == tuple(itertools.product(range(w.d), repeat=l))
         assert [table[c] for c in codes] == w.factors(l)
+        assert w.codes(l) == codes
+        assert w.codes(l) is w.codes(l)
+
+    def test_memoised_codes_leave_the_value_unchanged(self):
+        w = cw("0100110")
+        before = (hash(w), repr(w))
+        w.codes(3), w.codes(4)
+        fresh = CircularWord(w.letters, w.d)
+        assert w == fresh
+        assert (hash(w), repr(w)) == (hash(fresh), repr(fresh)) == before
+
+    @pytest.mark.parametrize("letters, d, l", [((0, 1), 2, 0), ((0, 1), 2, 9), ((0, 2), 3, 6)])
+    def test_codes_refuse_a_length_past_one_byte(self, letters, d, l):
+        with pytest.raises(BadParameterError, match=f"got l={l}"):
+            CircularWord(letters, d).codes(l)
 
     def test_mirror_duality_exhaustive_small(self):
         for n in range(1, 11):
