@@ -211,7 +211,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
         try:
             code = _HANDLERS[args.command](args)
         except CircwordsError as exc:

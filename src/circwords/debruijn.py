@@ -177,10 +177,7 @@ def _flow_residuals(
     shows on both sides.
     """
     out_sums, in_sums = _edge_sums(d, edges)
-    if _fits_a_byte(d, n):
-        vertices = _factor_table(d, n)
-    else:
-        vertices = tuple(product(range(d), repeat=n))
+    vertices = tuple(product(range(d), repeat=n))
     out_res = dict(zip(vertices, map(operator.sub, counts, out_sums)))
     in_res = dict(zip(vertices, map(operator.sub, counts, in_sums)))
     return out_res, in_res

@@ -16,7 +16,7 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from random import Random
 from typing import Iterator, Mapping, Union
 
@@ -94,11 +94,6 @@ class CircularWord:
     def n(self) -> int:
         return len(self.letters)
 
-    @cached_property
-    def _code_memo(self) -> dict[int, bytes]:
-        # Not a field: kept in the instance dict on first use, out of ==, hash and repr.
-        return {}
-
     def codes(self, l: int) -> bytes:
         """The code of each circular factor of length l, one byte per position.
 
@@ -106,7 +101,8 @@ class CircularWord:
         with the word, so the report and the flow check share it.
         Raises BadParameterError unless 1 <= l and d^l <= 256.
         """
-        memo = self._code_memo
+        # Not a field: kept in the instance dict, out of ==, hash and repr.
+        memo = self.__dict__.setdefault("_code_memo", {})
         codes = memo.get(l)
         if codes is None:
             if l < 1 or not _fits_a_byte(self.d, l):

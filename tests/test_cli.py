@@ -278,6 +278,22 @@ class TestRank:
             "the flow-relation bound 9; the reported rank is a lower bound\n"
         )
 
+    def test_warning_filters_still_apply(self):
+        # main prints what the active filters let through; it sets none itself
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore::UserWarning", "-m", "circwords.cli",
+             "rank", "--d", "2", "--l", "4", "--max-len", "5"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+    def test_warning_repeats_on_each_call(self, capsys):
+        args = ["rank", "--d", "2", "--l", "4", "--max-len", "5"]
+        for _ in range(2):
+            assert cli.main(args) == 1
+            assert capsys.readouterr().err.startswith("warning: rank 8 of (2,4)")
+
     def test_size_limit_is_usage_error(self):
         code, _, err = run_cli("rank", "--d", "2", "--l", "4", "--max-len", "25")
         assert code == 2
