@@ -20,26 +20,18 @@ from .errors import (
     SizeLimitError,
 )
 from .words import (
-    BINARY,
     Alphabet,
-    BlockDecomposition,
     CircularWord,
-    IsolatedBlock,
-    LongRunBlock,
     OccurrenceVector,
-    Run,
-    canonical_rotation,
     count_occurrences,
     decompose_blocks,
     enumerate_necklaces,
     enumerate_words,
-    is_palindrome,
     mirror,
     occurrence_positions,
     occurrence_vector,
     parse_circular,
     parse_word,
-    runs,
     word_string,
 )
 from .debruijn import (
@@ -55,9 +47,7 @@ from .debruijn import (
 )
 from .invariants import (
     GrandsartReport,
-    Length4Classification,
     SquareProjection,
-    classify_length4,
     grandsart_differences,
     grandsart_report,
     project_to_square,
@@ -86,9 +76,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet",
     "AlphabetMismatchError",
-    "BINARY",
     "BadLetterError",
-    "BlockDecomposition",
     "BrokenProjectionError",
     "CircularWord",
     "CircwordsError",
@@ -99,21 +87,15 @@ __all__ = [
     "FunctionalFamily",
     "GrandsartReport",
     "IntegerMatrix",
-    "IsolatedBlock",
     "KirchhoffReport",
-    "Length4Classification",
-    "LongRunBlock",
     "NotInSpanError",
     "OccurrenceVector",
-    "Run",
     "SizeLimitError",
     "SpanReport",
     "SquareProjection",
     "all_factors_family",
     "build_graph",
-    "canonical_rotation",
     "cks_family",
-    "classify_length4",
     "count_occurrences",
     "cyclomatic_number",
     "decompose_blocks",
@@ -124,7 +106,6 @@ __all__ = [
     "express_in_span",
     "grandsart_differences",
     "grandsart_report",
-    "is_palindrome",
     "is_spanning_tree",
     "marginalization_check",
     "mirror",
@@ -136,7 +117,6 @@ __all__ = [
     "path_of_word",
     "predicted_dimension",
     "project_to_square",
-    "runs",
     "span_dimension",
     "spanning_set_family",
     "verify_cks_basis",

@@ -133,6 +133,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise SizeLimitError(
             f"--rand-len {args.rand_len} letters exceed the cap of {limit}"
         )
+    if args.random > limit:
+        raise SizeLimitError(f"--random {args.random} words exceed the cap of {limit}")
     rng = Random(args.seed)
     swept = (w for n in range(1, args.max_len + 1) for w in enumerate_words(2, n))
     drawn = (random_word(rng, args.rand_len) for _ in range(args.random))

@@ -15,19 +15,18 @@ out of the run structure of W, via its blocks of isolated letters.
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import debruijn
 from .errors import BadParameterError, BrokenProjectionError
 from .words import (
-    BINARY,
     CircularWord,
     Letters,
     WordLike,
+    _ISOLATED,
+    _ISOLATED_BLOCK,
     _factor_table,
-    is_palindrome,
     mirror,
     parse_word,
     word_string,
@@ -109,45 +108,6 @@ def _vertex_table(vertex: Mapping[Letters, Letters]) -> bytes:
 
 _SOURCE_CODE = _vertex_table(SQUARE_SOURCE)
 _TARGET_CODE = _vertex_table(SQUARE_TARGET)
-
-
-@dataclass(frozen=True)
-class Length4Classification:
-    """The 16 binary words of length 4, split three ways."""
-
-    palindromes: tuple[Letters, ...]
-    run_pairs: tuple[tuple[Letters, Letters], ...]
-    grandsart_pairs: tuple[tuple[Letters, Letters], ...]
-
-
-def classify_length4() -> Length4Classification:
-    """Partition the length-4 binary words from first principles.
-
-    Palindromes drop out first; of the six remaining mirror pairs, the
-    two containing a run of three equal letters have trivially equal
-    counts, and the last four pairs carry the invariant.  Pairs are
-    listed (positive edge, mirror) in the difference order.
-    """
-    all4 = list(BINARY.words(4))
-    palindromes = tuple(u for u in all4 if is_palindrome(u))
-    rest = [u for u in all4 if not is_palindrome(u)]
-    run3 = {u for u in rest if _max_linear_run(u) == 3}
-    run_pairs = tuple((u, mirror(u)) for u in sorted(run3) if u[0] == 1)
-    grandsart = {u for u in rest if u not in run3}
-    if grandsart != SQUARE_EDGES:
-        raise AssertionError("length-4 classification drifted from the square edges")
-    pairs = tuple((p, mirror(p)) for p in POSITIVE_EDGES)
-    return Length4Classification(
-        palindromes=palindromes, run_pairs=run_pairs, grandsart_pairs=pairs
-    )
-
-
-def _max_linear_run(u: Letters) -> int:
-    best = cur = 1
-    for i in range(1, len(u)):
-        cur = cur + 1 if u[i] == u[i - 1] else 1
-        best = max(best, cur)
-    return best
 
 
 def _require_binary(w: CircularWord) -> None:
@@ -249,14 +209,6 @@ def winding_number_graph(w: CircularWord) -> int:
     """Net turns of the projected path: the epsilon sum divided by 4."""
     _require_binary(w)
     return _winding(_epsilon_sum(_square_walk(w.codes(4))), w)
-
-
-#: A bytes.translate table taking a length-3 factor code to 1 when its
-#: middle letter is isolated (010 or 101), to 0 otherwise.
-_ISOLATED = bytes(c in (0b010, 0b101) for c in range(256))
-
-#: The maximal arcs of isolated letters in a string of isolated flags.
-_ISOLATED_BLOCK = re.compile(rb"\x01+")
 
 
 def winding_number_decomposition(w: CircularWord) -> int:

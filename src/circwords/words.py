@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -75,9 +76,6 @@ class Alphabet:
         return itertools.product(range(self.d), repeat=l)
 
 
-BINARY = Alphabet(2)
-
-
 @dataclass(frozen=True)
 class CircularWord:
     """Non-empty letter sequence indexed modulo its length."""
@@ -111,15 +109,6 @@ class CircularWord:
                 )
             codes = memo[l] = _codes(self.letters, self.d, l)
         return codes
-
-    def factor(self, i: int, l: int) -> Letters:
-        """The length-l factor starting at position i, read periodically."""
-        n = self.n
-        i %= n
-        if i + l <= n:
-            return self.letters[i : i + l]
-        reps = (i + l + n - 1) // n
-        return (self.letters * reps)[i : i + l]
 
     def factors(self, l: int) -> list[Letters]:
         """All n factors of length l in position order (one per position)."""
@@ -300,15 +289,6 @@ class OccurrenceVector:
     def nonzero(self) -> dict[Letters, int]:
         return dict(self.counts)
 
-    def dense_items(self) -> Iterator[tuple[Letters, int]]:
-        """(factor, count) for all d^l factors, lexicographically.
-
-        Refuses, before the first item, a d^l above DEFAULT_SIZE_LIMIT.
-        """
-        check_size(self.d, self.l, "factors")
-        counts = self.counts
-        return ((u, counts.get(u, 0)) for u in Alphabet(self.d).words(self.l))
-
 
 def occurrence_vector(w: CircularWord, l: int) -> OccurrenceVector:
     """Count every length-l factor of w in one scan.
@@ -333,190 +313,41 @@ def mirror(u: Letters) -> Letters:
     return tuple(u)[::-1]
 
 
-def is_palindrome(u: Letters) -> bool:
-    u = tuple(u)
-    return u == u[::-1]
+#: A bytes.translate table taking a length-3 factor code to 1 when its
+#: middle letter is isolated (010 or 101), to 0 otherwise.
+_ISOLATED = bytes(c in (0b010, 0b101) for c in range(256))
+
+#: The maximal arcs of isolated letters in a string of isolated flags.
+_ISOLATED_BLOCK = re.compile(rb"\x01+")
 
 
-@dataclass(frozen=True)
-class Run:
-    """A circularly maximal block of one repeated letter."""
+def decompose_blocks(w: CircularWord) -> tuple[tuple[int, Letters], ...]:
+    """The anchored blocks of isolated letters of a binary circular word.
 
-    letter: int
-    start: int
-    length: int
-
-
-def _run_starts(letters: Letters) -> list[int]:
-    """Start positions of the maximal runs, increasing; [0] for a constant word.
-
-    Position i starts a run when its letter differs from the one before
-    it, circularly: one C-level pass comparing the letters with their
-    rotation by one.
-    """
-    changed = map(operator.ne, letters, letters[-1:] + letters[:-1])
-    return list(itertools.compress(range(len(letters)), changed)) or [0]
-
-
-def _run_lengths(starts: list[int], n: int) -> list[int]:
-    """The length of each run, from the run starts of a word of length n."""
-    return list(map(operator.sub, starts[1:] + [starts[0] + n], starts))
-
-
-def _run_blocks(lengths: list[int]) -> list[tuple[int, int, bool]]:
-    """Group the runs into maximal circular arcs of one kind.
-
-    A run of length 1 is isolated, a longer one long.  Each block is
-    (first, end, isolated): runs first..end-1, run indices taken modulo
-    the number of runs m.  Blocks start at the first run whose kind
-    differs from the run before it and follow the circle from there; when
-    every run has the same kind the result is the one block (0, m, kind).
-    """
-    m = len(lengths)
-    isolated = list(map((1).__eq__, lengths))
-    changed = map(operator.ne, isolated, isolated[-1:] + isolated[:-1])
-    firsts = list(itertools.compress(range(m), changed))
-    if not firsts:
-        return [(0, m, isolated[0])]
-    ends = firsts[1:] + [firsts[0] + m]
-    return list(zip(firsts, ends, map(isolated.__getitem__, firsts)))
-
-
-def runs(w: CircularWord) -> tuple[Run, ...]:
-    """Maximal-run decomposition in order of start position.
-
-    A constant word yields the single run covering the whole word.
-    """
-    starts = _run_starts(w.letters)
-    lengths = _run_lengths(starts, w.n)
-    return tuple(map(Run, map(w.letters.__getitem__, starts), starts, lengths))
-
-
-@dataclass(frozen=True)
-class IsolatedBlock:
-    """A maximal circular arc of length-1 runs (...abab... letters).
-
-    `start` is the position of the first isolated letter after the
-    preceding long-run block; it is None only in the degenerate case
-    where the whole word alternates and no anchor exists.
-    """
-
-    letters: Letters
-    start: int | None
-
-    @property
-    def start_letter(self) -> int:
-        return self.letters[0]
-
-    @property
-    def length(self) -> int:
-        return len(self.letters)
-
-
-@dataclass(frozen=True)
-class LongRunBlock:
-    """A maximal circular arc of runs of length >= 2."""
-
-    runs: tuple[Run, ...]
-
-    @property
-    def start(self) -> int:
-        return self.runs[0].start
-
-    @property
-    def length(self) -> int:
-        return sum(r.length for r in self.runs)
-
-
-Block = Union[IsolatedBlock, LongRunBlock]
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Circular split into alternating isolated and long-run blocks."""
-
-    n: int
-    blocks: tuple[Block, ...]
-    whole_word_alternating: bool
-
-    def isolated_blocks(self) -> list[IsolatedBlock]:
-        return [b for b in self.blocks if isinstance(b, IsolatedBlock)]
-
-    def reconstruct(self) -> CircularWord:
-        """Reassemble the word from the blocks (inverse of decompose_blocks)."""
-        out: list[int | None] = [None] * self.n
-        for b in self.blocks:
-            start = 0 if b.start is None else b.start
-            if isinstance(b, IsolatedBlock):
-                for j, a in enumerate(b.letters):
-                    out[(start + j) % self.n] = a
-            else:
-                for r in b.runs:
-                    for j in range(r.length):
-                        out[(r.start + j) % self.n] = r.letter
-        if any(a is None for a in out):
-            raise BadParameterError("blocks do not cover the word")
-        return CircularWord(tuple(out), 2)
-
-
-def decompose_blocks(w: CircularWord) -> BlockDecomposition:
-    """Split a binary circular word into isolated-letter and long-run blocks.
-
-    Runs of length 1 group into IsolatedBlocks, runs of length >= 2 into
-    LongRunBlocks, alternating around the circle.  When no run reaches
-    length 2 there is no anchor for the grouping and the whole word is a
-    single unanchored IsolatedBlock with the alternating flag set.
+    A letter is isolated, a run of length 1, exactly when the length-3
+    factor centred on it is 010 or 101.  A block is a maximal circular
+    arc of isolated letters, which follows a run of length >= 2; each is
+    one (start, letters) pair, sorted by start.  A word with no isolated
+    letter, or with nothing else (fully alternating), has no anchored
+    block and gives ().
     """
     if w.d != 2:
         raise BadParameterError("block decomposition is defined for binary words")
-    rs = runs(w)
-    grouped = _run_blocks([r.length for r in rs])
-    if len(grouped) == 1:
-        if grouped[0][2]:
-            return BlockDecomposition(
-                n=w.n,
-                blocks=(IsolatedBlock(letters=w.letters, start=None),),
-                whole_word_alternating=True,
-            )
-        return BlockDecomposition(
-            n=w.n, blocks=(LongRunBlock(rs),), whole_word_alternating=False
-        )
-    m = len(rs)
-    blocks: list[Block] = []
-    for first, end, isolated in grouped:
-        group = [rs[j % m] for j in range(first, end)]
-        if isolated:
-            letters = tuple(r.letter for r in group)
-            blocks.append(IsolatedBlock(letters=letters, start=group[0].start))
-        else:
-            blocks.append(LongRunBlock(tuple(group)))
-    return BlockDecomposition(n=w.n, blocks=tuple(blocks), whole_word_alternating=False)
-
-
-def canonical_rotation(w: CircularWord) -> CircularWord:
-    """The lexicographically least rotation (conjugacy-class representative)."""
-    return w.rotate(_least_rotation(w.letters))
-
-
-def _least_rotation(letters: Letters) -> int:
-    """The start of the least rotation, in O(n) comparisons.
-
-    Duval's Lyndon factorisation of the doubled word: each pass over i
-    finds the next Lyndon factor, and the least rotation starts at the
-    last factor that begins before n.
-    """
-    n = len(letters)
-    s = letters + letters
-    i = start = 0
-    while i < n:
-        start = i
-        j, k = i + 1, i
-        while j < 2 * n and s[k] <= s[j]:
-            k = i if s[k] < s[j] else k + 1
-            j += 1
-        while i <= k:
-            i += j - k
-    return start
+    letters, n = w.letters, w.n
+    # flags[i] is the flag of letter i+1, the middle of the factor at i
+    flags = w.codes(3).translate(_ISOLATED)
+    anchor = flags.find(0)
+    if anchor < 0:
+        return ()
+    flags = flags[anchor:] + flags[:anchor]
+    blocks = []
+    for block in _ISOLATED_BLOCK.finditer(flags):
+        first, end = block.span()
+        start = (anchor + first + 1) % n
+        stop = start + end - first
+        arc = letters[start:stop] if stop <= n else letters[start:] + letters[: stop - n]
+        blocks.append((start, arc))
+    return tuple(sorted(blocks))
 
 
 def enumerate_words(d: int, n: int) -> Iterator[CircularWord]:

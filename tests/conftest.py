@@ -95,3 +95,15 @@ def circular_words_any_alphabet(draw, max_d: int = 4, max_n: int = 24):
     d = draw(st.integers(2, max_d))
     letters = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=max_n))
     return CircularWord(tuple(letters), d)
+
+
+#: Binary words up to length 300, with the constant and alternating
+#: families (no isolated letter, or nothing but isolated letters) drawn often.
+words_and_families = st.one_of(
+    binary_circular_words(max_n=300),
+    st.integers(1, 300).flatmap(
+        lambda n: st.sampled_from(
+            [cw("0" * n), cw("1" * n), cw(("01" * n)[:n]), cw(("10" * n)[:n])]
+        )
+    ),
+)

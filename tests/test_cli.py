@@ -121,6 +121,8 @@ class TestVerify:
              "2^100000 words of length 100000 exceed the cap of 1048576"),
             (["--max-len", "3", "--random", "1", "--rand-len", "1048577"],
              "--rand-len 1048577 letters exceed the cap of 1048576"),
+            (["--max-len", "1", "--random", "100000000000"],
+             "--random 100000000000 words exceed the cap of 1048576"),
         ],
     )
     def test_oversized_sweep_is_refused_before_the_first_word(
@@ -145,6 +147,10 @@ class TestVerify:
         assert capsys.readouterr().out == "4 words checked, 0 violations\n"
         assert cli.main([*argv, "65"]) == 2
         assert "--rand-len 65 letters exceed the cap of 64" in capsys.readouterr().err
+        assert cli.main(["verify", "--max-len", "1", "--random", "64"]) == 0
+        assert capsys.readouterr().out == "66 words checked, 0 violations\n"
+        assert cli.main(["verify", "--max-len", "1", "--random", "65"]) == 2
+        assert "--random 65 words exceed the cap of 64" in capsys.readouterr().err
 
     def test_inconsistent_report_is_a_counterexample(self, monkeypatch, capsys):
         # words with exactly two 1s get a wrong k_decomposition: of the 30
@@ -186,7 +192,7 @@ class TestVerify:
 
 
 class TestSweepPath:
-    """The sweep and the report build no occurrence, run, block or edge record."""
+    """The sweep and the report build no occurrence, block or edge record."""
 
     @pytest.fixture
     def no_records(self, monkeypatch):
@@ -198,7 +204,6 @@ class TestSweepPath:
 
         banned = {
             id(words.occurrence_vector): "occurrence_vector",
-            id(words.runs): "runs",
             id(words.decompose_blocks): "decompose_blocks",
             id(invariants._project): "_project",
         }
@@ -235,8 +240,8 @@ class TestSweepPath:
         assert sorted(calls) == [3] * 510 + [4] * 510
 
     def test_the_guard_bites(self, no_records):
-        with pytest.raises(AssertionError, match="runs called on the sweep path"):
-            words.runs(parse_circular("0011"))
+        with pytest.raises(AssertionError, match="decompose_blocks called on the sweep path"):
+            words.decompose_blocks(parse_circular("0011"))
         with pytest.raises(AssertionError, match="_project called"):
             invariants.project_to_square(parse_circular("0011"))
 
@@ -377,15 +382,21 @@ class TestFailureModes:
     @DRAWN
     @given(
         max_len=st.integers(-1, 8),
-        random=st.integers(-1, 3),
+        random=st.integers(-1, 24),
         rand_len=st.integers(-1, 40),
-        binding=st.sampled_from(["sweep", "rand_len", "edges"]),
+        binding=st.sampled_from(["sweep", "random", "rand_len", "edges"]),
         slack=st.integers(-1, 1),
     )
     def test_verify(self, max_len, random, rand_len, binding, slack, capsys, monkeypatch):
         # the cap sits at one of the sizes the run needs: 2^max_len swept
-        # words, rand_len letters, or the 16 edges of B(2,3) in Kirchhoff
-        sizes = {"sweep": 2 ** max(max_len, 0), "rand_len": rand_len, "edges": 16}
+        # words, random drawn words, rand_len letters, or the 16 edges of
+        # B(2,3) in Kirchhoff
+        sizes = {
+            "sweep": 2 ** max(max_len, 0),
+            "random": random,
+            "rand_len": rand_len,
+            "edges": 16,
+        }
         cap = sizes[binding] + slack
         monkeypatch.setattr(words, "DEFAULT_SIZE_LIMIT", cap)
         argv = ["verify", "--max-len", str(max_len), "--random", str(random),

@@ -1,5 +1,6 @@
 """The equal-differences invariant, both winding computations, classification."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from circwords import (
     BrokenProjectionError,
-    classify_length4,
     decompose_blocks,
     enumerate_words,
     grandsart_differences,
@@ -31,19 +31,7 @@ from circwords.invariants import (
     SquareProjection,
     square_graph_dot,
 )
-from conftest import binary_circular_words, cw, u
-
-
-#: Words up to length 300, with the constant and alternating families
-#: (no isolated letter, or nothing but isolated letters) drawn often.
-words_and_families = st.one_of(
-    binary_circular_words(max_n=300),
-    st.integers(1, 300).flatmap(
-        lambda n: st.sampled_from(
-            [cw("0" * n), cw("1" * n), cw(("01" * n)[:n]), cw(("10" * n)[:n])]
-        )
-    ),
-)
+from conftest import binary_circular_words, cw, u, words_and_families
 
 
 def edge_codes(*edges: str) -> bytes:
@@ -51,17 +39,41 @@ def edge_codes(*edges: str) -> bytes:
     return bytes(int(e, 2) for e in edges)
 
 
+def classify_length4():
+    """The 16 binary words of length 4, split from first principles.
+
+    Palindromes drop out first.  Of the six remaining mirror pairs, the
+    two holding a run of three equal letters have trivially equal
+    counts, and the other four carry the invariant.  Each pair is
+    (word, mirror) with the word the larger, and the pairs are sorted.
+    """
+    all4 = set(itertools.product((0, 1), repeat=4))
+    palindromes = {w for w in all4 if w == w[::-1]}
+    run3 = {w for w in all4 if w[0] == w[1] == w[2] or w[1] == w[2] == w[3]}
+    pairs = lambda part: [(w, w[::-1]) for w in sorted({max(w, w[::-1]) for w in part})]
+    return palindromes, pairs(run3 - palindromes), pairs(all4 - palindromes - run3)
+
+
 class TestClassification:
     def test_palindromes(self):
-        got = {word_string(p) for p in classify_length4().palindromes}
+        palindromes, _, _ = classify_length4()
+        got = {word_string(p) for p in palindromes}
         assert got == {"1111", "1001", "0110", "0000"}
 
     def test_run_pairs(self):
-        got = [tuple(map(word_string, p)) for p in classify_length4().run_pairs]
+        _, run_pairs, _ = classify_length4()
+        got = [tuple(map(word_string, p)) for p in run_pairs]
         assert got == [("1000", "0001"), ("1110", "0111")]
 
     def test_grandsart_pairs_in_difference_order(self):
-        got = [tuple(map(word_string, p)) for p in classify_length4().grandsart_pairs]
+        # the four pairs left over are the square edges, and in the order
+        # of the differences d1..d4 they are POSITIVE_EDGES and their mirrors
+        _, _, grandsart_pairs = classify_length4()
+        assert {e for pair in grandsart_pairs for e in pair} == SQUARE_EDGES
+        assert {frozenset(pair) for pair in grandsart_pairs} == {
+            frozenset((p, mirror(p))) for p in POSITIVE_EDGES
+        }
+        got = [(word_string(p), word_string(mirror(p))) for p in POSITIVE_EDGES]
         assert got == [
             ("0011", "1100"),
             ("1101", "1011"),
@@ -70,21 +82,22 @@ class TestClassification:
         ]
 
     def test_parts_partition_all_16_words(self):
-        cls = classify_length4()
-        words = set(cls.palindromes)
-        for a, b in cls.run_pairs + cls.grandsart_pairs:
+        palindromes, run_pairs, grandsart_pairs = classify_length4()
+        words = set(palindromes)
+        for a, b in run_pairs + grandsart_pairs:
             words.update((a, b))
         assert len(words) == 16
-        assert len(cls.palindromes) + 2 * len(cls.run_pairs + cls.grandsart_pairs) == 16
+        assert len(palindromes) + 2 * len(run_pairs + grandsart_pairs) == 16
 
     def test_pairs_are_palindromic_pairs(self):
-        cls = classify_length4()
-        for a, b in cls.run_pairs + cls.grandsart_pairs:
+        _, run_pairs, grandsart_pairs = classify_length4()
+        for a, b in run_pairs + grandsart_pairs:
             assert b == mirror(a)
             assert a != mirror(a) and b != mirror(b)
 
     def test_grandsart_prefixes_end_with_two_different_letters(self):
-        for a, b in classify_length4().grandsart_pairs:
+        _, _, grandsart_pairs = classify_length4()
+        for a, b in grandsart_pairs:
             for word in (a, b):
                 assert word[1] != word[2]
 
@@ -254,15 +267,11 @@ class TestWindingNumbers:
 
     @given(words_and_families)
     def test_decomposition_matches_the_block_records(self, w):
-        # signed count of even-length isolated blocks, read off the records;
-        # an unanchored (fully alternating) word winds zero times
-        dec = decompose_blocks(w)
-        expected = 0
-        if not dec.whole_word_alternating:
-            for b in dec.isolated_blocks():
-                if b.length % 2 == 0:
-                    expected += 1 if b.start_letter == 0 else -1
-        assert winding_number_decomposition(w) == expected
+        # signed count of the even-length anchored blocks, read off the
+        # (start, letters) pairs, against both winding numbers
+        blocks = decompose_blocks(w)
+        expected = sum(1 - 2 * arc[0] for _, arc in blocks if len(arc) % 2 == 0)
+        assert winding_number_decomposition(w) == expected == grandsart_report(w).k_graph
 
     @given(words_and_families)
     def test_report_winding_matches_the_projection_record(self, w):

@@ -660,8 +660,9 @@ class TestCertifiedSample:
 
 
 def _dense_row(w, l):
+    """The count of every length-l factor of w, all d^l of them, lexicographically."""
     counts = occurrence_vector(w, l)
-    return [c for _, c in counts.dense_items()]
+    return [counts[f] for f in Alphabet(w.d).words(l)]
 
 
 class TestMarginals:

@@ -1,4 +1,4 @@
-"""Circular words: construction, counting, runs, blocks, rotations."""
+"""Circular words: construction, counting, occurrence vectors, rotations, necklaces."""
 
 import itertools
 import math
@@ -14,22 +14,18 @@ from circwords import (
     CircularWord,
     EmptyFactorError,
     EmptyWordError,
-    IsolatedBlock,
-    LongRunBlock,
-    Run,
     SizeLimitError,
-    canonical_rotation,
     count_occurrences,
     decompose_blocks,
     enumerate_necklaces,
     enumerate_words,
-    is_palindrome,
+    grandsart_report,
     mirror,
     occurrence_positions,
     occurrence_vector,
     parse_circular,
     parse_word,
-    runs,
+    winding_number_decomposition,
     word_string,
 )
 from circwords import words
@@ -41,15 +37,8 @@ from conftest import (
     scan_count,
     u,
     unrolled_count,
+    words_and_families,
 )
-
-
-@st.composite
-def periodic_words(draw):
-    """A random block over 2..4 letters, repeated 2..6 times."""
-    d = draw(st.integers(2, 4))
-    block = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=6))
-    return CircularWord(tuple(block) * draw(st.integers(2, 6)), d)
 
 
 def necklace_count(d, n):
@@ -139,7 +128,7 @@ class TestCounting:
 
     @given(circular_words_any_alphabet(), st.integers(1, 6))
     def test_positions_are_the_counted_ones(self, w, l):
-        factor = w.factor(0, l)
+        factor = w.factors(l)[0]
         positions = occurrence_positions(w, factor)
         assert 0 in positions
         assert len(positions) == count_occurrences(w, factor)
@@ -162,22 +151,6 @@ class TestOccurrenceVector:
     def test_wrong_length_lookup_rejected(self):
         with pytest.raises(ValueError):
             occurrence_vector(cw("00101"), 3)["01"]
-
-    def test_dense_items_cover_alphabet(self):
-        ov = occurrence_vector(cw("01", 3), 2)
-        items = list(ov.dense_items())
-        assert len(items) == 9
-        assert sum(c for _, c in items) == 2
-
-    def test_dense_items_capped_before_the_first_item(self, monkeypatch):
-        with pytest.raises(SizeLimitError):
-            occurrence_vector(cw("01"), 21).dense_items()
-        with pytest.raises(SizeLimitError):
-            occurrence_vector(cw("012"), 13).dense_items()
-        monkeypatch.setattr(words, "DEFAULT_SIZE_LIMIT", 8)
-        assert len(list(occurrence_vector(cw("0110"), 3).dense_items())) == 8
-        with pytest.raises(SizeLimitError):
-            occurrence_vector(cw("0110"), 4).dense_items()
 
     @given(circular_words_any_alphabet(), st.integers(1, 6))
     def test_counts_sum_to_length(self, w, l):
@@ -268,33 +241,45 @@ class TestMirror:
         assert mirror(u("0110")) == u("0110")
         assert mirror(()) == ()
 
-    def test_palindromes(self):
-        assert is_palindrome(u("1001"))
-        assert not is_palindrome(u("0011"))
+
+def long_zero_runs(w):
+    """The 0-runs of length >= 2 of a non-constant word.
+
+    Read by itertools.groupby from the rotation that starts at the first
+    letter that differs from the one before it, so no run wraps.
+    """
+    letters = w.letters
+    s = next(i for i in range(w.n) if letters[i] != letters[i - 1])
+    rotated = letters[s:] + letters[:s]
+    return sum(a == 0 and len(list(run)) >= 2 for a, run in itertools.groupby(rotated))
+
+
+def zero_run_ends(w):
+    """|W|_001 and |W|_100: the starts and the ends of the long 0-runs."""
+    return count_occurrences(w, u("001")), count_occurrences(w, u("100"))
 
 
 class TestRuns:
     def test_example_00101(self):
-        assert runs(cw("00101")) == (
-            Run(0, 0, 2),
-            Run(1, 2, 1),
-            Run(0, 3, 1),
-            Run(1, 4, 1),
-        )
+        # the 0-runs are 00 and 0
+        w = cw("00101")
+        assert long_zero_runs(w) == 1
+        assert zero_run_ends(w) == (1, 1)
 
     def test_constant_word_single_run(self):
-        assert runs(cw("0000")) == (Run(0, 0, 4),)
+        # its one run has no end, so the identity leaves constant words out
+        assert zero_run_ends(cw("0000")) == (0, 0)
 
     def test_wrapping_run(self):
         # the 0-run of 010 wraps through position 0
-        assert runs(cw("010")) == (Run(1, 1, 1), Run(0, 2, 2))
+        w = cw("010")
+        assert long_zero_runs(w) == 1
+        assert zero_run_ends(w) == (1, 1)
 
     def test_long_zero_runs_match_counts(self):
-        w = cw("00101")
-        long_zero_runs = sum(1 for r in runs(w) if r.letter == 0 and r.length >= 2)
-        assert long_zero_runs == 1
-        assert count_occurrences(w, u("001")) == 1
-        assert count_occurrences(w, u("100")) == 1
+        w = cw("0100110001")
+        assert long_zero_runs(w) == 2
+        assert zero_run_ends(w) == (2, 2)
 
     def test_long_zero_runs_exhaustive(self):
         # |W|_001 = |W|_100 = number of runs of 0 of length >= 2,
@@ -303,99 +288,67 @@ class TestRuns:
             for w in enumerate_words(2, n):
                 if len(set(w.letters)) == 1:
                     continue
-                expected = sum(
-                    1 for r in runs(w) if r.letter == 0 and r.length >= 2
-                )
                 ov = occurrence_vector(w, 3)
-                assert ov[u("001")] == ov[u("100")] == expected
+                assert ov[u("001")] == ov[u("100")] == long_zero_runs(w)
 
-    @given(circular_words_any_alphabet())
-    def test_runs_partition_and_are_maximal(self, w):
-        rs = runs(w)
-        assert sorted(r.start for r in rs) == [r.start for r in rs]
-        covered = []
-        for r in rs:
-            assert r.length >= 1
-            for j in range(r.length):
-                pos = (r.start + j) % w.n
-                assert w.letters[pos] == r.letter
-                covered.append(pos)
-        assert sorted(covered) == list(range(w.n))
-        if len(rs) > 1:
-            for r in rs:
-                assert w.letters[(r.start - 1) % w.n] != r.letter
-                assert w.letters[(r.start + r.length) % w.n] != r.letter
+
+def check_blocks(w):
+    """decompose_blocks(w), checked against the word's letters read one at a time."""
+    letters, n = w.letters, w.n
+    isolated = {i for i in range(n) if letters[i - 1] != letters[i] != letters[(i + 1) % n]}
+    blocks = decompose_blocks(w)
+    assert [s for s, _ in blocks] == sorted({s for s, _ in blocks})
+    covered = []
+    for start, arc in blocks:
+        # the block follows a run of length >= 2, and alternates
+        assert letters[start - 1] == letters[start - 2]
+        assert arc and all(a != b for a, b in zip(arc, arc[1:]))
+        positions = [(start + j) % n for j in range(len(arc))]
+        assert arc == tuple(letters[i] for i in positions)
+        covered += positions
+    # every isolated letter, unless the word has no other letter
+    anchored = isolated if len(isolated) < n else set()
+    assert sorted(covered) == sorted(anchored)
+    return blocks
 
 
 class TestBlocks:
     def test_example_010011(self):
-        dec = decompose_blocks(cw("010011"))
-        assert not dec.whole_word_alternating
-        iso, long_ = dec.blocks
-        assert isinstance(iso, IsolatedBlock)
-        assert (iso.start_letter, iso.length, iso.start) == (0, 2, 0)
-        assert isinstance(long_, LongRunBlock)
-        assert [(r.letter, r.length) for r in long_.runs] == [(0, 2), (1, 2)]
+        assert decompose_blocks(cw("010011")) == ((0, (0, 1)),)
+        assert decompose_blocks(cw("101100")) == ((0, (1, 0)),)
+        assert decompose_blocks(cw("101100100")) == ((0, (1, 0)), (6, (1,)))
+        # a block through position 0 starts where it begins, before the end
+        assert decompose_blocks(cw("01001101")) == ((6, (0, 1, 0, 1)),)
 
     def test_alternating_word(self):
-        dec = decompose_blocks(cw("0101"))
-        assert dec.whole_word_alternating
-        (block,) = dec.blocks
-        assert isinstance(block, IsolatedBlock)
-        assert block.length == 4
-        assert block.start is None
+        for text in ("01", "10", "0101", "1010101010"):
+            assert decompose_blocks(cw(text)) == ()
 
     def test_constant_word(self):
-        dec = decompose_blocks(cw("0000"))
-        assert not dec.whole_word_alternating
-        (block,) = dec.blocks
-        assert isinstance(block, LongRunBlock)
+        for text in ("0", "1", "00", "1111"):
+            assert decompose_blocks(cw(text)) == ()
 
     def test_binary_only(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParameterError):
             decompose_blocks(cw("012"))
 
-    @given(binary_circular_words())
-    def test_reconstruction_and_alternation(self, w):
-        dec = decompose_blocks(w)
-        assert dec.reconstruct() == w
-        kinds = [isinstance(b, IsolatedBlock) for b in dec.blocks]
-        if len(kinds) > 1:
-            for i, k in enumerate(kinds):
-                assert k != kinds[i - 1]
-
-    @given(binary_circular_words())
+    @given(words_and_families)
     def test_isolated_blocks_follow_long_runs(self, w):
-        dec = decompose_blocks(w)
-        if dec.whole_word_alternating:
-            return
-        for b in dec.blocks:
-            if isinstance(b, IsolatedBlock):
-                # anchored right after a run of length >= 2
-                before = (b.start - 1) % w.n
-                assert w.letters[before] == w.letters[(before - 1) % w.n]
+        check_blocks(w)
+
+    def test_blocks_exhaustive(self):
+        # k: the even blocks starting with 0 less those starting with 1
+        for n in range(1, 13):
+            for w in enumerate_words(2, n):
+                blocks = check_blocks(w)
+                k = sum(1 - 2 * arc[0] for _, arc in blocks if len(arc) % 2 == 0)
+                assert k == winding_number_decomposition(w) == grandsart_report(w).k_graph
 
 
 class TestRotations:
     def test_rotate_example(self):
         assert cw("001").rotate(1) == cw("010")
         assert cw("001").rotate(0) == cw("001")
-
-    def test_canonical_rotation(self):
-        assert canonical_rotation(cw("010")) == cw("001")
-
-    @given(
-        st.one_of(
-            circular_words_any_alphabet(),
-            periodic_words(),
-            st.builds(lambda a, n: CircularWord((a,) * n, 4), st.integers(0, 3), st.integers(1, 30)),
-        )
-    )
-    def test_canonical_is_minimal_rotation(self, w):
-        rotations = [w.rotate(s).letters for s in range(w.n)]
-        canon = canonical_rotation(w)
-        assert canon.d == w.d
-        assert canon.letters == min(rotations)
 
     @given(binary_circular_words(), st.lists(st.integers(0, 1), min_size=1, max_size=6), st.integers(-8, 8))
     def test_counts_are_rotation_invariant(self, w, factor, s):
@@ -419,12 +372,18 @@ class TestEnumeration:
             list(enumerate_words(2, 0))
 
 
+def least_rotation(w):
+    """min(w.rotate(s).letters for s in range(w.n)), by slicing the letters."""
+    a = w.letters
+    return min(a[s:] + a[:s] for s in range(w.n))
+
+
 class TestNecklaces:
     @pytest.mark.parametrize("d,max_n", [(2, 9), (3, 9), (4, 7)])
     def test_one_least_rotation_per_class_in_order(self, d, max_n):
         for n in range(1, max_n + 1):
             got = [w.letters for w in enumerate_necklaces(d, n)]
-            classes = {canonical_rotation(w).letters for w in enumerate_words(d, n)}
+            classes = {least_rotation(w) for w in enumerate_words(d, n)}
             assert got == sorted(classes)
             assert all(w.d == d for w in enumerate_necklaces(d, n))
 
@@ -432,7 +391,7 @@ class TestNecklaces:
         for n in (8, 9):
             got = [w.letters for w in enumerate_necklaces(4, n)]
             assert got == sorted(set(got))
-            assert all(canonical_rotation(CircularWord(a, 4)).letters == a for a in got)
+            assert all(least_rotation(CircularWord(a, 4)) == a for a in got)
             assert len(got) == necklace_count(4, n)
 
     @pytest.mark.parametrize("d,max_n", [(2, 14), (3, 10), (4, 7)])
@@ -453,13 +412,9 @@ class TestNecklaces:
 
 
 class TestPeriodicFactors:
-    @given(circular_words_any_alphabet(), st.integers(0, 30), st.integers(1, 9))
-    def test_factor_matches_modular_indexing(self, w, i, l):
-        expected = tuple(w.letters[(i + j) % w.n] for j in range(l))
-        assert w.factor(i, l) == expected
-
     @given(circular_words_any_alphabet(), st.integers(1, 9))
     def test_factors_lists_every_position(self, w, l):
         fs = w.factors(l)
         assert len(fs) == w.n
-        assert all(fs[i] == w.factor(i, l) for i in range(w.n))
+        for i in range(w.n):
+            assert fs[i] == tuple(w.letters[(i + j) % w.n] for j in range(l))
