@@ -412,6 +412,13 @@ class TestNecklaces:
 
 
 class TestPeriodicFactors:
+    @given(circular_words_any_alphabet(), st.integers(0, 30), st.integers(1, 9))
+    def test_factor_matches_modular_indexing(self, w, i, l):
+        # A factor may start at any index and wrap any number of times.
+        expected = tuple(w.letters[(i + j) % w.n] for j in range(l))
+        assert w.factors(l)[i % w.n] == expected
+        assert w.rotate(i).factors(l)[0] == expected
+
     @given(circular_words_any_alphabet(), st.integers(1, 9))
     def test_factors_lists_every_position(self, w, l):
         fs = w.factors(l)
