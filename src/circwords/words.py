@@ -88,6 +88,22 @@ class CircularWord:
             raise EmptyWordError("circular word must have length >= 1")
         Alphabet(self.d).validate(self.letters)
 
+    @classmethod
+    def _unchecked(
+        cls, letters: Letters, d: int, memo: dict[int, bytes] | None = None
+    ) -> "CircularWord":
+        """A word whose letters the caller made valid: no length or letter check.
+
+        memo, when given, becomes the word's code memo (see codes), so it
+        must hold the code strings _codes would make for its lengths.
+        """
+        w = object.__new__(cls)
+        # What the frozen __init__ stores, written straight to the instance dict.
+        w.__dict__.update(letters=letters, d=d)
+        if memo is not None:
+            w.__dict__["_code_memo"] = memo
+        return w
+
     @property
     def n(self) -> int:
         return len(self.letters)
@@ -350,12 +366,42 @@ def decompose_blocks(w: CircularWord) -> tuple[tuple[int, Letters], ...]:
     return tuple(sorted(blocks))
 
 
+#: The factor lengths whose codes enumerate_words makes for its words:
+#: the ones grandsart_report (3 and 4) and verify_kirchhoff(w, 3) read.
+_PREFILLED = (3, 4)
+
+#: Words per chunk of enumerate_words, so its code buffer stays small
+#: at every length up to the cap.
+_BATCH = 1 << 12
+
+
 def enumerate_words(d: int, n: int) -> Iterator[CircularWord]:
-    """All d^n circular words of length n, lexicographically."""
+    """All d^n circular words of length n, lexicographically.
+
+    The alphabet is checked once; the words are built unchecked.  When
+    every length-4 code fits a byte, each chunk of _BATCH words is
+    written into one buffer, each word followed by its next three
+    circular letters, and one _codes scan per length in _PREFILLED codes
+    the whole chunk.  Word j's slice of each scan, n bytes from
+    j·(n+3), reads only its own letters, so it equals _codes of the
+    word, and it is put in the word's code memo.
+    """
     if n < 1:
         raise BadParameterError(f"word length must be >= 1, got {n}")
-    for letters in Alphabet(d).words(n):
-        yield CircularWord(letters, d)
+    product = Alphabet(d).words(n)
+    if not _fits_a_byte(d, max(_PREFILLED)):
+        for letters in product:
+            yield CircularWord._unchecked(letters, d)
+        return
+    tail = max(_PREFILLED) - 1
+    step = n + tail
+    while chunk := list(itertools.islice(product, _BATCH)):
+        # letters * (tail+1) is long enough for n + tail letters at every n >= 1
+        buf = b"".join(bytes((letters * (tail + 1))[:step]) for letters in chunk)
+        scans = [(l, _codes(buf, d, l)) for l in _PREFILLED]
+        for i, letters in zip(range(0, len(buf), step), chunk):
+            memo = {l: codes[i : i + n] for l, codes in scans}
+            yield CircularWord._unchecked(letters, d, memo)
 
 
 def enumerate_necklaces(d: int, n: int) -> Iterator[CircularWord]:
@@ -367,16 +413,18 @@ def enumerate_necklaces(d: int, n: int) -> Iterator[CircularWord]:
     prenecklaces in lexicographic order: bump the last letter below d-1
     at index p-1, then repeat the first p letters to length n.  p is
     the period of the new prenecklace, and it is a necklace exactly
-    when p divides n.
+    when p divides n.  The alphabet is checked once; the necklaces are
+    built unchecked.
     """
     if n < 1:
         raise BadParameterError(f"word length must be >= 1, got {n}")
+    Alphabet(d)  # refuses d < 2 before the first necklace
     a = [0] * n
     p = 1
     top = d - 1
     while True:
         if n % p == 0:
-            yield CircularWord(tuple(a), d)
+            yield CircularWord._unchecked(tuple(a), d)
         p = n
         while p and a[p - 1] == top:
             p -= 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -224,9 +225,9 @@ class TestSweepPath:
         assert cli.main(["report", word, "--format", fmt]) == 0
         assert word in capsys.readouterr().out
 
-    def test_each_word_makes_its_codes_once(self, monkeypatch, capsys):
-        # one length-3 and one length-4 code string for each of the 510
-        # words, shared by the report and the flow check
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The factor length of each _codes call, in call order."""
         calls = []
         made = words._codes
 
@@ -235,9 +236,21 @@ class TestSweepPath:
             return made(letters, d, l)
 
         monkeypatch.setattr(words, "_codes", counted)
+        return calls
+
+    def test_each_length_makes_its_codes_in_two_scans(self, scans, capsys):
+        # one length-3 and one length-4 scan per length over all its 2^n
+        # words; the report and the flow check read the memo and make none
         assert cli.main(["verify", "--max-len", "8"]) == 0
         assert capsys.readouterr().out == "510 words checked, 0 violations\n"
-        assert sorted(calls) == [3] * 510 + [4] * 510
+        assert sorted(scans) == [3] * 8 + [4] * 8
+
+    def test_chunks_may_end_inside_a_length(self, scans, monkeypatch, capsys):
+        monkeypatch.setattr(words, "_BATCH", 7)
+        assert cli.main(["verify", "--max-len", "8"]) == 0
+        assert capsys.readouterr().out == "510 words checked, 0 violations\n"
+        chunks = sum(math.ceil(2**n / 7) for n in range(1, 9))
+        assert scans == [3, 4] * chunks
 
     def test_the_guard_bites(self, no_records):
         with pytest.raises(AssertionError, match="decompose_blocks called on the sweep path"):

@@ -2,7 +2,8 @@
 
 import itertools
 import math
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given
@@ -370,6 +371,48 @@ class TestEnumeration:
     def test_bad_length(self):
         with pytest.raises(ValueError):
             list(enumerate_words(2, 0))
+
+    def test_bad_alphabet(self):
+        with pytest.raises(BadLetterError):
+            list(enumerate_words(1, 3))
+
+    @pytest.mark.parametrize("d, max_n", [(2, 12), (3, 7), (4, 5)])
+    def test_each_word_carries_its_codes(self, d, max_n):
+        for n in range(1, max_n + 1):
+            assert_enumerated(d, n, memo=True)
+
+    def test_past_one_byte_the_words_carry_no_codes(self):
+        for n in range(1, 5):
+            assert_enumerated(5, n, memo=False)
+
+    @given(st.integers(1, 40), st.integers(2, 4), st.integers(1, 5))
+    def test_any_batch_gives_the_same_words_and_codes(self, batch, d, n):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(words, "_BATCH", batch)
+            assert_enumerated(d, n, memo=True)
+
+    def test_memory_stays_within_one_chunk(self):
+        # the code buffer holds one chunk of words, never a whole length:
+        # 2^16 words of length 16 in one buffer would peak near 22 MB
+        tracemalloc.start()
+        try:
+            deque(enumerate_words(2, 16), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+
+def assert_enumerated(d, n, memo):
+    """enumerate_words(d, n) yields the product's words, each equal to a
+    checked word, with the codes of lengths 3 and 4 in its memo or none."""
+    got = list(enumerate_words(d, n))
+    assert [w.letters for w in got] == list(itertools.product(range(d), repeat=n))
+    for w in got:
+        fresh = CircularWord(w.letters, d)
+        assert (w, hash(w), repr(w)) == (fresh, hash(fresh), repr(fresh))
+        expected = {l: words._codes(w.letters, d, l) for l in (3, 4)} if memo else None
+        assert vars(w).get("_code_memo") == expected
 
 
 def least_rotation(w):
