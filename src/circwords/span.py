@@ -63,7 +63,9 @@ from .words import (
     Alphabet,
     CircularWord,
     Letters,
+    _codes,
     _dense_counts,
+    _fits_a_byte,
     check_size,
     enumerate_necklaces,
     occurrence_vector,
@@ -138,18 +140,24 @@ class FunctionalFamily:
 
 
 def all_factors_family(d: int, l: int) -> FunctionalFamily:
-    """All d^l factors of length l, lexicographically."""
+    """All d^l factors of length l, lexicographically; d^l is capped."""
+    check_size(d, l, "factors")
     return FunctionalFamily(d=d, factors=tuple(Alphabet(d).words(l)))
 
 
 def spanning_set_family(l: int = 4) -> FunctionalFamily:
-    """The binary spanning set {0^l} union {1V : |V| = l-1}."""
+    """The binary spanning set {0^l} union {1V : |V| = l-1}; 2^(l-1) is capped."""
+    check_size(2, l - 1, "words V")
     ones = tuple((1,) + v for v in Alphabet(2).words(l - 1))
     return FunctionalFamily(d=2, factors=((0,) * l,) + ones)
 
 
 def cks_family(d: int, l: int) -> FunctionalFamily:
-    """Length functional plus every factor of length <= l with nonzero ends."""
+    """Length functional plus every factor of length <= l with nonzero ends.
+
+    The words of each length up to l are listed, so d^l is capped.
+    """
+    check_size(d, l, "factors")
     factors = [
         u
         for m in range(1, l + 1)
@@ -239,6 +247,37 @@ def _obeys_flow_law(row: Sequence[int], d: int) -> bool:
     return list(out_sums) == list(in_sums)
 
 
+def _law_breaking_rows(
+    words: Iterable[CircularWord], d: int, l: int
+) -> set[tuple[int, ...]]:
+    """The distinct length-l count rows of the words that break the flow law.
+
+    When d^l <= 256 the law is decided on each word's code string, as in
+    debruijn.verify_kirchhoff: the code at each position is an edge of
+    B(d,l-1), and when the codes cut to their suffixes equal the codes
+    cut to their prefixes and rotated by one, the two are the same
+    multiset, so every vertex's in-sum equals its out-sum.  A code past
+    d^l - 1 has a prefix past every vertex, so it fails the comparison.
+    Only a word that fails it has its row counted, from the same codes,
+    and checked by slice sums (_obeys_flow_law).  When d^l > 256 every
+    distinct dense row is checked by slice sums.
+    """
+    if not _fits_a_byte(d, l):
+        rows = {tuple(_dense_counts(w.letters, d, l)) for w in words}
+        return {row for row in rows if not _obeys_flow_law(row, d)}
+    prefix, suffix = debruijn._end_tables(d, l - 1)
+    columns = range(d**l)
+    broken = set()
+    for w in words:
+        codes = _codes(w.letters, d, l)
+        if codes.translate(suffix) == (codes[1:] + codes[:1]).translate(prefix):
+            continue
+        row = tuple(map(codes.count, columns))
+        if not _obeys_flow_law(row, d):
+            broken.add(row)
+    return broken
+
+
 def _sample_echelon(
     d: int, l: int, max_len: int
 ) -> tuple[dict[int, list[int]], list[tuple[int, int]], int, bool]:
@@ -272,9 +311,11 @@ def _sample_echelon(
         # The counts of a length-m word sum to m, so no row of this
         # length repeats one of an earlier length: the distinct rows of
         # length m are exactly the new ones, and each is reduced once.
-        batch = {tuple(_dense_counts(w.letters, d, l)) for w in enumerate_necklaces(d, m)}
+        necklaces = enumerate_necklaces(d, m)
         if certified:
-            batch = [row for row in batch if not _obeys_flow_law(row, d)]
+            batch = _law_breaking_rows(necklaces, d, l)
+        else:
+            batch = {tuple(_dense_counts(w.letters, d, l)) for w in necklaces}
         rank = _bareiss_rank(batch, echelon)
         rank_by_length.append((m, rank))
         certified = certified or (
@@ -530,10 +571,12 @@ def marginalization_check(w: CircularWord, l: int) -> bool:
     """Every shorter count is the sum of its length-l prefix extensions.
 
     For each factor U with 1 <= |U| < l, |W|_U must equal the sum of
-    |W|_V over the length-l words V having U as a prefix.
+    |W|_V over the length-l words V having U as a prefix.  Each shorter
+    length visits all d^l words of length l, so d^l is capped.
     """
     if l < 2:
         raise BadParameterError(f"marginalization needs l >= 2, got {l}")
+    check_size(w.d, l, "factors")
     alphabet = Alphabet(w.d)
     long_counts = occurrence_vector(w, l).counts
     for m in range(1, l):

@@ -61,6 +61,8 @@ class Alphabet:
     d: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.d, int):
+            raise BadParameterError(f"alphabet size must be an integer, got d={self.d!r}")
         if self.d < 2:
             raise BadLetterError(f"alphabet needs at least 2 letters, got d={self.d}")
 

@@ -1,6 +1,7 @@
 """Exact rank, span dimension, spanning set, CKS basis, marginalization."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -610,9 +611,42 @@ class TestCertifiedSample:
         assert [len(batch) for batch in batches[6:]] == [0, 0, 0, 0]
 
     def test_a_row_that_breaks_the_law_is_eliminated(self, monkeypatch):
-        # one length-8 row gets an extra 0001, an edge out of vertex 000
-        # into 001, so it breaks the flow law past the certificate at 6
+        # one length-8 necklace reads its first length-4 code, 0001 (an
+        # edge out of vertex 000 into 001), as the loop 0000, so its row
+        # breaks the flow law past the certificate at 6
         corrupt = u("00010111")
+        codes = span._codes
+        reduced = []
+        kernel = span._bareiss_rank
+
+        def misread(letters, d, l):
+            string = codes(letters, d, l)
+            if letters == corrupt and l == 4:
+                assert string[0] == 0b0001
+                string = bytes([0b0000]) + string[1:]
+            return string
+
+        def recording(rows, echelon):
+            reduced.extend(map(tuple, rows))
+            return kernel(rows, echelon)
+
+        monkeypatch.setattr(span, "_codes", misread)
+        monkeypatch.setattr(span, "_bareiss_rank", recording)
+        with pytest.warns(UserWarning, match="lower bound"):
+            report = span_dimension(2, 4, 10)
+        bad = span._dense_counts(corrupt, 2, 4)
+        bad[0b0001] -= 1
+        bad[0b0000] += 1
+        assert tuple(bad) in reduced
+        assert report.rank_by_length[5:] == ((6, 9), (7, 9), (8, 10), (9, 10), (10, 10))
+        assert report.rank == 10
+        assert not report.saturated
+
+    def test_a_wide_row_that_breaks_the_law_is_eliminated(self, monkeypatch):
+        # 2^9 > 256 columns: past the certificate at 11 each row is still
+        # counted densely and checked by slice sums; one length-12 row gets
+        # an extra 000000001, an edge out of vertex 00000000
+        corrupt = u("000000010111")
         counts = span._dense_counts
         reduced = []
         kernel = span._bareiss_rank
@@ -630,13 +664,87 @@ class TestCertifiedSample:
         monkeypatch.setattr(span, "_dense_counts", miscount)
         monkeypatch.setattr(span, "_bareiss_rank", recording)
         with pytest.warns(UserWarning, match="lower bound"):
-            report = span_dimension(2, 4, 10)
-        bad = counts(corrupt, 2, 4)
+            report = span_dimension(2, 9, 13)
+        bad = counts(corrupt, 2, 9)
         bad[1] += 1
         assert tuple(bad) in reduced
-        assert report.rank_by_length[5:] == ((6, 9), (7, 9), (8, 10), (9, 10), (10, 10))
-        assert report.rank == 10
+        assert report.rank_by_length[9:] == ((10, 192), (11, 257), (12, 258), (13, 258))
+        assert report.rank == 258
         assert not report.saturated
+
+    @pytest.mark.parametrize("d,l,max_len", [(2, 4, 10), (3, 3, 10)])
+    def test_a_passing_code_string_is_never_counted(self, d, l, max_len, monkeypatch):
+        # past the certificate only the necklace whose codes are misread
+        # has its row counted, from those codes, and checked by slice
+        # sums; every other necklace is decided on its code string alone
+        corrupt = (0,) * (max_len - 1) + (1,)
+        row = tuple(span._dense_counts(corrupt, d, l))
+        codes = span._codes
+        calls = []
+
+        def misread(letters, d, l):
+            string = codes(letters, d, l)
+            # the same codes in reverse order: the same row, out of sequence
+            return string[::-1] if letters == corrupt else string
+
+        def logged(name, function):
+            def call(*args):
+                calls.append((name, args))
+                return function(*args)
+
+            return call
+
+        monkeypatch.setattr(span, "_codes", misread)
+        for name in ("enumerate_necklaces", "_dense_counts", "_obeys_flow_law"):
+            monkeypatch.setattr(span, name, logged(name, getattr(span, name)))
+        report = span_dimension(d, l, max_len)
+        assert report.saturated
+        certifying = next(m for m, rank in report.rank_by_length if rank == report.rank)
+        assert certifying < max_len
+        past = calls[calls.index(("enumerate_necklaces", (d, certifying + 1))) :]
+        assert [name for name, _ in past].count("enumerate_necklaces") == max_len - certifying
+        assert [call for call in past if call[0] != "enumerate_necklaces"] == [
+            ("_obeys_flow_law", (row, d))
+        ]
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_law_helper_answers_as_the_counted_row(self, data):
+        # l on both sides of d^l = 256: (2, 9), (3, 6) and (4, 5) are past it
+        d = data.draw(st.integers(2, 4), label="d")
+        l = data.draw(st.integers(1, {2: 9, 3: 6, 4: 5}[d]), label="l")
+        letters = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=30)))
+        w = CircularWord(letters, d)
+        width = d**l
+        if width <= 256:
+            codes = bytearray(span._codes(letters, d, l))
+            if data.draw(st.booleans(), label="fault"):
+                i = data.draw(st.integers(0, len(codes) - 1), label="position")
+                codes[i] = data.draw(st.integers(0, width - 1) | st.integers(0, 255), label="code")
+            codes = bytes(codes)
+            row = tuple(map(codes.count, range(width)))
+            patch = mock.patch.object(span, "_codes", lambda *args: codes)
+        else:
+            row = span._dense_counts(letters, d, l)
+            if data.draw(st.booleans(), label="fault"):
+                i = data.draw(st.integers(0, width - 1), label="column")
+                row[i] += data.draw(st.sampled_from([-1, 1, 2]), label="change")
+            row = tuple(row)
+            patch = mock.patch.object(span, "_dense_counts", lambda *args: list(row))
+        with patch:
+            broken = span._law_breaking_rows([w], d, l)
+        assert broken == (set() if span._obeys_flow_law(row, d) else {row})
+
+    def test_law_helper_sees_a_fault_the_comparison_cannot_tell(self):
+        # a loop read as another loop keeps the law, so the row is counted
+        # and passes; a loop read as a non-loop edge breaks it
+        w = CircularWord(u("000111"), 2)
+        codes = span._codes(w.letters, 2, 3)
+        for code, holds in ((0b111, True), (0b011, False)):
+            misread = bytes([code]) + codes[1:]
+            with mock.patch.object(span, "_codes", lambda *args: misread):
+                broken = span._law_breaking_rows([w], 2, 3)
+            assert (broken == set()) is holds
 
     def test_a_kept_row_that_breaks_the_law_keeps_every_row_eliminated(self, monkeypatch):
         # a corrupt length-5 row lifts the rank to the bound 9 one length
@@ -734,3 +842,44 @@ class TestCaps:
     def test_binary_target_past_20_letters_is_refused(self):
         with pytest.raises(SizeLimitError):
             express_in_span((0,) * 21, cks_family(2, 1), 1)
+
+    # the public builders that list all d^l words of a length are capped
+    # like the sampler; at the cap they still answer, past it they refuse
+    # before any word is listed
+    @pytest.mark.parametrize(
+        "build, size",
+        [
+            (lambda: all_factors_family(2, 5), 2**5),
+            (lambda: all_factors_family(3, 3), 3**3),
+            (lambda: cks_family(2, 5), 2**5),
+            (lambda: cks_family(3, 3), 3**3),
+            (lambda: spanning_set_family(6), 2**5),
+            (lambda: marginalization_check(cw("0010110"), 5), 2**5),
+            (lambda: marginalization_check(cw("0120"), 3), 3**3),
+        ],
+    )
+    def test_builder_cap_boundary(self, build, size, monkeypatch):
+        set_cap(monkeypatch, size)
+        assert build()
+        set_cap(monkeypatch, size - 1)
+        monkeypatch.setattr(span, "Alphabet", never)
+        monkeypatch.setattr(span, "occurrence_vector", never)
+        with pytest.raises(SizeLimitError):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: all_factors_family(2, 30),
+            lambda: cks_family(2, 30),
+            lambda: spanning_set_family(31),
+            lambda: marginalization_check(cw("0110"), 30),
+        ],
+    )
+    def test_builders_refuse_a_long_factor_at_the_default_cap(self, build, monkeypatch):
+        # past the cap no word may be listed: an uncapped build would need
+        # about 2^30 tuples
+        monkeypatch.setattr(span, "Alphabet", never)
+        monkeypatch.setattr(span, "occurrence_vector", never)
+        with pytest.raises(SizeLimitError, match="exceed the cap of 1048576"):
+            build()

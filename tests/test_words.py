@@ -78,6 +78,19 @@ class TestConstruction:
         with pytest.raises(BadLetterError):
             Alphabet(1)
 
+    @pytest.mark.parametrize("d", [2.5, 2.0, "2", None])
+    def test_alphabet_size_must_be_an_integer(self, d):
+        with pytest.raises(BadParameterError, match="alphabet size must be an integer"):
+            Alphabet(d)
+
+    def test_word_over_a_non_integer_alphabet_is_refused(self):
+        with pytest.raises(BadParameterError, match="got d=2.5"):
+            CircularWord((0, 1), 2.5)
+
+    def test_parse_circular_refuses_a_non_integer_alphabet(self):
+        with pytest.raises(BadParameterError, match="got d=2.0"):
+            parse_circular("0101", 2.0)
+
     def test_parse_infers_alphabet(self):
         assert cw("010011").d == 2
         assert cw("000").d == 2  # never below 2
