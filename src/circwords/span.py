@@ -29,10 +29,15 @@ the cyclomatic number of B(d,l-1); c comes from the package's one
 union-find, and no relation matrix is built.  Once the sample's rank
 meets that bound and every kept row obeys the law, the kept rows span
 the cycle space, so from then on a row adds rank exactly when it
-breaks the law.  Each later row is checked against the law in O(d^l)
-slice sums instead of eliminated, and only a row that breaks it goes
-to the kernel, so the echelon and the rank trace are the same as if
-every row had been eliminated.
+breaks the law.  Each later word is checked against the law instead of
+eliminated.  When d^l <= 256 the check reads the word's length-l code
+string, the edges of its closed walk on B(d,l-1): the codes cut to their
+suffixes must equal the codes rotated by one and cut to their prefixes,
+and no row is counted.  Only a word that fails that comparison, and
+every word when d^l > 256, has its row counted and checked in O(d^l)
+slice sums.  Only a row that breaks the law goes to the kernel, so the
+echelon and the rank trace are the same as if every row had been
+eliminated.
 
 All arithmetic is exact.  One fraction-free elimination kernel serves
 every caller: it reduces a batch of integer rows against a row echelon
@@ -255,12 +260,13 @@ def _law_breaking_rows(
     When d^l <= 256 the law is decided on each word's code string, as in
     debruijn.verify_kirchhoff: the code at each position is an edge of
     B(d,l-1), and when the codes cut to their suffixes equal the codes
-    cut to their prefixes and rotated by one, the two are the same
-    multiset, so every vertex's in-sum equals its out-sum.  A code past
-    d^l - 1 has a prefix past every vertex, so it fails the comparison.
-    Only a word that fails it has its row counted, from the same codes,
-    and checked by slice sums (_obeys_flow_law).  When d^l > 256 every
-    distinct dense row is checked by slice sums.
+    rotated by one and cut to their prefixes, the edges into each vertex
+    and the edges out of it are as many, so its in-sum equals its
+    out-sum.  A code past d^l - 1 has a prefix past every vertex, so it
+    never passes the comparison.  Only a word that fails it has its row
+    counted, from the same codes, and checked by slice sums
+    (_obeys_flow_law).  When d^l > 256 every distinct dense row is
+    checked by slice sums.
     """
     if not _fits_a_byte(d, l):
         rows = {tuple(_dense_counts(w.letters, d, l)) for w in words}
@@ -295,10 +301,12 @@ def _sample_echelon(
     once the rank meets the bound with every kept row obeying the flow
     law.  The kept rows then span the cycle space, so a later row is in
     their span exactly when it obeys the law: it would reduce to zero.
-    Such rows are checked, not eliminated; a row that breaks the law
-    still goes to the kernel and lifts the rank above the bound.  The
-    echelon and the trace are the same as if every row had been
-    eliminated.
+    From then on each length's words go to _law_breaking_rows, which
+    decides the law on each word's code string when d^l <= 256 and
+    counts a row only for a word that fails that comparison (every word
+    when d^l > 256).  Only a row that breaks the law goes to the kernel,
+    and it lifts the rank above the bound.  The echelon and the trace are
+    the same as if every row had been eliminated.
     """
     _check_sample(d, l, max_len)
     vertices = tuple(itertools.product(range(d), repeat=l - 1))
@@ -381,11 +389,12 @@ class SpanReport:
     dimension: every count row of a circular word obeys the flow law of
     B(d,l-1), so the cyclomatic number of that graph bounds the
     dimension from above, and the sample's rank reaches that bound with
-    every kept row obeying the law.  Rows sampled after that point are
-    checked against the flow law instead of eliminated: the kept rows
-    then span the cycle space, so a row that obeys the law adds no rank,
-    and one that breaks it is eliminated, so the trace reads as if every
-    row had been.
+    every kept row obeying the law.  Words sampled after that point are
+    checked against the flow law instead of eliminated, on their factor
+    codes when d^l <= 256, so their rows are not even counted: the kept
+    rows then span the cycle space, so a row that obeys the law adds no
+    rank, and one that breaks it is eliminated, so the trace reads as if
+    every row had been.
 
     echelon holds the kept rows in order of their leading columns; every
     sample row is in their span, so other families' ranks can be read
