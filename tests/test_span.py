@@ -843,7 +843,7 @@ class TestCaps:
         with pytest.raises(SizeLimitError):
             express_in_span((0,) * 21, cks_family(2, 1), 1)
 
-    # the public builders that list all d^l words of a length are capped
+    # the public functions that list all d^l words of a length are capped
     # like the sampler; at the cap they still answer, past it they refuse
     # before any word is listed
     @pytest.mark.parametrize(
@@ -858,7 +858,7 @@ class TestCaps:
             (lambda: marginalization_check(cw("0120"), 3), 3**3),
         ],
     )
-    def test_builder_cap_boundary(self, build, size, monkeypatch):
+    def test_word_listing_cap_boundary(self, build, size, monkeypatch):
         set_cap(monkeypatch, size)
         assert build()
         set_cap(monkeypatch, size - 1)
@@ -876,7 +876,7 @@ class TestCaps:
             lambda: marginalization_check(cw("0110"), 30),
         ],
     )
-    def test_builders_refuse_a_long_factor_at_the_default_cap(self, build, monkeypatch):
+    def test_word_listings_refuse_a_long_factor_at_the_default_cap(self, build, monkeypatch):
         # past the cap no word may be listed: an uncapped build would need
         # about 2^30 tuples
         monkeypatch.setattr(span, "Alphabet", never)
