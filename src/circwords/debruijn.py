@@ -6,9 +6,11 @@ suffix.  The occurrence counts of a circular word satisfy a flow
 conservation law at every vertex: each occurrence of a length-n factor
 extends uniquely one letter to the left and one to the right, so the
 vertex count equals the sum of its out-edge counts and the sum of its
-in-edge counts.  verify_kirchhoff decides the law by comparing the
-word's edge codes, cut to their prefixes and to their suffixes, with
-its vertex codes, and counts residuals only to name a violation.
+in-edge counts.  Every flow-law decision is made here, on code strings
+by one closed-walk test, _walk_sources: verify_kirchhoff compares the
+walk's sources with the word's vertex codes and counts residuals only
+to name a violation, and the rank sample in span asks _cyclomatic,
+_obeys_flow_law and _law_breaking_rows.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .words import (
     CircularWord,
     Letters,
     WordLike,
+    _codes,
     _dense_counts,
     _factor_table,
     _fits_a_byte,
@@ -123,32 +126,23 @@ def verify_kirchhoff(w: CircularWord, n: int) -> KirchhoffReport:
     cap, since every vertex gets a residual.  When d^(n+1) <= 256 the
     law is decided on w's factor codes (CircularWord.codes): the edge
     at position i runs from the vertex at i to the vertex at i+1, so
-    when the edge codes cut to their prefixes equal the vertex codes,
-    and cut to their suffixes equal the vertex codes rotated by one,
-    every vertex has as many out-edges and in-edges as occurrences and
-    every residual is 0.  The vertex codes are made from the letters,
-    not from the edges, so a miscounted vertex breaks both comparisons.
-    Only when a comparison fails, or the codes do not fit a byte, are
-    the vertex and the edge counts counted from w, as dense lists in
-    lexicographic order, to name the residuals.
+    when the edges form a closed walk (_walk_sources) whose sources are
+    the vertex codes, every vertex has as many out-edges and in-edges
+    as occurrences and every residual is 0.  The vertex codes are made
+    from the letters, not from the edges, so a miscounted vertex breaks
+    the comparison.  Only when it fails, or the codes do not fit a
+    byte, are the vertex and the edge counts counted from w, as dense
+    lists in lexicographic order, to name the residuals.
     """
     if n < 1:
         raise BadParameterError(f"vertex word length must be >= 1, got n={n}")
     d = w.d
     check_size(d, n + 1, "edges")
     if _fits_a_byte(d, n + 1):
-        edges, vertices = w.codes(n + 1), w.codes(n)
-        prefix, suffix = _end_tables(d, n)
-        if (
-            edges.translate(prefix) == vertices
-            and edges.translate(suffix) == vertices[1:] + vertices[:1]
-        ):
-            zeros = _factor_table(d, n)
-            return KirchhoffReport(
-                n=n,
-                out_residuals=dict.fromkeys(zeros, 0),
-                in_residuals=dict.fromkeys(zeros, 0),
-            )
+        if _walk_sources(w.codes(n + 1), *_end_tables(d, n)) == w.codes(n):
+            # copying a dict reuses its key hashes; fromkeys rehashes every tuple
+            zeros = dict.fromkeys(_factor_table(d, n), 0)
+            return KirchhoffReport(n=n, out_residuals=zeros, in_residuals=zeros.copy())
     counts = _dense_counts(w.letters, d, n)
     edges = _dense_counts(w.letters, d, n + 1)
     out_res, in_res = _flow_residuals(d, n, counts, edges)
@@ -164,6 +158,50 @@ def _end_tables(d: int, n: int) -> tuple[bytes, bytes]:
     """
     size = d**n
     return bytes(c // d for c in range(256)), bytes(c % size for c in range(256))
+
+
+def _walk_sources(edges: bytes, source: bytes, target: bytes) -> bytes | None:
+    """The source codes of the edges when they form a closed walk, else None.
+
+    source and target are bytes.translate tables from an edge code to
+    its source and its target vertex code.  The walk closes when each
+    edge's target is the next edge's source, the last edge's the first's;
+    it then enters each vertex as often as it leaves it.
+    """
+    sources = edges.translate(source)
+    if edges.translate(target) == sources[1:] + sources[:1]:
+        return sources
+    return None
+
+
+def _law_breaking_rows(letters: Iterable[Letters], d: int, n: int) -> set[tuple[int, ...]]:
+    """The distinct rows of B(d,n) edge counts of the words that break the flow law.
+
+    When d^(n+1) <= 256 a word whose edge codes close their walk obeys
+    the law, and a code past d^(n+1) - 1 never closes it; only the other
+    words have their rows counted, from the same codes, and checked by
+    slice sums, as every distinct dense row is when d^(n+1) > 256.
+    """
+    l = n + 1
+    if not _fits_a_byte(d, l):
+        rows = {tuple(_dense_counts(a, d, l)) for a in letters}
+        return {row for row in rows if not _obeys_flow_law(row, d)}
+    source, target = _end_tables(d, n)
+    columns = range(d**l)
+    broken = set()
+    for a in letters:
+        codes = _codes(a, d, l)
+        if _walk_sources(codes, source, target) is None:
+            row = tuple(map(codes.count, columns))
+            if not _obeys_flow_law(row, d):
+                broken.add(row)
+    return broken
+
+
+def _obeys_flow_law(row: Sequence[int], d: int) -> bool:
+    """Whether each vertex's out-sum equals its in-sum, by slice sums of the edge counts."""
+    out_sums, in_sums = _edge_sums(d, row)
+    return list(out_sums) == list(in_sums)
 
 
 def _flow_residuals(
@@ -216,6 +254,16 @@ def _undirected_components(
         if a != b:
             parent[a] = b
     return len({find(i) for i in range(len(vertices))})
+
+
+def _cyclomatic(d: int, n: int) -> int:
+    """d^(n+1) - d^n + c, the dimension of B(d,n)'s cycle space; the caller caps d^(n+1).
+
+    Every row of edge counts that obeys the flow law lies in that space.
+    """
+    vertices = tuple(product(range(d), repeat=n))
+    edges = product(range(d), repeat=n + 1)
+    return d ** (n + 1) - len(vertices) + _undirected_components(vertices, edges)
 
 
 def connected_components(g: DeBruijnGraph) -> int:

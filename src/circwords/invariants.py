@@ -156,15 +156,12 @@ def _square_walk(codes: bytes) -> bytes:
     """The codes of the square edges of a closed path, in path order.
 
     codes holds the path's edges as length-4 factor codes (CircularWord.codes),
-    and every other code is erased.  The retained edges must chain, the
-    last one into the first: the target vertex of each must be the
-    source vertex of the next, which is one comparison of two translated
-    byte strings, and only when that fails is the walk followed to name
-    the break.
+    and every other code is erased.  The retained edges must form a
+    closed walk on the square graph (debruijn._walk_sources), and only
+    when they do not is the walk followed to name the break.
     """
     retained = codes.translate(None, _NOT_SQUARE)
-    sources = retained.translate(_SOURCE_CODE)
-    if retained.translate(_TARGET_CODE) != sources[1:] + sources[:1]:
+    if debruijn._walk_sources(retained, _SOURCE_CODE, _TARGET_CODE) is None:
         for e, nxt in zip(retained, retained[1:] + retained[:1]):
             if _TARGET_CODE[e] != _SOURCE_CODE[nxt]:
                 raise BrokenProjectionError(

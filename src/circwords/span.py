@@ -25,19 +25,18 @@ out-sum equals the in-sum, so the row lies in the cycle space of that
 digraph.  Its flow relations form the incidence matrix, of rank V - c
 for V vertices and c weakly connected components (Biggs, Algebraic
 Graph Theory, ch. 4), so the cycle space has dimension d^l - d^(l-1) + c,
-the cyclomatic number of B(d,l-1); c comes from the package's one
-union-find, and no relation matrix is built.  Once the sample's rank
-meets that bound and every kept row obeys the law, the kept rows span
-the cycle space, so from then on a row adds rank exactly when it
-breaks the law.  Each later word is checked against the law instead of
-eliminated.  When d^l <= 256 the check reads the word's length-l code
-string, the edges of its closed walk on B(d,l-1): the codes cut to their
-suffixes must equal the codes rotated by one and cut to their prefixes,
-and no row is counted.  Only a word that fails that comparison, and
-every word when d^l > 256, has its row counted and checked in O(d^l)
-slice sums.  Only a row that breaks the law goes to the kernel, so the
-echelon and the rank trace are the same as if every row had been
-eliminated.
+the cyclomatic number of B(d,l-1); no relation matrix is built.
+debruijn decides every flow-law question here: the bound, from the
+package's one union-find, whether a row obeys the law, and which words
+break it.  Once the sample's rank meets the bound and every kept row
+obeys the law, the kept rows span the cycle space, so from then on a
+row adds rank exactly when it breaks the law.  Each later word is
+checked against the law instead of eliminated: on its length-l code
+string, the edges of its closed walk on B(d,l-1), when d^l <= 256, so
+that no row is counted unless the walk fails to close, and by O(d^l)
+slice sums of its row otherwise.  Only a row that breaks the law goes
+to the kernel, so the echelon and the rank trace are the same as if
+every row had been eliminated.
 
 All arithmetic is exact.  One fraction-free elimination kernel serves
 every caller: it reduces a batch of integer rows against a row echelon
@@ -68,9 +67,8 @@ from .words import (
     Alphabet,
     CircularWord,
     Letters,
-    _codes,
     _dense_counts,
-    _fits_a_byte,
+    check_length,
     check_size,
     enumerate_necklaces,
     occurrence_vector,
@@ -152,6 +150,7 @@ def all_factors_family(d: int, l: int) -> FunctionalFamily:
 
 def spanning_set_family(l: int = 4) -> FunctionalFamily:
     """The binary spanning set {0^l} union {1V : |V| = l-1}; 2^(l-1) is capped."""
+    check_length(l, "factor length")
     check_size(2, l - 1, "words V")
     ones = tuple((1,) + v for v in Alphabet(2).words(l - 1))
     return FunctionalFamily(d=2, factors=((0,) * l,) + ones)
@@ -162,6 +161,7 @@ def cks_family(d: int, l: int) -> FunctionalFamily:
 
     The words of each length up to l are listed, so d^l is capped.
     """
+    check_length(l, "factor length")
     check_size(d, l, "factors")
     factors = [
         u
@@ -232,56 +232,15 @@ def predicted_dimension(d: int, l: int) -> int:
 
 
 def _check_sample(d: int, l: int, max_len: int) -> None:
-    """Refuse a sample over the cap, or a bad alphabet, before anything is built.
+    """Refuse a sample over the cap, a bad length or alphabet, before anything is built.
 
     The cap is on d^max_len, the number of all words of the top length,
     and on d^l, the width of a row.
     """
+    check_length(l, "factor length")
     check_size(d, max_len, "sample words")
     check_size(d, l, "count columns")
     Alphabet(d)
-
-
-def _obeys_flow_law(row: Sequence[int], d: int) -> bool:
-    """Whether a row of length-l counts obeys the flow law of B(d,l-1).
-
-    At every vertex the out-sum equals the in-sum, checked in O(d^l)
-    C-level slice sums (debruijn._edge_sums).
-    """
-    out_sums, in_sums = debruijn._edge_sums(d, row)
-    return list(out_sums) == list(in_sums)
-
-
-def _law_breaking_rows(
-    words: Iterable[CircularWord], d: int, l: int
-) -> set[tuple[int, ...]]:
-    """The distinct length-l count rows of the words that break the flow law.
-
-    When d^l <= 256 the law is decided on each word's code string, as in
-    debruijn.verify_kirchhoff: the code at each position is an edge of
-    B(d,l-1), and when the codes cut to their suffixes equal the codes
-    rotated by one and cut to their prefixes, the edges into each vertex
-    and the edges out of it are as many, so its in-sum equals its
-    out-sum.  A code past d^l - 1 has a prefix past every vertex, so it
-    never passes the comparison.  Only a word that fails it has its row
-    counted, from the same codes, and checked by slice sums
-    (_obeys_flow_law).  When d^l > 256 every distinct dense row is
-    checked by slice sums.
-    """
-    if not _fits_a_byte(d, l):
-        rows = {tuple(_dense_counts(w.letters, d, l)) for w in words}
-        return {row for row in rows if not _obeys_flow_law(row, d)}
-    prefix, suffix = debruijn._end_tables(d, l - 1)
-    columns = range(d**l)
-    broken = set()
-    for w in words:
-        codes = _codes(w.letters, d, l)
-        if codes.translate(suffix) == (codes[1:] + codes[:1]).translate(prefix):
-            continue
-        row = tuple(map(codes.count, columns))
-        if not _obeys_flow_law(row, d):
-            broken.add(row)
-    return broken
 
 
 def _sample_echelon(
@@ -301,17 +260,15 @@ def _sample_echelon(
     once the rank meets the bound with every kept row obeying the flow
     law.  The kept rows then span the cycle space, so a later row is in
     their span exactly when it obeys the law: it would reduce to zero.
-    From then on each length's words go to _law_breaking_rows, which
-    decides the law on each word's code string when d^l <= 256 and
-    counts a row only for a word that fails that comparison (every word
-    when d^l > 256).  Only a row that breaks the law goes to the kernel,
-    and it lifts the rank above the bound.  The echelon and the trace are
-    the same as if every row had been eliminated.
+    From then on each length's words go to debruijn._law_breaking_rows,
+    which decides the law on each word's code string when d^l <= 256
+    and counts a row only for a word whose walk does not close (every
+    word when d^l > 256).  Only a row that breaks the law goes to the
+    kernel, and it lifts the rank above the bound.  The echelon and the
+    trace are the same as if every row had been eliminated.
     """
     _check_sample(d, l, max_len)
-    vertices = tuple(itertools.product(range(d), repeat=l - 1))
-    edges = itertools.product(range(d), repeat=l)
-    bound = d**l - len(vertices) + debruijn._undirected_components(vertices, edges)
+    bound = debruijn._cyclomatic(d, l - 1)
     echelon: dict[int, list[int]] = {}
     rank_by_length = []
     certified = False
@@ -321,13 +278,14 @@ def _sample_echelon(
         # length m are exactly the new ones, and each is reduced once.
         necklaces = enumerate_necklaces(d, m)
         if certified:
-            batch = _law_breaking_rows(necklaces, d, l)
+            batch = debruijn._law_breaking_rows((w.letters for w in necklaces), d, l - 1)
         else:
             batch = {tuple(_dense_counts(w.letters, d, l)) for w in necklaces}
         rank = _bareiss_rank(batch, echelon)
         rank_by_length.append((m, rank))
         certified = certified or (
-            rank == bound and all(_obeys_flow_law(row, d) for row in echelon.values())
+            rank == bound
+            and all(debruijn._obeys_flow_law(row, d) for row in echelon.values())
         )
     return echelon, rank_by_length, bound, certified
 
@@ -390,11 +348,11 @@ class SpanReport:
     B(d,l-1), so the cyclomatic number of that graph bounds the
     dimension from above, and the sample's rank reaches that bound with
     every kept row obeying the law.  Words sampled after that point are
-    checked against the flow law instead of eliminated, on their factor
-    codes when d^l <= 256, so their rows are not even counted: the kept
-    rows then span the cycle space, so a row that obeys the law adds no
-    rank, and one that breaks it is eliminated, so the trace reads as if
-    every row had been.
+    checked against the flow law by debruijn instead of eliminated, on
+    their factor codes when d^l <= 256, so their rows are not even
+    counted: the kept rows then span the cycle space, so a row that
+    obeys the law adds no rank, and one that breaks it is eliminated,
+    so the trace reads as if every row had been.
 
     echelon holds the kept rows in order of their leading columns; every
     sample row is in their span, so other families' ranks can be read
@@ -437,8 +395,7 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
     cyclomatic number of B(d,l-1), taken from the union-find after both
     caps are checked; no relation matrix is built.
     """
-    if l < 1:
-        raise BadParameterError(f"factor length must be >= 1, got {l}")
+    check_length(l, "factor length")
     if max_len is None:
         max_len = 2 * l + 2
     if max_len < l:
@@ -536,8 +493,7 @@ def express_in_span(
     rank is certified as in span_dimension; otherwise a warning says they
     hold on the sample only.
     """
-    if max_len < 1:
-        raise BadParameterError(f"max_len must be >= 1, got {max_len}")
+    check_length(max_len, "max_len")
     target = tuple(target)
     Alphabet(basis.d).validate(target)
     if len(target) == 0:
@@ -580,20 +536,17 @@ def marginalization_check(w: CircularWord, l: int) -> bool:
     """Every shorter count is the sum of its length-l prefix extensions.
 
     For each factor U with 1 <= |U| < l, |W|_U must equal the sum of
-    |W|_V over the length-l words V having U as a prefix.  Each shorter
-    length visits all d^l words of length l, so d^l is capped.
+    |W|_V over the length-l words V having U as a prefix: the block sums
+    of the dense length-l row (_marginals) must equal the dense length-|U|
+    row.  Each shorter length lists all its words, so d^l is capped.
     """
     if l < 2:
         raise BadParameterError(f"marginalization needs l >= 2, got {l}")
-    check_size(w.d, l, "factors")
-    alphabet = Alphabet(w.d)
-    long_counts = occurrence_vector(w, l).counts
-    for m in range(1, l):
-        short_counts = occurrence_vector(w, m).counts
-        for u in alphabet.words(m):
-            total = sum(
-                long_counts.get(u + suffix, 0) for suffix in alphabet.words(l - m)
-            )
-            if short_counts.get(u, 0) != total:
-                return False
-    return True
+    d = w.d
+    check_size(d, l, "factors")
+    row = _dense_counts(w.letters, d, l)
+    return all(
+        _marginals([row], d, l, list(Alphabet(d).words(m)), False)
+        == [tuple(_dense_counts(w.letters, d, m))]
+        for m in range(1, l)
+    )

@@ -47,11 +47,21 @@ def check_size(d: int, n: int, what: str) -> None:
     than the loop, or more digits than str() allows.  A negative d is
     refused later as an alphabet, but its power must not be built first.
     """
+    if not isinstance(n, int) or n < 0:
+        raise BadParameterError(f"{what} need an integer exponent >= 0, got {d}^{n!r}")
     limit = DEFAULT_SIZE_LIMIT
     if abs(d) >= 2 and n >= limit.bit_length() + 64:
         raise SizeLimitError(f"{d}^{n} {what} exceed the cap of {limit}")
     if d**n > limit:
         raise SizeLimitError(f"{d}^{n} = {d ** n} {what} exceed the cap of {limit}")
+
+
+def check_length(n: int, what: str) -> None:
+    """Refuse a length, named by what, that is not an integer >= 1."""
+    if not isinstance(n, int):
+        raise BadParameterError(f"{what} must be an integer, got {n!r}")
+    if n < 1:
+        raise BadParameterError(f"{what} must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -309,21 +319,10 @@ class OccurrenceVector:
 
 
 def occurrence_vector(w: CircularWord, l: int) -> OccurrenceVector:
-    """Count every length-l factor of w in one scan.
-
-    The factors are counted as byte codes when d^l <= 256, and as letter
-    tuples from _windows otherwise.
-    """
-    if l < 1:
-        raise BadParameterError(f"factor length must be >= 1, got {l}")
-    d = w.d
-    if _fits_a_byte(d, l):
-        # One byte per factor code; the keys are decoded in first-occurrence order.
-        table = _factor_table(d, l)
-        counts = {table[c]: k for c, k in Counter(_codes(w.letters, d, l)).items()}
-    else:
-        counts = dict(Counter(_windows(w.letters, l)))
-    return OccurrenceVector(l=l, d=d, total=w.n, counts=counts)
+    """Count every length-l factor of w in one scan, in first-occurrence order."""
+    check_length(l, "factor length")
+    counts = dict(Counter(_windows(w.letters, l)))
+    return OccurrenceVector(l=l, d=w.d, total=w.n, counts=counts)
 
 
 def mirror(u: Letters) -> Letters:
@@ -388,8 +387,7 @@ def enumerate_words(d: int, n: int) -> Iterator[CircularWord]:
     j·(n+3), reads only its own letters, so it equals _codes of the
     word, and it is put in the word's code memo.
     """
-    if n < 1:
-        raise BadParameterError(f"word length must be >= 1, got {n}")
+    check_length(n, "word length")
     product = Alphabet(d).words(n)
     if not _fits_a_byte(d, max(_PREFILLED)):
         for letters in product:
@@ -418,8 +416,7 @@ def enumerate_necklaces(d: int, n: int) -> Iterator[CircularWord]:
     when p divides n.  The alphabet is checked once; the necklaces are
     built unchecked.
     """
-    if n < 1:
-        raise BadParameterError(f"word length must be >= 1, got {n}")
+    check_length(n, "word length")
     Alphabet(d)  # refuses d < 2 before the first necklace
     a = [0] * n
     p = 1

@@ -4,7 +4,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circwords import (
@@ -21,7 +21,7 @@ from circwords import (
     verify_kirchhoff,
     word_string,
 )
-from circwords import debruijn, words
+from circwords import debruijn, invariants, words
 from circwords.debruijn import connected_components
 from conftest import binary_circular_words, cw, scan_count, u
 
@@ -278,6 +278,41 @@ class TestKirchhoff:
             for w in enumerate_words(2, n):
                 for m in (1, 2, 3):
                     assert verify_kirchhoff(w, m).ok
+
+
+def walk_sources_by_edge(edges, source, target):
+    """Reference: the target of edge i against the source of edge i+1 mod len."""
+    for i, e in enumerate(edges):
+        if target[e] != source[edges[(i + 1) % len(edges)]]:
+            return None
+    return bytes(source[e] for e in edges)
+
+
+class TestWalkSources:
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_matches_the_per_edge_loop(self, data):
+        # the edge tables of B(d,n) with d^(n+1) <= 256, and the square
+        # graph's tables on the square edges a binary word's walk keeps
+        if data.draw(st.booleans(), label="square"):
+            letters = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=40))
+            codes = words._codes(tuple(letters), 2, 4).translate(None, invariants._NOT_SQUARE)
+            source, target = invariants._SOURCE_CODE, invariants._TARGET_CODE
+        else:
+            d = data.draw(st.integers(2, 4), label="d")
+            n = data.draw(st.integers(1, {2: 7, 3: 4, 4: 3}[d]), label="n")
+            letters = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=40))
+            codes = words._codes(tuple(letters), d, n + 1)
+            source, target = debruijn._end_tables(d, n)
+        faulty = bool(codes) and data.draw(st.booleans(), label="fault")
+        if faulty:
+            i = data.draw(st.integers(0, len(codes) - 1), label="position")
+            code = data.draw(st.integers(0, 255), label="code")
+            codes = codes[:i] + bytes([code]) + codes[i + 1 :]
+        sources = debruijn._walk_sources(codes, source, target)
+        assert sources == walk_sources_by_edge(codes, source, target)
+        # a word's own edges always close their walk
+        assert faulty or sources is not None
 
 
 class TestCycleSpace:

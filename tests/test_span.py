@@ -33,7 +33,7 @@ from circwords import (
     verify_cks_basis,
     verify_spanning_set,
 )
-from circwords import debruijn, span
+from circwords import debruijn, span, words
 from circwords.span import _bareiss_rank, _marginals, _sample_echelon, _solve
 from conftest import (
     binary_circular_words,
@@ -544,6 +544,19 @@ class TestMarginalization:
     def test_always_holds(self, w, l):
         assert marginalization_check(w, l)
 
+    def test_a_miscounted_factor_breaks_it(self, monkeypatch):
+        # 00101's length-3 factor at 0, 001, is counted as 101, so the
+        # length-3 counts starting with 0 sum to one less than |W|_0
+        made = words._codes
+
+        def miscoded(letters, d, l):
+            codes = made(letters, d, l)
+            return bytes([0b101]) + codes[1:] if l == 3 else codes
+
+        monkeypatch.setattr(words, "_codes", miscoded)
+        assert not marginalization_check(cw("00101"), 3)
+        assert marginalization_check(cw("00101"), 2)
+
 
 class TestSampleWords:
     """The sample: one necklace per rotation class of each length."""
@@ -615,7 +628,7 @@ class TestCertifiedSample:
         # edge out of vertex 000 into 001), as the loop 0000, so its row
         # breaks the flow law past the certificate at 6
         corrupt = u("00010111")
-        codes = span._codes
+        codes = debruijn._codes
         reduced = []
         kernel = span._bareiss_rank
 
@@ -630,7 +643,7 @@ class TestCertifiedSample:
             reduced.extend(map(tuple, rows))
             return kernel(rows, echelon)
 
-        monkeypatch.setattr(span, "_codes", misread)
+        monkeypatch.setattr(debruijn, "_codes", misread)
         monkeypatch.setattr(span, "_bareiss_rank", recording)
         with pytest.warns(UserWarning, match="lower bound"):
             report = span_dimension(2, 4, 10)
@@ -661,7 +674,7 @@ class TestCertifiedSample:
             reduced.extend(map(tuple, rows))
             return kernel(rows, echelon)
 
-        monkeypatch.setattr(span, "_dense_counts", miscount)
+        monkeypatch.setattr(debruijn, "_dense_counts", miscount)
         monkeypatch.setattr(span, "_bareiss_rank", recording)
         with pytest.warns(UserWarning, match="lower bound"):
             report = span_dimension(2, 9, 13)
@@ -679,7 +692,7 @@ class TestCertifiedSample:
         # sums; every other necklace is decided on its code string alone
         corrupt = (0,) * (max_len - 1) + (1,)
         row = tuple(span._dense_counts(corrupt, d, l))
-        codes = span._codes
+        codes = debruijn._codes
         calls = []
 
         def misread(letters, d, l):
@@ -694,9 +707,14 @@ class TestCertifiedSample:
 
             return call
 
-        monkeypatch.setattr(span, "_codes", misread)
-        for name in ("enumerate_necklaces", "_dense_counts", "_obeys_flow_law"):
-            monkeypatch.setattr(span, name, logged(name, getattr(span, name)))
+        monkeypatch.setattr(debruijn, "_codes", misread)
+        for module, name in (
+            (span, "enumerate_necklaces"),
+            (span, "_dense_counts"),
+            (debruijn, "_dense_counts"),
+            (debruijn, "_obeys_flow_law"),
+        ):
+            monkeypatch.setattr(module, name, logged(name, getattr(module, name)))
         report = span_dimension(d, l, max_len)
         assert report.saturated
         certifying = next(m for m, rank in report.rank_by_length if rank == report.rank)
@@ -717,33 +735,33 @@ class TestCertifiedSample:
         w = CircularWord(letters, d)
         width = d**l
         if width <= 256:
-            codes = bytearray(span._codes(letters, d, l))
+            codes = bytearray(debruijn._codes(letters, d, l))
             if data.draw(st.booleans(), label="fault"):
                 i = data.draw(st.integers(0, len(codes) - 1), label="position")
                 codes[i] = data.draw(st.integers(0, width - 1) | st.integers(0, 255), label="code")
             codes = bytes(codes)
             row = tuple(map(codes.count, range(width)))
-            patch = mock.patch.object(span, "_codes", lambda *args: codes)
+            patch = mock.patch.object(debruijn, "_codes", lambda *args: codes)
         else:
             row = span._dense_counts(letters, d, l)
             if data.draw(st.booleans(), label="fault"):
                 i = data.draw(st.integers(0, width - 1), label="column")
                 row[i] += data.draw(st.sampled_from([-1, 1, 2]), label="change")
             row = tuple(row)
-            patch = mock.patch.object(span, "_dense_counts", lambda *args: list(row))
+            patch = mock.patch.object(debruijn, "_dense_counts", lambda *args: list(row))
         with patch:
-            broken = span._law_breaking_rows([w], d, l)
-        assert broken == (set() if span._obeys_flow_law(row, d) else {row})
+            broken = debruijn._law_breaking_rows([w.letters], d, l - 1)
+        assert broken == (set() if debruijn._obeys_flow_law(row, d) else {row})
 
     def test_law_helper_sees_a_fault_the_comparison_cannot_tell(self):
         # a loop read as another loop keeps the law, so the row is counted
         # and passes; a loop read as a non-loop edge breaks it
         w = CircularWord(u("000111"), 2)
-        codes = span._codes(w.letters, 2, 3)
+        codes = debruijn._codes(w.letters, 2, 3)
         for code, holds in ((0b111, True), (0b011, False)):
             misread = bytes([code]) + codes[1:]
-            with mock.patch.object(span, "_codes", lambda *args: misread):
-                broken = span._law_breaking_rows([w], 2, 3)
+            with mock.patch.object(debruijn, "_codes", lambda *args: misread):
+                broken = debruijn._law_breaking_rows([w.letters], 2, 2)
             assert (broken == set()) is holds
 
     def test_a_kept_row_that_breaks_the_law_keeps_every_row_eliminated(self, monkeypatch):

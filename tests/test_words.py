@@ -29,7 +29,7 @@ from circwords import (
     winding_number_decomposition,
     word_string,
 )
-from circwords import words
+from circwords import debruijn, span, words
 from circwords.errors import BadParameterError
 from conftest import (
     binary_circular_words,
@@ -247,6 +247,34 @@ class TestSizeCap:
             words.check_size(2, 85, "words")
         with pytest.raises(SizeLimitError, match=rf"^3\^84 = {3**84} words exceed"):
             words.check_size(3, 84, "words")
+
+
+class TestBadLengths:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: span.all_factors_family(2, -1),
+            lambda: span.all_factors_family(2, 2.5),
+            lambda: span.spanning_set_family(0),
+            lambda: span.spanning_set_family(-1),
+            lambda: span.cks_family(2, 0),
+            lambda: span.cks_family(2, -1),
+            lambda: span.marginalization_check(cw("011"), 2.5),
+            lambda: span.span_dimension(2, 2.5),
+            lambda: span.express_in_span(u("01"), span.cks_family(2, 2), 2.5),
+            lambda: span.verify_cks_basis(2, 0, 5),
+            lambda: span.verify_spanning_set(5, 0),
+            lambda: debruijn.build_graph(2, 2.5),
+            lambda: debruijn.verify_kirchhoff(cw("011"), 2.5),
+            lambda: next(enumerate_words(2, 2.5)),
+            lambda: next(enumerate_necklaces(2, 2.5)),
+            lambda: occurrence_vector(cw("011"), 2.5),
+            lambda: words.check_size(2, -1, "words"),
+        ],
+    )
+    def test_refused_as_a_bad_parameter(self, call):
+        with pytest.raises(BadParameterError):
+            call()
 
 
 class TestMirror:
