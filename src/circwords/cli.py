@@ -123,10 +123,10 @@ def _check_word(w) -> str | None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_len < 1:
-        raise CircwordsError(f"--max-len must be >= 1, got {args.max_len}")
-    if args.random < 0 or args.rand_len < 1:
-        raise CircwordsError("--random must be >= 0 and --rand-len >= 1")
+    words.check_length(args.max_len, "--max-len")
+    if args.random < 0:
+        raise CircwordsError(f"--random must be >= 0, got {args.random}")
+    words.check_length(args.rand_len, "--rand-len")
     limit = words.DEFAULT_SIZE_LIMIT
     words.check_size(2, args.max_len, f"words of length {args.max_len}")
     if args.rand_len > limit:

@@ -27,12 +27,13 @@ from .words import (
     CircularWord,
     Letters,
     WordLike,
+    _as_letters,
     _codes,
     _dense_counts,
     _factor_table,
     _fits_a_byte,
+    check_length,
     check_size,
-    parse_word,
     word_string,
 )
 
@@ -59,8 +60,7 @@ def build_graph(d: int, n: int) -> DeBruijnGraph:
     """Construct B(d,n), refusing sizes whose edge count exceeds the cap."""
     if d < 2:
         raise BadParameterError(f"alphabet needs at least 2 letters, got d={d}")
-    if n < 1:
-        raise BadParameterError(f"vertex word length must be >= 1, got n={n}")
+    check_length(n, "vertex word length")
     check_size(d, n + 1, "edges")
     alphabet = Alphabet(d)
     return DeBruijnGraph(
@@ -134,8 +134,7 @@ def verify_kirchhoff(w: CircularWord, n: int) -> KirchhoffReport:
     byte, are the vertex and the edge counts counted from w, as dense
     lists in lexicographic order, to name the residuals.
     """
-    if n < 1:
-        raise BadParameterError(f"vertex word length must be >= 1, got n={n}")
+    check_length(n, "vertex word length")
     d = w.d
     check_size(d, n + 1, "edges")
     if _fits_a_byte(d, n + 1):
@@ -282,17 +281,19 @@ def is_spanning_tree(g: DeBruijnGraph, edge_labels: Iterable[WordLike]) -> bool:
     With |vertices| - 1 edges, connected implies acyclic; a loop or a
     repeated edge wastes one of them and leaves the graph disconnected.
     """
-    labels = [_as_edge(g, e) for e in edge_labels]
+    labels = [_as_edge(g, e, g.n + 1) for e in edge_labels]
     return (
         len(labels) == len(g.vertices) - 1
         and _undirected_components(g.vertices, labels) == 1
     )
 
 
-def _as_edge(g: DeBruijnGraph, e: WordLike) -> Letters:
-    e = parse_word(e) if isinstance(e, str) else tuple(e)
-    if len(e) != g.n + 1 or any(not 0 <= a < g.d for a in e):
-        raise BadParameterError(f"{word_string(e)} is not an edge of B({g.d},{g.n})")
+def _as_edge(g: DeBruijnGraph, e: WordLike, length: int) -> Letters:
+    """e as letters, if it is a word of g of the given length: an edge or a vertex."""
+    e = _as_letters(e)
+    if len(e) != length or any(not 0 <= a < g.d for a in e):
+        what = "an edge" if length > g.n else "a vertex"
+        raise BadParameterError(f"{word_string(e)} is not {what} of B({g.d},{g.n})")
     return e
 
 
@@ -336,17 +337,10 @@ def export_dot(
     elif highlight is None:
         marked = set()
     else:
-        marked = {word_string(_as_edge(g, e)) for e in highlight}
-    doubled = {word_string(_as_edge_or_vertex(g, v)) for v in doubled_vertices}
+        marked = {word_string(_as_edge(g, e, g.n + 1)) for e in highlight}
+    doubled = {word_string(_as_edge(g, v, g.n)) for v in doubled_vertices}
     nodes = [word_string(v) for v in g.vertices]
     edges = [
         (word_string(e[:-1]), word_string(e[1:]), word_string(e)) for e in g.edges
     ]
     return render_dot(f"B({g.d},{g.n})", nodes, edges, highlighted=marked, doubled=doubled)
-
-
-def _as_edge_or_vertex(g: DeBruijnGraph, v: WordLike) -> Letters:
-    v = parse_word(v) if isinstance(v, str) else tuple(v)
-    if len(v) != g.n or any(not 0 <= a < g.d for a in v):
-        raise BadParameterError(f"{word_string(v)} is not a vertex of B({g.d},{g.n})")
-    return v

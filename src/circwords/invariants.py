@@ -24,13 +24,16 @@ from .words import (
     CircularWord,
     Letters,
     WordLike,
-    _ISOLATED,
-    _ISOLATED_BLOCK,
+    _as_letters,
     _factor_table,
+    _isolated_blocks,
+    _require_binary,
     mirror,
-    parse_word,
     word_string,
 )
+
+#: What the binary-only functions here compute, for _require_binary.
+_INVARIANT = "the occurrence-difference invariant"
 
 #: Orientation convention for the square graph: these four edges are the
 #: quarter turns in the positive direction; their mirrors run backwards.
@@ -110,11 +113,6 @@ _SOURCE_CODE = _vertex_table(SQUARE_SOURCE)
 _TARGET_CODE = _vertex_table(SQUARE_TARGET)
 
 
-def _require_binary(w: CircularWord) -> None:
-    if w.d != 2:
-        raise BadParameterError("the occurrence-difference invariant is binary-only")
-
-
 #: The codes of each positive edge and its mirror, in the difference order.
 _PAIR_CODES = tuple((_EDGES.index(p), _EDGES.index(mirror(p))) for p in POSITIVE_EDGES)
 
@@ -127,7 +125,7 @@ def _diffs(codes: bytes) -> tuple[int, int, int, int]:
 
 def grandsart_differences(w: CircularWord) -> tuple[int, int, int, int]:
     """The four pair differences of length-4 occurrence counts."""
-    _require_binary(w)
+    _require_binary(w.d, _INVARIANT)
     return _diffs(w.codes(4))
 
 
@@ -198,13 +196,13 @@ def _winding(epsilon_sum: int, w: CircularWord) -> int:
 
 def project_to_square(w: CircularWord) -> SquareProjection:
     """Erase all non-square edges from w's closed path and orient the rest."""
-    _require_binary(w)
+    _require_binary(w.d, _INVARIANT)
     return _project(w.codes(4))
 
 
 def winding_number_graph(w: CircularWord) -> int:
     """Net turns of the projected path: the epsilon sum divided by 4."""
-    _require_binary(w)
+    _require_binary(w.d, _INVARIANT)
     return _winding(_epsilon_sum(_square_walk(w.codes(4))), w)
 
 
@@ -212,25 +210,16 @@ def winding_number_decomposition(w: CircularWord) -> int:
     """The winding number read off the isolated-letter blocks.
 
     Counts even-length isolated blocks starting with 0 minus those
-    starting with 1.  A letter is isolated, a run of length 1, exactly
-    when the length-3 factor centred on it is 010 or 101, so the flags
-    come from the length-3 factor codes in one bytes.translate.  They
-    are rotated to start at a letter that is not isolated, and each
-    match of a run of flags is then one isolated block, anchored after
-    a long run.  A word with no isolated letter, or with nothing else
-    (fully alternating), has no anchored block and winds zero times.
+    starting with 1, over the blocks words._isolated_blocks finds in
+    the length-3 factor codes.  A word with no isolated letter, or with
+    nothing else (fully alternating), has no anchored block and winds
+    zero times.
     """
-    _require_binary(w)
-    letters = w.letters
-    # flags[i] is the flag of letter i+1, the middle of the factor at i
-    flags = w.codes(3).translate(_ISOLATED)
-    anchor = flags.find(0)
-    if anchor < 0 or 1 not in flags:
-        return 0
-    flags = flags[anchor:] + flags[:anchor]
-    n = w.n
+    _require_binary(w.d, _INVARIANT)
+    letters, n = w.letters, w.n
+    anchor, matches = _isolated_blocks(w)
     k = 0
-    for block in _ISOLATED_BLOCK.finditer(flags):
+    for block in matches:
         first, end = block.span()
         if (end - first) % 2 == 0:
             k += 1 - 2 * letters[(anchor + first + 1) % n]
@@ -280,7 +269,7 @@ def grandsart_report(w: CircularWord) -> GrandsartReport:
     word's own (CircularWord.codes), made once and kept with it, so a
     flow check on the same word after the report makes neither again.
     """
-    _require_binary(w)
+    _require_binary(w.d, _INVARIANT)
     codes = w.codes(4)
     return GrandsartReport(
         word=w,
@@ -310,7 +299,7 @@ def square_graph_dot(highlight: Iterable[WordLike] | None = None) -> str:
 
 
 def _as_square_edge(e: WordLike) -> Letters:
-    e = parse_word(e) if isinstance(e, str) else tuple(e)
+    e = _as_letters(e)
     if e not in SQUARE_EDGES:
         raise BadParameterError(f"{word_string(e)} is not a square-graph edge")
     return e

@@ -7,18 +7,21 @@ span.  For factors of length at most l over d letters that dimension is
 the formula, the independent spanning set {0^l} union {1V}, and the
 basis of factors whose first and last letters are nonzero.
 
-Every question is answered from one sample and one echelon.  The sample
-holds one word per rotation class, the necklaces: every count |W|_U is
-the same on all rotations of W, so they give the same distinct count
-rows as all d^m words of each length, from about d^m/m words.  Each row
-holds a word's d^l counts of length-l factors in lexicographic order,
-and _sample_echelon reduces the distinct rows into one row echelon.
-For |u| <= l, |W|_u is the sum of the row over the block of columns
-that start with u, and |W| is the sum of the whole row; so a family's
-values are block sums, a fixed linear map, and taken on the kept rows
-they span the same space as on the whole sample.  Ranks and solutions
-depend only on that space.  One cap bounds d^max_len and d^l before
-anything is built.
+Every question is answered from one sample and one echelon, and
+span_dimension is the public way into them: verify_cks_basis and
+verify_spanning_set read its echelon, so they refuse max_len < l and
+warn on an uncertified sample as it does.  The sample holds one word per
+rotation class, the necklaces: every count |W|_U is the same on all
+rotations of W, so they give the same distinct count rows as all d^m
+words of each length, from about d^m/m words.  Each row holds a word's
+d^l counts of length-l factors in lexicographic order, and
+_sample_echelon reduces the distinct rows into one row echelon.  For
+|u| <= l, |W|_u is the sum of the row over the block of columns that
+start with u, and |W| is the sum of the whole row; so a family's values
+are block sums, a fixed linear map, and taken on the kept rows they span
+the same space as on the whole sample.  Ranks and solutions depend only
+on that space.  One cap bounds d^max_len and d^l before anything is
+built.
 
 Every count row obeys the flow law of B(d,l-1): at every vertex the
 out-sum equals the in-sum, so the row lies in the cycle space of that
@@ -68,6 +71,7 @@ from .words import (
     CircularWord,
     Letters,
     _dense_counts,
+    _require_binary,
     check_length,
     check_size,
     enumerate_necklaces,
@@ -125,21 +129,6 @@ class FunctionalFamily:
     def column_labels(self) -> tuple[str, ...]:
         head = ("length",) if self.include_length else ()
         return head + tuple(word_string(u) for u in self.factors)
-
-    def extended(self, extra: Iterable[Letters]) -> "FunctionalFamily":
-        """The family with extra factor columns appended (duplicates dropped)."""
-        seen = set(self.factors)
-        added = []
-        for u in extra:
-            u = tuple(u)
-            if u not in seen:
-                seen.add(u)
-                added.append(u)
-        return FunctionalFamily(
-            d=self.d,
-            factors=self.factors + tuple(added),
-            include_length=self.include_length,
-        )
 
 
 def all_factors_family(d: int, l: int) -> FunctionalFamily:
@@ -231,18 +220,6 @@ def predicted_dimension(d: int, l: int) -> int:
     return (d - 1) * d ** (l - 1) + 1
 
 
-def _check_sample(d: int, l: int, max_len: int) -> None:
-    """Refuse a sample over the cap, a bad length or alphabet, before anything is built.
-
-    The cap is on d^max_len, the number of all words of the top length,
-    and on d^l, the width of a row.
-    """
-    check_length(l, "factor length")
-    check_size(d, max_len, "sample words")
-    check_size(d, l, "count columns")
-    Alphabet(d)
-
-
 def _sample_echelon(
     d: int, l: int, max_len: int
 ) -> tuple[dict[int, list[int]], list[tuple[int, int]], int, bool]:
@@ -250,9 +227,11 @@ def _sample_echelon(
 
     The sample is the necklaces of each length 1..max_len, and a row is
     the word's d^l counts of length-l factors in lexicographic order.
-    Both caps (_check_sample) are checked before anything is built.
-    Returns (echelon, rank_by_length, bound, certified), where
-    rank_by_length holds (m, rank) after the words of length m.
+    A bad length or alphabet is refused, and so are the caps on
+    d^max_len, the number of all words of the top length, and on d^l,
+    the width of a row, before anything is built.  Returns (echelon,
+    rank_by_length, bound, saturated), where rank_by_length holds
+    (m, rank) after the words of length m.
 
     bound is the cyclomatic number of B(d,l-1), d^l - d^(l-1) + c with c
     its weakly connected components from the union-find: the dimension
@@ -265,9 +244,14 @@ def _sample_echelon(
     and counts a row only for a word whose walk does not close (every
     word when d^l > 256).  Only a row that breaks the law goes to the
     kernel, and it lifts the rank above the bound.  The echelon and the
-    trace are the same as if every row had been eliminated.
+    trace are the same as if every row had been eliminated.  saturated
+    is certified with the rank still at the bound: the rank is proven
+    to be the dimension.
     """
-    _check_sample(d, l, max_len)
+    check_length(l, "factor length")
+    check_size(d, max_len, "sample words")
+    check_size(d, l, "count columns")
+    Alphabet(d)
     bound = debruijn._cyclomatic(d, l - 1)
     echelon: dict[int, list[int]] = {}
     rank_by_length = []
@@ -287,7 +271,17 @@ def _sample_echelon(
             rank == bound
             and all(debruijn._obeys_flow_law(row, d) for row in echelon.values())
         )
-    return echelon, rank_by_length, bound, certified
+    # A row that broke the law after the certificate lifts the rank past it.
+    return echelon, rank_by_length, bound, certified and len(echelon) == bound
+
+
+def _warn_uncertified(d: int, l: int, max_len: int, rank: int, bound: int, what: str) -> None:
+    """Warn, for the caller's caller, that a sample's rank is not proven; what says so."""
+    warnings.warn(
+        f"rank {rank} of ({d},{l}) functionals at max_len={max_len} is not "
+        f"certified by the flow-relation bound {bound}; {what}",
+        stacklevel=3,
+    )
 
 
 def _index(u: Letters, d: int) -> int:
@@ -400,17 +394,10 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
         max_len = 2 * l + 2
     if max_len < l:
         raise BadParameterError(f"need max_len >= l, got max_len={max_len} < l={l}")
-    echelon, rank_by_length, bound, certified = _sample_echelon(d, l, max_len)
+    echelon, rank_by_length, bound, saturated = _sample_echelon(d, l, max_len)
     rank = len(echelon)
-    # A row that broke the law after the certificate lifts the rank past it.
-    saturated = certified and rank == bound
     if not saturated:
-        warnings.warn(
-            f"rank {rank} of ({d},{l}) functionals at max_len={max_len} is not "
-            f"certified by the flow-relation bound {bound}; "
-            "the reported rank is a lower bound",
-            stacklevel=2,
-        )
+        _warn_uncertified(d, l, max_len, rank, bound, "the reported rank is a lower bound")
     return SpanReport(
         d=d,
         l=l,
@@ -427,29 +414,25 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
 def verify_spanning_set(max_len: int, l: int = 4, d: int = 2) -> bool:
     """Check that {0^l} union {1V} is independent and spans all length-l counts.
 
-    Requires rank equal to 2^(l-1)+1 on the set alone, no rank growth
-    when the remaining length-l columns join, and (as a structural
-    cross-check) that the 1V words minus the loop 1^l form a spanning
-    tree of B(2,l-1).
+    Requires rank 2^(l-1)+1 both on the set and on all length-l counts,
+    and (as a structural cross-check) that the 1V words minus the loop
+    1^l form a spanning tree of B(2,l-1).  The sample is
+    span_dimension's: max_len < l is refused, and a sample whose rank is
+    not certified gives a warning.
     """
-    _require_binary(d)
-    return _spanning_set_holds(_sample_echelon(d, l, max_len)[0].values(), l, d)
-
-
-def _require_binary(d: int) -> None:
-    if d != 2:
-        raise BadParameterError("the 1V spanning set is defined for binary words")
+    _require_binary(d, "the 1V spanning set")
+    return _spanning_set_holds(span_dimension(d, l, max_len).echelon, l, d)
 
 
 def _spanning_set_holds(echelon: Collection[Sequence[int]], l: int, d: int) -> bool:
-    """verify_spanning_set on the kept rows of a sample of length-l counts."""
-    _require_binary(d)
+    """verify_spanning_set on the kept rows of a sample of length-l counts.
+
+    The kept rows are independent, so all length-l counts have rank
+    len(echelon): every such count is one entry of the row.
+    """
+    _require_binary(d, "the 1V spanning set")
     family = spanning_set_family(l)
-    expected = predicted_dimension(d, l)
-    if _family_rank(echelon, l, family) != expected:
-        return False
-    full = family.extended(Alphabet(d).words(l))
-    if _family_rank(echelon, l, full) != expected:
+    if not _family_rank(echelon, l, family) == predicted_dimension(d, l) == len(echelon):
         return False
     tree_edges = [u for u in family.factors if u[0] == 1 and u != (1,) * l]
     return debruijn.is_spanning_tree(debruijn.build_graph(2, l - 1), tree_edges)
@@ -460,22 +443,21 @@ def verify_cks_basis(d: int, l: int, max_len: int) -> bool:
 
     The candidate basis is the length functional plus every factor of
     length 1..l whose first and last letters are nonzero; it must have
-    rank (d-1)d^(l-1)+1 and absorb every factor of length <= l without
-    rank growth.
+    rank (d-1)d^(l-1)+1, and so must all the counts of length <= l.  The
+    sample is span_dimension's: max_len < l is refused, and a sample
+    whose rank is not certified gives a warning.
     """
-    return _cks_basis_holds(_sample_echelon(d, l, max_len)[0].values(), d, l)
+    return _cks_basis_holds(span_dimension(d, l, max_len).echelon, d, l)
 
 
 def _cks_basis_holds(echelon: Collection[Sequence[int]], d: int, l: int) -> bool:
-    """verify_cks_basis on the kept rows of a sample of length-l counts."""
+    """verify_cks_basis on the kept rows of a sample of length-l counts.
+
+    The kept rows are independent, and every count of length <= l is a
+    block sum of a row, so all of them have rank len(echelon).
+    """
     basis = cks_family(d, l)
-    expected = predicted_dimension(d, l)
-    if _family_rank(echelon, l, basis) != expected:
-        return False
-    everything = basis.extended(
-        u for m in range(1, l + 1) for u in Alphabet(d).words(m)
-    )
-    return _family_rank(echelon, l, everything) == expected
+    return _family_rank(echelon, l, basis) == predicted_dimension(d, l) == len(echelon)
 
 
 def express_in_span(
@@ -500,16 +482,12 @@ def express_in_span(
         raise BadParameterError("express the length functional via include_length instead")
     factors = basis.factors + (target,)
     l = max(map(len, factors))
-    echelon, _, bound, certified = _sample_echelon(basis.d, l, max_len)
+    echelon, _, bound, saturated = _sample_echelon(basis.d, l, max_len)
     rows = _marginals(echelon.values(), basis.d, l, factors, basis.include_length)
     coefficients = _solve(rows, basis.ncols)
-    if not (certified and len(echelon) == bound):
-        warnings.warn(
-            f"rank {len(echelon)} of ({basis.d},{l}) functionals at max_len={max_len} "
-            f"is not certified by the flow-relation bound {bound}; "
-            "the reported coefficients hold on the sample only",
-            stacklevel=2,
-        )
+    if not saturated:
+        what = "the reported coefficients hold on the sample only"
+        _warn_uncertified(basis.d, l, max_len, len(echelon), bound, what)
     return coefficients
 
 

@@ -64,6 +64,12 @@ def check_length(n: int, what: str) -> None:
         raise BadParameterError(f"{what} must be >= 1, got {n}")
 
 
+def _require_binary(d: int, what: str) -> None:
+    """Refuse an alphabet other than 0..1 for what, which only binary words have."""
+    if d != 2:
+        raise BadParameterError(f"{what} is defined for binary words")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """The alphabet 0..d-1."""
@@ -152,8 +158,7 @@ class CircularWord:
 
     def complement(self) -> "CircularWord":
         """Exchange 0 and 1 (binary words only)."""
-        if self.d != 2:
-            raise BadParameterError("complement is defined for binary words")
+        _require_binary(self.d, "complement")
         return CircularWord(tuple(1 - a for a in self.letters), 2)
 
     def __str__(self) -> str:
@@ -338,6 +343,23 @@ _ISOLATED = bytes(c in (0b010, 0b101) for c in range(256))
 _ISOLATED_BLOCK = re.compile(rb"\x01+")
 
 
+def _isolated_blocks(w: CircularWord) -> tuple[int, Iterator[re.Match[bytes]]]:
+    """The anchor and the isolated blocks of a binary circular word, as matches.
+
+    The isolated flags come from the length-3 factor codes in one
+    bytes.translate and are rotated to start at the anchor, a letter
+    that is not isolated; a match (first, end) of a run of flags is then
+    the block of end - first letters from (anchor + first + 1) mod n.
+    A word with no isolated letter, or with nothing else, gives none.
+    """
+    # flags[i] is the flag of letter i+1, the middle of the factor at i
+    flags = w.codes(3).translate(_ISOLATED)
+    anchor = flags.find(0)
+    if anchor < 0 or 1 not in flags:
+        return 0, iter(())
+    return anchor, _ISOLATED_BLOCK.finditer(flags[anchor:] + flags[:anchor])
+
+
 def decompose_blocks(w: CircularWord) -> tuple[tuple[int, Letters], ...]:
     """The anchored blocks of isolated letters of a binary circular word.
 
@@ -348,17 +370,11 @@ def decompose_blocks(w: CircularWord) -> tuple[tuple[int, Letters], ...]:
     letter, or with nothing else (fully alternating), has no anchored
     block and gives ().
     """
-    if w.d != 2:
-        raise BadParameterError("block decomposition is defined for binary words")
+    _require_binary(w.d, "block decomposition")
     letters, n = w.letters, w.n
-    # flags[i] is the flag of letter i+1, the middle of the factor at i
-    flags = w.codes(3).translate(_ISOLATED)
-    anchor = flags.find(0)
-    if anchor < 0:
-        return ()
-    flags = flags[anchor:] + flags[:anchor]
+    anchor, matches = _isolated_blocks(w)
     blocks = []
-    for block in _ISOLATED_BLOCK.finditer(flags):
+    for block in matches:
         first, end = block.span()
         start = (anchor + first + 1) % n
         stop = start + end - first

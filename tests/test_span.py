@@ -1,6 +1,8 @@
 """Exact rank, span dimension, spanning set, CKS basis, marginalization."""
 
+import warnings
 from fractions import Fraction
+from functools import cache
 from unittest import mock
 
 import pytest
@@ -24,6 +26,7 @@ from circwords import (
     enumerate_words,
     exact_rank,
     express_in_span,
+    is_spanning_tree,
     marginalization_check,
     occurrence_matrix,
     occurrence_vector,
@@ -34,6 +37,7 @@ from circwords import (
     verify_spanning_set,
 )
 from circwords import debruijn, span, words
+from circwords.errors import BadParameterError
 from circwords.span import _bareiss_rank, _marginals, _sample_echelon, _solve
 from conftest import (
     binary_circular_words,
@@ -330,7 +334,7 @@ class TestSpanningSet:
         )
         assert exact_rank(occurrence_matrix(words, reduced)) == 8
         # and 0101 escapes the reduced span: appending it raises the rank
-        escaped = reduced.extended([u("0101")])
+        escaped = FunctionalFamily(d=2, factors=reduced.factors + (u("0101"),))
         assert exact_rank(occurrence_matrix(words, escaped)) == 9
 
     def test_necklace_sample_sees_1010_missing(self, monkeypatch):
@@ -340,7 +344,8 @@ class TestSpanningSet:
         )
         words = necklaces_up_to(2, 10)
         assert exact_rank(occurrence_matrix(words, reduced)) == 8
-        assert exact_rank(occurrence_matrix(words, reduced.extended([u("0101")]))) == 9
+        escaped = FunctionalFamily(d=2, factors=reduced.factors + (u("0101"),))
+        assert exact_rank(occurrence_matrix(words, escaped)) == 9
         monkeypatch.setattr(span, "spanning_set_family", lambda l: reduced)
         monkeypatch.setattr(span, "cks_family", lambda d, l: reduced)
         assert not verify_spanning_set(10)
@@ -418,8 +423,9 @@ class TestCksBasis:
 
         monkeypatch.setattr(span, "_bareiss_rank", recording)
         assert check()
-        # one sampling batch per length 1..10, then one elimination per family
-        assert len(batches) == 12
+        # one sampling batch per length 1..10, then one for the family: the
+        # rank of all the counts is the number of kept rows
+        assert len(batches) == 11
         sampled, families = batches[:10], batches[10:]
         rows = [r for batch in sampled for r in batch]
         # 261 necklaces up to length 10 give 231 distinct count rows; the
@@ -427,6 +433,82 @@ class TestCksBasis:
         assert len(rows) == len(set(rows)) == 37
         # a family's values are taken on the 9 kept rows, not on the sample
         assert all(len(batch) <= 9 for batch in families)
+
+    @pytest.mark.parametrize(
+        "check", [lambda: verify_cks_basis(2, 4, 2), lambda: verify_spanning_set(2, l=4)]
+    )
+    def test_a_sample_shorter_than_l_is_refused(self, check):
+        # no word of length l is sampled, so nothing about the basis is tested
+        with pytest.raises(BadParameterError, match="need max_len >= l"):
+            check()
+
+    def test_an_uncertified_sample_warns(self):
+        with pytest.warns(UserWarning, match="not certified"):
+            assert verify_cks_basis(2, 4, 5) is False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_cks_basis(2, 4, 10) is True
+
+
+#: (d, l, max_len) on both sides of certification: (2,4) and (2,5) are
+#: certified from max_len 6 and 7, (3,2) and (3,3) from 3 and 4, the
+#: others at max_len = l.
+HOLDS_SAMPLES = [
+    (d, l, max_len)
+    for d, l, top in [(2, 1, 3), (2, 2, 4), (2, 3, 6), (2, 4, 8), (2, 5, 8), (3, 2, 4), (3, 3, 5)]
+    for max_len in range(l, top + 1)
+]
+
+
+@cache
+def kept_rows(d, l, max_len):
+    return tuple(_sample_echelon(d, l, max_len)[0].values())
+
+
+def full_family_holds(echelon, l, family, lengths):
+    """Reference: the family has the predicted rank, and so has it with every
+    factor of the given lengths appended, eliminated in full."""
+    d = family.d
+    expected = predicted_dimension(d, l)
+    extra = [v for m in lengths for v in Alphabet(d).words(m) if v not in family.factors]
+    everything = FunctionalFamily(d, family.factors + tuple(extra), family.include_length)
+    return (
+        span._family_rank(echelon, l, family) == expected
+        and span._family_rank(echelon, l, everything) == expected
+    )
+
+
+class TestFullFamilyRank:
+    """All the counts of a sample have the rank of its kept rows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(HOLDS_SAMPLES), st.booleans(), st.one_of(st.none(), st.integers(0)))
+    def test_holds_as_with_every_factor_eliminated(self, case, reduce, extra):
+        d, l, max_len = case
+        echelon = kept_rows(d, l, max_len)
+        if extra is not None:
+            # a miscounted row, one edge's unit vector, joins the kept rows
+            # and may lift the rank past the bound
+            unit = [0] * d**l
+            unit[extra % d**l] = 1
+            rows = {}
+            _bareiss_rank([*echelon, unit], rows)
+            echelon = tuple(rows.values())
+        basis, family = cks_family(d, l), spanning_set_family(l)
+        if reduce and (d, l) == (2, 4):
+            # test_necklace_sample_sees_1010_missing's family, without 1010
+            basis = family = FunctionalFamily(2, tuple(f for f in family.factors if f != u("1010")))
+        with mock.patch.object(span, "cks_family", lambda d, l: basis), mock.patch.object(
+            span, "spanning_set_family", lambda l: family
+        ):
+            expected = full_family_holds(echelon, l, basis, range(1, l + 1))
+            assert span._cks_basis_holds(echelon, d, l) == expected
+            if d == 2 and l >= 2:
+                tree = [v for v in family.factors if v[0] == 1 and v != (1,) * l]
+                expected = full_family_holds(echelon, l, family, [l]) and is_spanning_tree(
+                    build_graph(2, l - 1), tree
+                )
+                assert span._spanning_set_holds(echelon, l, d) == expected
 
 
 class TestExpressInSpan:
@@ -573,9 +655,9 @@ class TestSampleWords:
 
     def test_size_limit(self, monkeypatch):
         set_cap(monkeypatch, 2**12)
-        echelon, rank_by_length, bound, certified = _sample_echelon(2, 4, 12)
+        echelon, rank_by_length, bound, saturated = _sample_echelon(2, 4, 12)
         assert len(echelon) == bound == 9
-        assert certified
+        assert saturated
         assert rank_by_length[-1] == (12, 9)
         set_cap(monkeypatch, 2**12 - 1)
         with pytest.raises(SizeLimitError):
@@ -819,23 +901,24 @@ class TestMarginals:
 
 
 class TestCaps:
-    # max_len < l in each case, so the cap on d^l is the one that binds;
-    # below it the call is refused before any family is built
+    # max_len >= l, as the sample needs, so the cap on d^max_len is the
+    # one that binds; below it the call is refused before any family is
+    # built
     def test_cks_cap_boundary(self, monkeypatch):
-        set_cap(monkeypatch, 2**5)
-        assert verify_cks_basis(2, 5, 4) is False
-        set_cap(monkeypatch, 2**5 - 1)
+        set_cap(monkeypatch, 2**8)
+        assert verify_cks_basis(2, 3, 8) is True
+        set_cap(monkeypatch, 2**8 - 1)
         monkeypatch.setattr(span, "cks_family", never)
         with pytest.raises(SizeLimitError):
-            verify_cks_basis(2, 5, 4)
+            verify_cks_basis(2, 3, 8)
 
     def test_spanning_set_cap_boundary(self, monkeypatch):
-        set_cap(monkeypatch, 2**6)
-        assert verify_spanning_set(4, l=6) is False
-        set_cap(monkeypatch, 2**6 - 1)
+        set_cap(monkeypatch, 2**8)
+        assert verify_spanning_set(8, l=3) is True
+        set_cap(monkeypatch, 2**8 - 1)
         monkeypatch.setattr(span, "spanning_set_family", never)
         with pytest.raises(SizeLimitError):
-            verify_spanning_set(4, l=6)
+            verify_spanning_set(8, l=3)
 
     def test_express_caps_the_longest_factor(self, monkeypatch):
         # the target is longer than every basis factor and than max_len;
