@@ -496,7 +496,7 @@ class TestFullFamilyRank:
             echelon = tuple(rows.values())
         basis, family = cks_family(d, l), spanning_set_family(l)
         if reduce and (d, l) == (2, 4):
-            # test_necklace_sample_sees_1010_missing's family, without 1010
+            # the spanning set without 1010, as in test_necklace_sample_sees_1010_missing
             basis = family = FunctionalFamily(2, tuple(f for f in family.factors if f != u("1010")))
         with mock.patch.object(span, "cks_family", lambda d, l: basis), mock.patch.object(
             span, "spanning_set_family", lambda l: family
