@@ -10,7 +10,9 @@ in-edge counts.  Every flow-law decision is made here, on code strings
 by one closed-walk test, _walk_sources: verify_kirchhoff compares the
 walk's sources with the word's vertex codes and counts residuals only
 to name a violation, and the rank sample in span asks _cyclomatic,
-_obeys_flow_law and _law_breaking_rows.
+_obeys_flow_law and _law_breaking_rows, which codes a chunk of the
+sample's words per scan through words._chunk_codes and walks each
+word's slice.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .words import (
     Letters,
     WordLike,
     _as_letters,
-    _codes,
+    _chunk_codes,
     _dense_counts,
     _factor_table,
     _fits_a_byte,
@@ -176,10 +178,11 @@ def _walk_sources(edges: bytes, source: bytes, target: bytes) -> bytes | None:
 def _law_breaking_rows(letters: Iterable[Letters], d: int, n: int) -> set[tuple[int, ...]]:
     """The distinct rows of B(d,n) edge counts of the words that break the flow law.
 
-    When d^(n+1) <= 256 a word whose edge codes close their walk obeys
-    the law, and a code past d^(n+1) - 1 never closes it; only the other
-    words have their rows counted, from the same codes, and checked by
-    slice sums, as every distinct dense row is when d^(n+1) > 256.
+    When d^(n+1) <= 256 the words are coded a chunk at a time
+    (words._chunk_codes), and a word whose edge codes close their walk
+    obeys the law; a code past d^(n+1) - 1 never closes it.  Only the
+    other words have their rows counted, from the same codes, and checked
+    by slice sums, as every distinct dense row is when d^(n+1) > 256.
     """
     l = n + 1
     if not _fits_a_byte(d, l):
@@ -188,8 +191,7 @@ def _law_breaking_rows(letters: Iterable[Letters], d: int, n: int) -> set[tuple[
     source, target = _end_tables(d, n)
     columns = range(d**l)
     broken = set()
-    for a in letters:
-        codes = _codes(a, d, l)
+    for _, (codes,) in _chunk_codes(letters, d, (l,)):
         if _walk_sources(codes, source, target) is None:
             row = tuple(map(codes.count, columns))
             if not _obeys_flow_law(row, d):

@@ -39,7 +39,9 @@ string, the edges of its closed walk on B(d,l-1), when d^l <= 256, so
 that no row is counted unless the walk fails to close, and by O(d^l)
 slice sums of its row otherwise.  Only a row that breaks the law goes
 to the kernel, so the echelon and the rank trace are the same as if
-every row had been eliminated.
+every row had been eliminated.  The necklaces are bare letters, and when
+d^l <= 256 each length's are coded a chunk at a time, one big-integer
+scan per chunk (words._chunk_codes), before the certificate and after.
 
 All arithmetic is exact.  One fraction-free elimination kernel serves
 every caller: it reduces a batch of integer rows against a row echelon
@@ -70,11 +72,13 @@ from .words import (
     Alphabet,
     CircularWord,
     Letters,
+    _chunk_codes,
     _dense_counts,
+    _fits_a_byte,
+    _necklaces,
     _require_binary,
     check_length,
     check_size,
-    enumerate_necklaces,
     occurrence_vector,
     word_string,
 )
@@ -227,9 +231,13 @@ def _sample_echelon(
 
     The sample is the necklaces of each length 1..max_len, and a row is
     the word's d^l counts of length-l factors in lexicographic order.
-    A bad length or alphabet is refused, and so are the caps on
-    d^max_len, the number of all words of the top length, and on d^l,
-    the width of a row, before anything is built.  Returns (echelon,
+    The necklaces are bare letter tuples (words._necklaces), and no word
+    object is built; when d^l <= 256 each length's necklaces are coded a
+    chunk at a time by words._chunk_codes, the coder enumerate_words
+    uses, and each row is counted from the word's slice.  A bad length
+    or alphabet is refused, and so are the caps on d^max_len, the number
+    of all words of the top length, and on d^l, the width of a row,
+    before anything is built.  Returns (echelon,
     rank_by_length, bound, saturated), where rank_by_length holds
     (m, rank) after the words of length m.
 
@@ -240,19 +248,21 @@ def _sample_echelon(
     law.  The kept rows then span the cycle space, so a later row is in
     their span exactly when it obeys the law: it would reduce to zero.
     From then on each length's words go to debruijn._law_breaking_rows,
-    which decides the law on each word's code string when d^l <= 256
-    and counts a row only for a word whose walk does not close (every
-    word when d^l > 256).  Only a row that breaks the law goes to the
-    kernel, and it lifts the rank above the bound.  The echelon and the
-    trace are the same as if every row had been eliminated.  saturated
-    is certified with the rank still at the bound: the rank is proven
-    to be the dimension.
+    which codes them through the same chunk coder when d^l <= 256,
+    decides the law on each word's slice and counts a row only for a
+    word whose walk does not close (every word when d^l > 256).  Only
+    a row that breaks the law goes to the kernel, and it lifts the rank
+    above the bound.  The echelon and the trace are the same as if every
+    row had been eliminated.  saturated is certified with the rank still
+    at the bound: the rank is proven to be the dimension.
     """
     check_length(l, "factor length")
     check_size(d, max_len, "sample words")
     check_size(d, l, "count columns")
     Alphabet(d)
     bound = debruijn._cyclomatic(d, l - 1)
+    narrow = _fits_a_byte(d, l)
+    columns = range(d**l)
     echelon: dict[int, list[int]] = {}
     rank_by_length = []
     certified = False
@@ -260,11 +270,14 @@ def _sample_echelon(
         # The counts of a length-m word sum to m, so no row of this
         # length repeats one of an earlier length: the distinct rows of
         # length m are exactly the new ones, and each is reduced once.
-        necklaces = enumerate_necklaces(d, m)
+        necklaces = _necklaces(d, m)
         if certified:
-            batch = debruijn._law_breaking_rows((w.letters for w in necklaces), d, l - 1)
+            batch = debruijn._law_breaking_rows(necklaces, d, l - 1)
+        elif narrow:
+            coded = _chunk_codes(necklaces, d, (l,))
+            batch = {tuple(map(codes.count, columns)) for _, (codes,) in coded}
         else:
-            batch = {tuple(_dense_counts(w.letters, d, l)) for w in necklaces}
+            batch = {tuple(_dense_counts(a, d, l)) for a in necklaces}
         rank = _bareiss_rank(batch, echelon)
         rank_by_length.append((m, rank))
         certified = certified or (
@@ -428,13 +441,17 @@ def _spanning_set_holds(echelon: Collection[Sequence[int]], l: int, d: int) -> b
     """verify_spanning_set on the kept rows of a sample of length-l counts.
 
     The kept rows are independent, so all length-l counts have rank
-    len(echelon): every such count is one entry of the row.
+    len(echelon): every such count is one entry of the row.  At l = 1
+    B(2,0) has one vertex, whose spanning tree is empty, so the tree
+    edges must be none and no graph is built.
     """
     _require_binary(d, "the 1V spanning set")
     family = spanning_set_family(l)
     if not _family_rank(echelon, l, family) == predicted_dimension(d, l) == len(echelon):
         return False
     tree_edges = [u for u in family.factors if u[0] == 1 and u != (1,) * l]
+    if l == 1:
+        return not tree_edges
     return debruijn.is_spanning_tree(debruijn.build_graph(2, l - 1), tree_edges)
 
 

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from random import Random
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     BadLetterError,
@@ -383,25 +383,50 @@ def decompose_blocks(w: CircularWord) -> tuple[tuple[int, Letters], ...]:
     return tuple(sorted(blocks))
 
 
+#: Words per chunk of _chunk_codes.  Past a few hundred words a chunk
+#: saves no time, and its letter tuples, buffers and slices are the rank
+#: sample's largest allocation: span_dimension(3, 3, 10) peaks near
+#: 1.6 MB with 4096 words a chunk, near 0.1 MB with 256.
+_BATCH = 1 << 8
+
+
+def _chunk_codes(
+    words: Iterable[Letters], d: int, lengths: Sequence[int]
+) -> Iterator[tuple[Letters, tuple[bytes, ...]]]:
+    """Each word with its code string of each length, coded a chunk at a time.
+
+    The one way to code many words: each chunk of _BATCH words is
+    written into one buffer, each word followed by its next t circular
+    letters, t = max(lengths) - 1, and one _codes scan per length codes
+    the whole chunk.  A word's slice of a scan, its n bytes from where
+    it starts, reads only its own n + t letters, so it equals
+    _codes(letters, d, l).  Yields (letters, slices), one slice per
+    length in the given order.  The words may have any lengths >= 1,
+    and every d^l must be at most 256.
+    """
+    tail = max(lengths) - 1
+    words = iter(words)
+    while chunk := list(itertools.islice(words, _BATCH)):
+        # raw * (tail+1) is long enough for n + tail letters at every n >= 1
+        buf = b"".join([(raw * (tail + 1))[: len(raw) + tail] for raw in map(bytes, chunk)])
+        starts = itertools.accumulate((len(a) + tail for a in chunk), initial=0)
+        cuts = [slice(s, s + len(a)) for s, a in zip(starts, chunk)]
+        slices = [list(map(_codes(buf, d, l).__getitem__, cuts)) for l in lengths]
+        yield from zip(chunk, zip(*slices))
+
+
 #: The factor lengths whose codes enumerate_words makes for its words:
 #: the ones grandsart_report (3 and 4) and verify_kirchhoff(w, 3) read.
 _PREFILLED = (3, 4)
-
-#: Words per chunk of enumerate_words, so its code buffer stays small
-#: at every length up to the cap.
-_BATCH = 1 << 12
 
 
 def enumerate_words(d: int, n: int) -> Iterator[CircularWord]:
     """All d^n circular words of length n, lexicographically.
 
     The alphabet is checked once; the words are built unchecked.  When
-    every length-4 code fits a byte, each chunk of _BATCH words is
-    written into one buffer, each word followed by its next three
-    circular letters, and one _codes scan per length in _PREFILLED codes
-    the whole chunk.  Word j's slice of each scan, n bytes from
-    j·(n+3), reads only its own letters, so it equals _codes of the
-    word, and it is put in the word's code memo.
+    every length-4 code fits a byte, _chunk_codes codes the words a
+    chunk at a time, one scan per length in _PREFILLED, and each word's
+    slices become its code memo.
     """
     check_length(n, "word length")
     product = Alphabet(d).words(n)
@@ -409,28 +434,30 @@ def enumerate_words(d: int, n: int) -> Iterator[CircularWord]:
         for letters in product:
             yield CircularWord._unchecked(letters, d)
         return
-    tail = max(_PREFILLED) - 1
-    step = n + tail
-    while chunk := list(itertools.islice(product, _BATCH)):
-        # letters * (tail+1) is long enough for n + tail letters at every n >= 1
-        buf = b"".join(bytes((letters * (tail + 1))[:step]) for letters in chunk)
-        scans = [(l, _codes(buf, d, l)) for l in _PREFILLED]
-        for i, letters in zip(range(0, len(buf), step), chunk):
-            memo = {l: codes[i : i + n] for l, codes in scans}
-            yield CircularWord._unchecked(letters, d, memo)
+    for letters, codes in _chunk_codes(product, d, _PREFILLED):
+        yield CircularWord._unchecked(letters, d, dict(zip(_PREFILLED, codes)))
 
 
 def enumerate_necklaces(d: int, n: int) -> Iterator[CircularWord]:
     """The least rotation of each class of rotations of length n, increasing.
 
     One word per conjugacy class: d^n/n of them, roughly, instead of d^n.
+    The words are _necklaces' letters, built unchecked.
+    """
+    for letters in _necklaces(d, n):
+        yield CircularWord._unchecked(letters, d)
+
+
+def _necklaces(d: int, n: int) -> Iterator[Letters]:
+    """The letters of enumerate_necklaces(d, n), with no word built.
+
     The prenecklace successor of Fredricksen, Kessler and Maiorana
     (Ruskey, Savage and Wang, J. Algorithms 1992) steps through the
     prenecklaces in lexicographic order: bump the last letter below d-1
     at index p-1, then repeat the first p letters to length n.  p is
     the period of the new prenecklace, and it is a necklace exactly
-    when p divides n.  The alphabet is checked once; the necklaces are
-    built unchecked.
+    when p divides n.  The length and the alphabet are checked once,
+    before the first necklace.
     """
     check_length(n, "word length")
     Alphabet(d)  # refuses d < 2 before the first necklace
@@ -439,7 +466,7 @@ def enumerate_necklaces(d: int, n: int) -> Iterator[CircularWord]:
     top = d - 1
     while True:
         if n % p == 0:
-            yield CircularWord._unchecked(tuple(a), d)
+            yield tuple(a)
         p = n
         while p and a[p - 1] == top:
             p -= 1

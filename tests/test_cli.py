@@ -279,6 +279,10 @@ class TestRank:
         assert "spanning_set ok" in out
         assert "cks_basis ok" in out
 
+    def test_spanning_set_of_length_one(self, capsys):
+        assert cli.main(["rank", "--l", "1", "--spanning-set"]) == 0
+        assert "spanning_set ok" in capsys.readouterr().out
+
     def test_json_format(self, capsys):
         args = ["rank", "--d", "2", "--l", "3", "--max-len", "8",
                 "--format", "json", "--cks"]
@@ -497,7 +501,7 @@ class TestUsage:
             ["rank", "--d", "3", "--spanning-set"],
             ["rank", "--l", "0"],
             ["rank", "--l", "-1"],
-            ["rank", "--l", "1", "--spanning-set"],
+            ["rank", "--l", "1", "--max-len", "0", "--spanning-set"],
             ["rank", "--l", "10000"],
             ["dot", "--n", "0"],
             ["dot", "--d", "1"],

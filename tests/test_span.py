@@ -1,5 +1,6 @@
 """Exact rank, span dimension, spanning set, CKS basis, marginalization."""
 
+import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import cache
@@ -355,6 +356,11 @@ class TestSpanningSet:
         with pytest.raises(ValueError):
             verify_spanning_set(6, l=2, d=3)
 
+    @pytest.mark.parametrize("max_len", [1, 2, 3, 4, 5])
+    def test_length_one_has_an_empty_tree(self, max_len):
+        # {0, 1} spans the counts of length 1, and B(2,0) has one vertex
+        assert verify_spanning_set(max_len, 1) is True
+
 
 class TestKirchhoffRelationSpace:
     def _relation_vectors(self):
@@ -664,14 +670,34 @@ class TestSampleWords:
             _sample_echelon(2, 4, 12)
 
 
-def plain_sample(d, l, max_len):
-    """Reference sampler: every distinct row of every length goes to the kernel."""
+def plain_sample(d, l, max_len, counts=None):
+    """Reference sampler: every distinct row of every length goes to the kernel.
+
+    counts(letters, d, l) makes each row, span._dense_counts by default.
+    """
+    counts = counts or span._dense_counts
     echelon = {}
     rank_by_length = []
     for m in range(1, max_len + 1):
-        batch = {tuple(span._dense_counts(w.letters, d, l)) for w in enumerate_necklaces(d, m)}
+        batch = {tuple(counts(w.letters, d, l)) for w in enumerate_necklaces(d, m)}
         rank_by_length.append((m, _bareiss_rank(batch, echelon)))
     return echelon, rank_by_length
+
+
+def misread_slices(monkeypatch, change):
+    """Make the sample read change(letters, l, codes) for each word's slice.
+
+    The chunk coder is patched where span and debruijn bound it, so the
+    rows before the certificate and the walks after it both see the change.
+    """
+    coder = words._chunk_codes
+
+    def misread(letters, d, lengths):
+        for a, slices in coder(letters, d, lengths):
+            yield a, tuple(change(a, l, codes) for l, codes in zip(lengths, slices))
+
+    for module in (span, debruijn):
+        monkeypatch.setattr(module, "_chunk_codes", misread)
 
 
 class TestCertifiedSample:
@@ -710,12 +736,10 @@ class TestCertifiedSample:
         # edge out of vertex 000 into 001), as the loop 0000, so its row
         # breaks the flow law past the certificate at 6
         corrupt = u("00010111")
-        codes = debruijn._codes
         reduced = []
         kernel = span._bareiss_rank
 
-        def misread(letters, d, l):
-            string = codes(letters, d, l)
+        def misread(letters, l, string):
             if letters == corrupt and l == 4:
                 assert string[0] == 0b0001
                 string = bytes([0b0000]) + string[1:]
@@ -725,7 +749,7 @@ class TestCertifiedSample:
             reduced.extend(map(tuple, rows))
             return kernel(rows, echelon)
 
-        monkeypatch.setattr(debruijn, "_codes", misread)
+        misread_slices(monkeypatch, misread)
         monkeypatch.setattr(span, "_bareiss_rank", recording)
         with pytest.warns(UserWarning, match="lower bound"):
             report = span_dimension(2, 4, 10)
@@ -774,11 +798,9 @@ class TestCertifiedSample:
         # sums; every other necklace is decided on its code string alone
         corrupt = (0,) * (max_len - 1) + (1,)
         row = tuple(span._dense_counts(corrupt, d, l))
-        codes = debruijn._codes
         calls = []
 
-        def misread(letters, d, l):
-            string = codes(letters, d, l)
+        def misread(letters, l, string):
             # the same codes in reverse order: the same row, out of sequence
             return string[::-1] if letters == corrupt else string
 
@@ -789,9 +811,9 @@ class TestCertifiedSample:
 
             return call
 
-        monkeypatch.setattr(debruijn, "_codes", misread)
+        misread_slices(monkeypatch, misread)
         for module, name in (
-            (span, "enumerate_necklaces"),
+            (span, "_necklaces"),
             (span, "_dense_counts"),
             (debruijn, "_dense_counts"),
             (debruijn, "_obeys_flow_law"),
@@ -801,9 +823,9 @@ class TestCertifiedSample:
         assert report.saturated
         certifying = next(m for m, rank in report.rank_by_length if rank == report.rank)
         assert certifying < max_len
-        past = calls[calls.index(("enumerate_necklaces", (d, certifying + 1))) :]
-        assert [name for name, _ in past].count("enumerate_necklaces") == max_len - certifying
-        assert [call for call in past if call[0] != "enumerate_necklaces"] == [
+        past = calls[calls.index(("_necklaces", (d, certifying + 1))) :]
+        assert [name for name, _ in past].count("_necklaces") == max_len - certifying
+        assert [call for call in past if call[0] != "_necklaces"] == [
             ("_obeys_flow_law", (row, d))
         ]
 
@@ -816,34 +838,35 @@ class TestCertifiedSample:
         letters = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=30)))
         w = CircularWord(letters, d)
         width = d**l
-        if width <= 256:
-            codes = bytearray(debruijn._codes(letters, d, l))
-            if data.draw(st.booleans(), label="fault"):
-                i = data.draw(st.integers(0, len(codes) - 1), label="position")
-                codes[i] = data.draw(st.integers(0, width - 1) | st.integers(0, 255), label="code")
-            codes = bytes(codes)
-            row = tuple(map(codes.count, range(width)))
-            patch = mock.patch.object(debruijn, "_codes", lambda *args: codes)
-        else:
-            row = span._dense_counts(letters, d, l)
-            if data.draw(st.booleans(), label="fault"):
-                i = data.draw(st.integers(0, width - 1), label="column")
-                row[i] += data.draw(st.sampled_from([-1, 1, 2]), label="change")
-            row = tuple(row)
-            patch = mock.patch.object(debruijn, "_dense_counts", lambda *args: list(row))
-        with patch:
+        with pytest.MonkeyPatch.context() as mp:
+            if width <= 256:
+                codes = bytearray(words._codes(letters, d, l))
+                if data.draw(st.booleans(), label="fault"):
+                    i = data.draw(st.integers(0, len(codes) - 1), label="position")
+                    code = st.integers(0, width - 1) | st.integers(0, 255)
+                    codes[i] = data.draw(code, label="code")
+                codes = bytes(codes)
+                row = tuple(map(codes.count, range(width)))
+                misread_slices(mp, lambda *args: codes)
+            else:
+                row = span._dense_counts(letters, d, l)
+                if data.draw(st.booleans(), label="fault"):
+                    i = data.draw(st.integers(0, width - 1), label="column")
+                    row[i] += data.draw(st.sampled_from([-1, 1, 2]), label="change")
+                row = tuple(row)
+                mp.setattr(debruijn, "_dense_counts", lambda *args: list(row))
             broken = debruijn._law_breaking_rows([w.letters], d, l - 1)
         assert broken == (set() if debruijn._obeys_flow_law(row, d) else {row})
 
-    def test_law_helper_sees_a_fault_the_comparison_cannot_tell(self):
+    def test_law_helper_sees_a_fault_the_comparison_cannot_tell(self, monkeypatch):
         # a loop read as another loop keeps the law, so the row is counted
         # and passes; a loop read as a non-loop edge breaks it
         w = CircularWord(u("000111"), 2)
-        codes = debruijn._codes(w.letters, 2, 3)
+        codes = words._codes(w.letters, 2, 3)
         for code, holds in ((0b111, True), (0b011, False)):
             misread = bytes([code]) + codes[1:]
-            with mock.patch.object(debruijn, "_codes", lambda *args: misread):
-                broken = debruijn._law_breaking_rows([w.letters], 2, 2)
+            misread_slices(monkeypatch, lambda *args: misread)
+            broken = debruijn._law_breaking_rows([w.letters], 2, 2)
             assert (broken == set()) is holds
 
     def test_a_kept_row_that_breaks_the_law_keeps_every_row_eliminated(self, monkeypatch):
@@ -859,12 +882,49 @@ class TestCertifiedSample:
                 row[1] += 1
             return row
 
-        monkeypatch.setattr(span, "_dense_counts", miscount)
-        plain = plain_sample(2, 4, 8)
+        def misread(letters, l, string):
+            # one code too many, 0001: the slice counts one more 0001
+            return string + bytes([0b0001]) if letters == corrupt else string
+
+        misread_slices(monkeypatch, misread)
+        plain = plain_sample(2, 4, 8, miscount)
         checked = _sample_echelon(2, 4, 8)
         assert plain[1][4] == (5, 9)
         assert plain[1][-1] == (8, 10)
         assert checked == (*plain, 9, False)
+
+    def test_each_chunk_is_coded_in_one_scan_and_no_word_is_built(self, monkeypatch):
+        # before and past the certificate at 4, each length's necklaces
+        # are coded 7 at a time, one _codes scan per chunk, as bare letters
+        sizes = [sum(1 for _ in span._necklaces(3, m)) for m in range(1, 11)]
+        scans = []
+        made = words._codes
+
+        def counted(letters, d, l):
+            scans.append(l)
+            return made(letters, d, l)
+
+        monkeypatch.setattr(words, "_codes", counted)
+        monkeypatch.setattr(words, "_BATCH", 7)
+        monkeypatch.setattr(CircularWord, "_unchecked", never)
+        monkeypatch.setattr(CircularWord, "__post_init__", never)
+        report = span_dimension(3, 3, 10)
+        assert report.saturated
+        assert report.rank_by_length[3] == (4, report.rank)
+        assert scans == [3] * sum(-(-size // 7) for size in sizes)
+
+    def test_sample_memory_stays_within_a_small_chunk(self):
+        # the letter tuples, buffer and slices of one chunk are the
+        # sample's largest allocation: 256 words peak near 0.1 MB, 4096
+        # near 1.6 MB, which would show in the rank workload's peak RSS
+        span_dimension(3, 3, 10)  # fill the caches, which are not per call
+        tracemalloc.start()
+        try:
+            span_dimension(3, 3, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10
 
 
 def _dense_row(w, l):

@@ -456,6 +456,36 @@ def assert_enumerated(d, n, memo):
         assert vars(w).get("_code_memo") == expected
 
 
+class TestChunkCoder:
+    """words._chunk_codes, the one coder of many words, against _codes word by word."""
+
+    @pytest.mark.parametrize("batch", [1, 7, pytest.param(words._BATCH, id="default")])
+    @given(st.data())
+    def test_each_slice_is_the_words_codes(self, batch, data):
+        d = data.draw(st.integers(2, 4), label="d")
+        # every factor length whose codes fit a byte, in any order
+        fitting = [l for l in range(1, 9) if d**l <= 256]
+        lengths = data.draw(st.lists(st.sampled_from(fitting), min_size=1, unique=True), label="lengths")
+        # words shorter than max(lengths) - 1 wrap their tail more than once
+        letters = st.lists(st.integers(0, d - 1), min_size=1, max_size=12).map(tuple)
+        chunk = data.draw(st.lists(letters, max_size=20), label="words")
+        made = words._codes
+        scans = []
+
+        def counted(letters, d, l):
+            scans.append(l)
+            return made(letters, d, l)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(words, "_BATCH", batch)
+            mp.setattr(words, "_codes", counted)
+            coded = list(words._chunk_codes(iter(chunk), d, lengths))
+        assert [a for a, _ in coded] == chunk
+        for a, slices in coded:
+            assert slices == tuple(made(a, d, l) for l in lengths)
+        assert scans == lengths * -(-len(chunk) // batch)
+
+
 def least_rotation(w):
     """min(w.rotate(s).letters for s in range(w.n)), by slicing the letters."""
     a = w.letters
