@@ -155,6 +155,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    if args.spanning_set:
+        words._require_binary(args.d, "the 1V spanning set")  # before sampling
     report = span.span_dimension(args.d, args.l, args.max_len)
     results = {"rank_matches": report.rank == report.predicted}
     # The report's kept rows answer the other two questions: one sample.

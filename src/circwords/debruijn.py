@@ -6,13 +6,13 @@ suffix.  The occurrence counts of a circular word satisfy a flow
 conservation law at every vertex: each occurrence of a length-n factor
 extends uniquely one letter to the left and one to the right, so the
 vertex count equals the sum of its out-edge counts and the sum of its
-in-edge counts.  Every flow-law decision is made here, on code strings
-by one closed-walk test, _walk_sources: verify_kirchhoff compares the
-walk's sources with the word's vertex codes and counts residuals only
-to name a violation, and the rank sample in span asks _cyclomatic,
-_obeys_flow_law and _law_breaking_rows, which codes a chunk of the
-sample's words per scan through words._chunk_codes and walks each
-word's slice.
+in-edge counts.  Every flow-law decision is made here, on the codes
+and rows the caller gives: on code strings by one closed-walk test,
+_walk_sources, and on a row of edge counts by _obeys_flow_law's slice
+sums.  verify_kirchhoff compares the walk's sources with the word's
+vertex codes and counts residuals only to name a violation; the rank
+sample in span, which codes its own words, asks _cyclomatic for its
+bound and the two tests for each word's codes and row.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .words import (
     Letters,
     WordLike,
     _as_letters,
-    _chunk_codes,
     _dense_counts,
     _factor_table,
     _fits_a_byte,
@@ -60,8 +59,8 @@ class DeBruijnGraph:
 
 def build_graph(d: int, n: int) -> DeBruijnGraph:
     """Construct B(d,n), refusing sizes whose edge count exceeds the cap."""
-    if d < 2:
-        raise BadParameterError(f"alphabet needs at least 2 letters, got d={d}")
+    if not isinstance(d, int) or d < 2:
+        raise BadParameterError(f"alphabet needs at least 2 letters, got d={d!r}")
     check_length(n, "vertex word length")
     check_size(d, n + 1, "edges")
     alphabet = Alphabet(d)
@@ -173,30 +172,6 @@ def _walk_sources(edges: bytes, source: bytes, target: bytes) -> bytes | None:
     if edges.translate(target) == sources[1:] + sources[:1]:
         return sources
     return None
-
-
-def _law_breaking_rows(letters: Iterable[Letters], d: int, n: int) -> set[tuple[int, ...]]:
-    """The distinct rows of B(d,n) edge counts of the words that break the flow law.
-
-    When d^(n+1) <= 256 the words are coded a chunk at a time
-    (words._chunk_codes), and a word whose edge codes close their walk
-    obeys the law; a code past d^(n+1) - 1 never closes it.  Only the
-    other words have their rows counted, from the same codes, and checked
-    by slice sums, as every distinct dense row is when d^(n+1) > 256.
-    """
-    l = n + 1
-    if not _fits_a_byte(d, l):
-        rows = {tuple(_dense_counts(a, d, l)) for a in letters}
-        return {row for row in rows if not _obeys_flow_law(row, d)}
-    source, target = _end_tables(d, n)
-    columns = range(d**l)
-    broken = set()
-    for _, (codes,) in _chunk_codes(letters, d, (l,)):
-        if _walk_sources(codes, source, target) is None:
-            row = tuple(map(codes.count, columns))
-            if not _obeys_flow_law(row, d):
-                broken.add(row)
-    return broken
 
 
 def _obeys_flow_law(row: Sequence[int], d: int) -> bool:

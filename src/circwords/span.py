@@ -29,19 +29,20 @@ digraph.  Its flow relations form the incidence matrix, of rank V - c
 for V vertices and c weakly connected components (Biggs, Algebraic
 Graph Theory, ch. 4), so the cycle space has dimension d^l - d^(l-1) + c,
 the cyclomatic number of B(d,l-1); no relation matrix is built.
-debruijn decides every flow-law question here: the bound, from the
-package's one union-find, whether a row obeys the law, and which words
-break it.  Once the sample's rank meets the bound and every kept row
-obeys the law, the kept rows span the cycle space, so from then on a
-row adds rank exactly when it breaks the law.  Each later word is
-checked against the law instead of eliminated: on its length-l code
-string, the edges of its closed walk on B(d,l-1), when d^l <= 256, so
-that no row is counted unless the walk fails to close, and by O(d^l)
-slice sums of its row otherwise.  Only a row that breaks the law goes
-to the kernel, so the echelon and the rank trace are the same as if
-every row had been eliminated.  The necklaces are bare letters, and when
-d^l <= 256 each length's are coded a chunk at a time, one big-integer
-scan per chunk (words._chunk_codes), before the certificate and after.
+debruijn decides every flow-law question here, on the codes and rows
+it is given: the bound, from the package's one union-find, and whether
+a word's walk closes or a row obeys the law.  Once the sample's rank
+meets the bound and every kept row obeys the law, the kept rows span the
+cycle space, so from then on a row adds rank exactly when it breaks the
+law.  One routine, _sample_rows, makes each length's distinct rows from
+the necklaces' bare letters, and it alone chooses how: when d^l <= 256
+it codes them a chunk at a time, one big-integer scan per chunk, and
+counts each row from the word's length-l code string; otherwise it
+counts each row densely.  Once certified it keeps only the rows that
+break the law: a code string whose walk on B(d,l-1) closes is skipped
+uncounted, and every other row is checked by O(d^l) slice sums.  Only a
+row that breaks the law goes to the kernel, so the echelon and the rank
+trace are the same as if every row had been eliminated.
 
 All arithmetic is exact.  One fraction-free elimination kernel serves
 every caller: it reduces a batch of integer rows against a row echelon
@@ -224,22 +225,47 @@ def predicted_dimension(d: int, l: int) -> int:
     return (d - 1) * d ** (l - 1) + 1
 
 
+def _sample_rows(
+    letters: Iterable[Letters], d: int, l: int, certified: bool
+) -> set[tuple[int, ...]]:
+    """The distinct length-l count rows of the words, once certified only the law-breaking ones.
+
+    The sample's one row routine.  When d^l <= 256 the words are coded a
+    chunk at a time (words._chunk_codes) and each row is counted from
+    the word's slice, skipping, once certified, a word whose codes close
+    their walk on B(d,l-1); otherwise each row is counted densely.  Once
+    certified only the rows debruijn._obeys_flow_law rejects are kept:
+    a misread code can fail the walk and still give a lawful row.
+    """
+    if _fits_a_byte(d, l):
+        columns = range(d**l)
+        walk = debruijn._walk_sources
+        source, target = debruijn._end_tables(d, l - 1)
+        rows = {
+            tuple(map(codes.count, columns))
+            for _, (codes,) in _chunk_codes(letters, d, (l,))
+            if not certified or walk(codes, source, target) is None
+        }
+    else:
+        rows = {tuple(_dense_counts(a, d, l)) for a in letters}
+    if certified:
+        return {row for row in rows if not debruijn._obeys_flow_law(row, d)}
+    return rows
+
+
 def _sample_echelon(
     d: int, l: int, max_len: int
 ) -> tuple[dict[int, list[int]], list[tuple[int, int]], int, bool]:
     """An echelon of the length-l count rows of the sample, and its certificate.
 
-    The sample is the necklaces of each length 1..max_len, and a row is
-    the word's d^l counts of length-l factors in lexicographic order.
-    The necklaces are bare letter tuples (words._necklaces), and no word
-    object is built; when d^l <= 256 each length's necklaces are coded a
-    chunk at a time by words._chunk_codes, the coder enumerate_words
-    uses, and each row is counted from the word's slice.  A bad length
-    or alphabet is refused, and so are the caps on d^max_len, the number
-    of all words of the top length, and on d^l, the width of a row,
-    before anything is built.  Returns (echelon,
-    rank_by_length, bound, saturated), where rank_by_length holds
-    (m, rank) after the words of length m.
+    The sample is the necklaces of each length 1..max_len, as bare
+    letter tuples (words._necklaces), and _sample_rows makes each
+    length's distinct rows; no word object is built.  A bad length or
+    alphabet is refused, and so are the caps on d^max_len, the number of
+    all words of the top length, and on d^l, the width of a row, before
+    anything is built.  Returns (echelon, rank_by_length, bound,
+    saturated), where rank_by_length holds (m, rank) after the words of
+    length m.
 
     bound is the cyclomatic number of B(d,l-1), d^l - d^(l-1) + c with c
     its weakly connected components from the union-find: the dimension
@@ -247,22 +273,17 @@ def _sample_echelon(
     once the rank meets the bound with every kept row obeying the flow
     law.  The kept rows then span the cycle space, so a later row is in
     their span exactly when it obeys the law: it would reduce to zero.
-    From then on each length's words go to debruijn._law_breaking_rows,
-    which codes them through the same chunk coder when d^l <= 256,
-    decides the law on each word's slice and counts a row only for a
-    word whose walk does not close (every word when d^l > 256).  Only
-    a row that breaks the law goes to the kernel, and it lifts the rank
-    above the bound.  The echelon and the trace are the same as if every
-    row had been eliminated.  saturated is certified with the rank still
-    at the bound: the rank is proven to be the dimension.
+    From then on _sample_rows returns only the rows that break the law,
+    and each lifts the rank above the bound.  The echelon and the trace
+    are the same as if every row had been eliminated.  saturated is
+    certified with the rank still at the bound: the rank is proven to be
+    the dimension.
     """
     check_length(l, "factor length")
     check_size(d, max_len, "sample words")
     check_size(d, l, "count columns")
     Alphabet(d)
     bound = debruijn._cyclomatic(d, l - 1)
-    narrow = _fits_a_byte(d, l)
-    columns = range(d**l)
     echelon: dict[int, list[int]] = {}
     rank_by_length = []
     certified = False
@@ -270,15 +291,7 @@ def _sample_echelon(
         # The counts of a length-m word sum to m, so no row of this
         # length repeats one of an earlier length: the distinct rows of
         # length m are exactly the new ones, and each is reduced once.
-        necklaces = _necklaces(d, m)
-        if certified:
-            batch = debruijn._law_breaking_rows(necklaces, d, l - 1)
-        elif narrow:
-            coded = _chunk_codes(necklaces, d, (l,))
-            batch = {tuple(map(codes.count, columns)) for _, (codes,) in coded}
-        else:
-            batch = {tuple(_dense_counts(a, d, l)) for a in necklaces}
-        rank = _bareiss_rank(batch, echelon)
+        rank = _bareiss_rank(_sample_rows(_necklaces(d, m), d, l, certified), echelon)
         rank_by_length.append((m, rank))
         certified = certified or (
             rank == bound
@@ -354,12 +367,12 @@ class SpanReport:
     dimension: every count row of a circular word obeys the flow law of
     B(d,l-1), so the cyclomatic number of that graph bounds the
     dimension from above, and the sample's rank reaches that bound with
-    every kept row obeying the law.  Words sampled after that point are
-    checked against the flow law by debruijn instead of eliminated, on
-    their factor codes when d^l <= 256, so their rows are not even
-    counted: the kept rows then span the cycle space, so a row that
-    obeys the law adds no rank, and one that breaks it is eliminated,
-    so the trace reads as if every row had been.
+    every kept row obeying the law.  The kept rows then span the cycle
+    space, so a later row that obeys the law adds no rank: past that
+    point the sample's one row routine returns only the rows that break
+    the law, and counts none for a word whose factor codes close their
+    walk (d^l <= 256).  A row that breaks the law is eliminated, so the
+    trace reads as if every row had been.
 
     echelon holds the kept rows in order of their leading columns; every
     sample row is in their span, so other families' ranks can be read
@@ -405,8 +418,8 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
     check_length(l, "factor length")
     if max_len is None:
         max_len = 2 * l + 2
-    if max_len < l:
-        raise BadParameterError(f"need max_len >= l, got max_len={max_len} < l={l}")
+    if not isinstance(max_len, int) or max_len < l:
+        raise BadParameterError(f"need max_len >= l, got max_len={max_len!r} < l={l}")
     echelon, rank_by_length, bound, saturated = _sample_echelon(d, l, max_len)
     rank = len(echelon)
     if not saturated:
@@ -535,8 +548,8 @@ def marginalization_check(w: CircularWord, l: int) -> bool:
     of the dense length-l row (_marginals) must equal the dense length-|U|
     row.  Each shorter length lists all its words, so d^l is capped.
     """
-    if l < 2:
-        raise BadParameterError(f"marginalization needs l >= 2, got {l}")
+    if not isinstance(l, int) or l < 2:
+        raise BadParameterError(f"marginalization needs l >= 2, got {l!r}")
     d = w.d
     check_size(d, l, "factors")
     row = _dense_counts(w.letters, d, l)

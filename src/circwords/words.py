@@ -47,6 +47,8 @@ def check_size(d: int, n: int, what: str) -> None:
     than the loop, or more digits than str() allows.  A negative d is
     refused later as an alphabet, but its power must not be built first.
     """
+    if not isinstance(d, int):
+        raise BadParameterError(f"{what} need an integer base, got {d!r}^{n!r}")
     if not isinstance(n, int) or n < 0:
         raise BadParameterError(f"{what} need an integer exponent >= 0, got {d}^{n!r}")
     limit = DEFAULT_SIZE_LIMIT

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from circwords import cli, debruijn, invariants, parse_circular, parse_word, words
+from circwords import cli, debruijn, invariants, parse_circular, parse_word, span, words
 from conftest import unrolled_count
 
 
@@ -351,6 +351,18 @@ class TestRankFailureModes:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == (
             "error: 2^12 = 4096 sample words exceed the cap of 4095\n"
+        )
+
+    def test_spanning_set_refuses_a_non_binary_alphabet_before_sampling(
+        self, monkeypatch, capsys
+    ):
+        def sampled(*args):
+            raise AssertionError("the sample was built")
+
+        monkeypatch.setattr(span, "_sample_echelon", sampled)
+        assert cli.main(["rank", "--d", "3", "--l", "2", "--spanning-set"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the 1V spanning set is defined for binary words\n"
         )
 
 

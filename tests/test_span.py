@@ -246,6 +246,27 @@ class TestSpanDimension:
         for m, rank in report.rank_by_length:
             assert rank == exact_rank(occurrence_matrix(words_up_to(d, m), family))
 
+    @pytest.mark.parametrize(
+        "d,l",
+        [(2, l) for l in range(1, 9)] + [(3, l) for l in range(1, 5)] + [(4, 2), (4, 3), (5, 2), (6, 2)],
+    )
+    def test_necklaces_up_to_2l_minus_1_prove_the_rank(self, d, l, recwarn):
+        # the words 0 and 0^(l-1)·y, y of length 1..l with nonzero ends,
+        # have independent rows and as many as the bound; each has length
+        # at most 2l-1 and is a rotation of a sampled necklace
+        report = span_dimension(d, l, 2 * l - 1)
+        assert report.saturated
+        assert report.rank == report.predicted
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_necklaces_up_to_2l_minus_2_can_fall_short(self, d):
+        # one length fewer is not enough for every alphabet: at l = 2 and
+        # d >= 3 the necklaces up to length 2 leave the rank short
+        with pytest.warns(UserWarning, match="lower bound"):
+            report = span_dimension(d, 2, 2)
+        assert report.rank < report.predicted
+
     def test_unsaturated_sample_warns(self):
         with pytest.warns(UserWarning, match="lower bound"):
             report = span_dimension(2, 4, 5)
@@ -687,8 +708,8 @@ def plain_sample(d, l, max_len, counts=None):
 def misread_slices(monkeypatch, change):
     """Make the sample read change(letters, l, codes) for each word's slice.
 
-    The chunk coder is patched where span and debruijn bound it, so the
-    rows before the certificate and the walks after it both see the change.
+    The chunk coder is patched where span binds it, so the rows before
+    the certificate and the walks after it both see the change.
     """
     coder = words._chunk_codes
 
@@ -696,8 +717,7 @@ def misread_slices(monkeypatch, change):
         for a, slices in coder(letters, d, lengths):
             yield a, tuple(change(a, l, codes) for l, codes in zip(lengths, slices))
 
-    for module in (span, debruijn):
-        monkeypatch.setattr(module, "_chunk_codes", misread)
+    monkeypatch.setattr(span, "_chunk_codes", misread)
 
 
 class TestCertifiedSample:
@@ -705,10 +725,14 @@ class TestCertifiedSample:
 
     @pytest.mark.parametrize(
         "d,l,max_len",
-        [(2, 1, 3), (2, 3, 8), (2, 4, 5), (2, 4, 10), (2, 6, 14), (3, 2, 6), (3, 3, 10), (4, 2, 5)],
+        [
+            (2, 1, 3), (2, 3, 8), (2, 4, 5), (2, 4, 10), (2, 6, 14), (3, 2, 6), (3, 3, 10),
+            (4, 2, 5), (2, 9, 12), (17, 2, 3),
+        ],
     )
     def test_same_echelon_and_trace_as_without_the_bound(self, d, l, max_len):
-        # (2,4,5) stops short of its bound, so the check never starts there
+        # (2,4,5) stops short of its bound, so the check never starts there;
+        # (2,9,12) and (17,2,3) have d^l > 256 and pass it on dense rows
         plain = plain_sample(d, l, max_len)
         checked = _sample_echelon(d, l, max_len)
         assert checked[1] == plain[1]
@@ -780,7 +804,7 @@ class TestCertifiedSample:
             reduced.extend(map(tuple, rows))
             return kernel(rows, echelon)
 
-        monkeypatch.setattr(debruijn, "_dense_counts", miscount)
+        monkeypatch.setattr(span, "_dense_counts", miscount)
         monkeypatch.setattr(span, "_bareiss_rank", recording)
         with pytest.warns(UserWarning, match="lower bound"):
             report = span_dimension(2, 9, 13)
@@ -815,7 +839,6 @@ class TestCertifiedSample:
         for module, name in (
             (span, "_necklaces"),
             (span, "_dense_counts"),
-            (debruijn, "_dense_counts"),
             (debruijn, "_obeys_flow_law"),
         ):
             monkeypatch.setattr(module, name, logged(name, getattr(module, name)))
@@ -854,8 +877,8 @@ class TestCertifiedSample:
                     i = data.draw(st.integers(0, width - 1), label="column")
                     row[i] += data.draw(st.sampled_from([-1, 1, 2]), label="change")
                 row = tuple(row)
-                mp.setattr(debruijn, "_dense_counts", lambda *args: list(row))
-            broken = debruijn._law_breaking_rows([w.letters], d, l - 1)
+                mp.setattr(span, "_dense_counts", lambda *args: list(row))
+            broken = span._sample_rows([w.letters], d, l, certified=True)
         assert broken == (set() if debruijn._obeys_flow_law(row, d) else {row})
 
     def test_law_helper_sees_a_fault_the_comparison_cannot_tell(self, monkeypatch):
@@ -866,8 +889,20 @@ class TestCertifiedSample:
         for code, holds in ((0b111, True), (0b011, False)):
             misread = bytes([code]) + codes[1:]
             misread_slices(monkeypatch, lambda *args: misread)
-            broken = debruijn._law_breaking_rows([w.letters], 2, 2)
+            broken = span._sample_rows([w.letters], 2, 3, certified=True)
             assert (broken == set()) is holds
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_uncertified_rows_are_the_dense_rows(self, data):
+        # before the certificate every distinct row is returned, made from
+        # the chunk coder's slices up to d^l = 256 and densely past it
+        d = data.draw(st.integers(2, 4), label="d")
+        l = data.draw(st.integers(1, {2: 9, 3: 6, 4: 5}[d]), label="l")
+        word = st.lists(st.integers(0, d - 1), min_size=1, max_size=20).map(tuple)
+        letters = data.draw(st.lists(word, max_size=6), label="words")
+        rows = {tuple(span._dense_counts(a, d, l)) for a in letters}
+        assert span._sample_rows(letters, d, l, certified=False) == rows
 
     def test_a_kept_row_that_breaks_the_law_keeps_every_row_eliminated(self, monkeypatch):
         # a corrupt length-5 row lifts the rank to the bound 9 one length

@@ -270,6 +270,14 @@ class TestBadLengths:
             lambda: next(enumerate_necklaces(2, 2.5)),
             lambda: occurrence_vector(cw("011"), 2.5),
             lambda: words.check_size(2, -1, "words"),
+            # a non-integer size or length, refused before it is compared
+            lambda: span.span_dimension("2", 4),
+            lambda: span.all_factors_family("2", 2),
+            lambda: span.cks_family(None, 2),
+            lambda: span.span_dimension(2, 4, "10"),
+            lambda: span.verify_cks_basis(2, 4, "8"),
+            lambda: debruijn.build_graph("2", 3),
+            lambda: span.marginalization_check(cw("011"), "3"),
         ],
     )
     def test_refused_as_a_bad_parameter(self, call):
