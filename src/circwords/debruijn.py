@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import AlphabetMismatchError, BadParameterError
 from .words import (
@@ -242,14 +242,9 @@ def _cyclomatic(d: int, n: int) -> int:
     return d ** (n + 1) - len(vertices) + _undirected_components(vertices, edges)
 
 
-def connected_components(g: DeBruijnGraph) -> int:
-    """Number of weakly connected components (1 for every B(d,n))."""
-    return _undirected_components(g.vertices, g.edges)
-
-
 def cyclomatic_number(g: DeBruijnGraph) -> int:
     """edges - vertices + components: the dimension of the cycle space."""
-    return len(g.edges) - len(g.vertices) + connected_components(g)
+    return _cyclomatic(g.d, g.n)
 
 
 def is_spanning_tree(g: DeBruijnGraph, edge_labels: Iterable[WordLike]) -> bool:
@@ -300,21 +295,13 @@ def render_dot(
     return "\n".join(lines) + "\n"
 
 
-Highlight = Union[ClosedPath, Iterable[WordLike], None]
-
-
 def export_dot(
     g: DeBruijnGraph,
-    highlight: Highlight = None,
+    highlight: Iterable[WordLike] | None = None,
     doubled_vertices: Iterable[WordLike] = (),
 ) -> str:
     """DOT text for g, vertices and edges in lexicographic label order."""
-    if isinstance(highlight, ClosedPath):
-        marked = {word_string(e) for e in highlight.edges}
-    elif highlight is None:
-        marked = set()
-    else:
-        marked = {word_string(_as_edge(g, e, g.n + 1)) for e in highlight}
+    marked = {word_string(_as_edge(g, e, g.n + 1)) for e in highlight or ()}
     doubled = {word_string(_as_edge(g, v, g.n)) for v in doubled_vertices}
     nodes = [word_string(v) for v in g.vertices]
     edges = [

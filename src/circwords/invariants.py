@@ -60,35 +60,16 @@ _EPSILON: dict[int, int] = {
 }
 
 
-def _next_square_vertex(v: Letters) -> Letters:
-    """The unique square vertex every walk from v reaches first.
-
-    Walks explore both out-neighbours of each non-square vertex but stop
-    on square vertices; B(2,3) funnels all of them to a single one.
-    """
-    seen: set[Letters] = set()
-    frontier = {v}
-    found: set[Letters] = set()
-    while frontier:
-        nxt: set[Letters] = set()
-        for u in frontier:
-            if u in SQUARE_VERTICES:
-                found.add(u)
-                continue
-            seen.add(u)
-            for a in (0, 1):
-                t = u[1:] + (a,)
-                if t not in seen:
-                    nxt.add(t)
-        frontier = nxt
-    if len(found) != 1:
-        raise BrokenProjectionError(f"no unique square vertex beyond {v}: {found}")
-    return found.pop()
-
-
 SQUARE_SOURCE: dict[Letters, Letters] = {e: e[:3] for e in SQUARE_EDGES}
+
+#: Where a square edge abcd lands on the square: the first square vertex
+#: every walk on B(2,3) from its suffix bcd reaches.  The square
+#: vertices are the length-3 words whose last two letters differ.  So
+#: when c != d, bcd is one; otherwise each step from bcc appends a letter,
+#: and the walk stays off the square while it repeats c, so every walk
+#: first reaches the square at c c (1-c).
 SQUARE_TARGET: dict[Letters, Letters] = {
-    e: _next_square_vertex(e[1:]) for e in SQUARE_EDGES
+    e: e[1:] if e[2] != e[3] else (e[2], e[2], 1 - e[2]) for e in SQUARE_EDGES
 }
 
 #: The order-four rotation of the square: each positive edge advances it.

@@ -13,7 +13,6 @@ immutable value and safe to share between workers.
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -245,6 +244,8 @@ _DIGITS = {str(i): i for i in range(10)}
 
 
 def _digits(text: str) -> Letters:
+    if not isinstance(text, str):
+        raise BadParameterError(f"a word must be a digit string, got {text!r}")
     try:
         return tuple(map(_DIGITS.__getitem__, text))
     except KeyError as exc:
@@ -279,26 +280,52 @@ def word_string(u: Letters) -> str:
 
 
 def _as_letters(u: WordLike) -> Letters:
-    return parse_word(u) if isinstance(u, str) else tuple(u)
+    """The one label parser: a digit string, or an iterable of ints, as letters."""
+    if isinstance(u, str):
+        return parse_word(u)
+    letters = tuple(u) if isinstance(u, Iterable) else None
+    if letters is None or not all(isinstance(a, int) for a in letters):
+        raise BadParameterError(f"a word must be a digit string or integer letters, got {u!r}")
+    return letters
 
 
-def count_occurrences(w: CircularWord, u: Letters) -> int:
+def _occurrences(w: CircularWord, u: WordLike) -> Iterator[int]:
+    """The positions i in 0..n-1 at which u occurs in w (mod n), increasing.
+
+    The one factor guard, run at the first step: u is read by
+    _as_letters, and must be non-empty and over w's alphabet.  The scan
+    holds memory linear in n + |u|, not n·|u|: w's letters, extended
+    circularly by |u|-1, and u are written as bytes, each letter as the
+    same number of big-endian bytes (one when d <= 256), and bytes.find
+    steps from one hit to the next.  A hit that starts inside a letter
+    is skipped, so the positions are exact for every d.
+    """
+    u = _as_letters(u)
+    if len(u) == 0:
+        raise EmptyFactorError("occurrence counting needs a non-empty factor")
+    Alphabet(w.d).validate(u)
+    width = ((w.d - 1).bit_length() + 7) // 8
+    reps, extra = divmod(len(u) - 1, w.n)
+    ext = w.letters * (reps + 1) + w.letters[:extra]
+    if width == 1:
+        text, factor = bytes(ext), bytes(u)
+    else:
+        text, factor = (b"".join(a.to_bytes(width, "big") for a in s) for s in (ext, u))
+    i = text.find(factor)
+    while i >= 0:
+        if i % width == 0:
+            yield i // width
+        i = text.find(factor, i + 1)
+
+
+def count_occurrences(w: CircularWord, u: WordLike) -> int:
     """Number of positions i in 0..n-1 at which u occurs in w (mod n)."""
-    u = tuple(u)
-    if len(u) == 0:
-        raise EmptyFactorError("occurrence counting needs a non-empty factor")
-    Alphabet(w.d).validate(u)
-    return operator.countOf(_windows(w.letters, len(u)), u)
+    return sum(1 for _ in _occurrences(w, u))
 
 
-def occurrence_positions(w: CircularWord, u: Letters) -> tuple[int, ...]:
+def occurrence_positions(w: CircularWord, u: WordLike) -> tuple[int, ...]:
     """The positions counted by count_occurrences, in increasing order."""
-    u = tuple(u)
-    if len(u) == 0:
-        raise EmptyFactorError("occurrence counting needs a non-empty factor")
-    Alphabet(w.d).validate(u)
-    hits = map(u.__eq__, _windows(w.letters, len(u)))
-    return tuple(itertools.compress(range(w.n), hits))
+    return tuple(_occurrences(w, u))
 
 
 @dataclass(frozen=True)
@@ -480,4 +507,6 @@ def _necklaces(d: int, n: int) -> Iterator[Letters]:
 
 def random_word(rng: Random, n: int, d: int = 2) -> CircularWord:
     """A uniformly random circular word of length n (for seeded sweeps)."""
+    if not isinstance(n, int):
+        raise BadParameterError(f"word length must be an integer, got {n!r}")
     return CircularWord(tuple(rng.randrange(d) for _ in range(n)), d)

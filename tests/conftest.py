@@ -7,11 +7,20 @@ elimination) so that each check has two independent sides.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 
+import circwords
 from circwords import CircularWord, parse_circular, parse_word
+
+# The CLI tests run `python -m circwords.cli` in subprocesses: they get
+# the package this process imported, from src/ or from an install.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(circwords.__file__).parent.parent), os.environ.get("PYTHONPATH")])
+)
 
 
 def cw(text: str, d: int | None = None) -> CircularWord:

@@ -22,7 +22,6 @@ from circwords import (
     word_string,
 )
 from circwords import debruijn, invariants, words
-from circwords.debruijn import connected_components
 from conftest import binary_circular_words, cw, scan_count, u
 
 # Adjacency of B(2,3): every edge runs from its length-3 prefix to its
@@ -92,7 +91,7 @@ class TestBuildGraph:
         in_deg = Counter(g.target(e) for e in g.edges)
         assert all(out_deg[v] == d for v in g.vertices)
         assert all(in_deg[v] == d for v in g.vertices)
-        assert connected_components(g) == 1
+        assert cyclomatic_number(g) == d ** (n + 1) - d**n + 1
 
 
 class TestPathOfWord:
@@ -376,7 +375,7 @@ class TestDotExport:
     def test_highlighting_a_path(self):
         g = build_graph(2, 3)
         path = path_of_word(g, cw("010011"))
-        text = export_dot(g, highlight=path)
+        text = export_dot(g, highlight=path.edges)
         assert sum("style=bold" in l for l in text.splitlines()) == 6
 
     def test_edges_in_label_order(self):

@@ -19,7 +19,7 @@ from circwords import (
     winding_number_graph,
     word_string,
 )
-from circwords import invariants, words
+from circwords import debruijn, invariants, words
 from circwords.invariants import (
     NEGATIVE_EDGES,
     POSITIVE_EDGES,
@@ -102,9 +102,29 @@ class TestClassification:
                 assert word[1] != word[2]
 
 
+def first_square_vertices(v):
+    """The square vertices that walks on B(2,3) from v reach first."""
+    g = debruijn.build_graph(2, 3)
+    seen, frontier, found = set(), {v}, set()
+    while frontier:
+        found |= frontier & SQUARE_VERTICES
+        seen |= frontier
+        frontier = {g.target(e) for e in g.edges if g.source(e) in frontier - SQUARE_VERTICES}
+        frontier -= seen
+    return found
+
+
 class TestSquareStructure:
     def test_vertices_are_the_four_doubled_ones(self):
         assert {word_string(v) for v in SQUARE_VERTICES} == {"110", "101", "010", "001"}
+
+    def test_vertices_are_the_words_whose_last_two_letters_differ(self):
+        expected = {v for v in itertools.product((0, 1), repeat=3) if v[1] != v[2]}
+        assert SQUARE_VERTICES == expected
+
+    @pytest.mark.parametrize("e", sorted(SQUARE_EDGES), ids=word_string)
+    def test_target_is_the_first_square_vertex_past_the_edge(self, e):
+        assert first_square_vertices(e[1:]) == {SQUARE_TARGET[e]}
 
     def test_rotation_is_a_four_cycle(self):
         start = u("001")

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter, deque
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -139,6 +140,51 @@ class TestCounting:
     @given(binary_circular_words(), st.lists(st.integers(0, 1), min_size=1, max_size=9))
     def test_matches_modular_scan_oracle(self, w, factor):
         assert count_occurrences(w, tuple(factor)) == scan_count(w, factor)
+
+    def test_digit_string_factor(self):
+        assert count_occurrences(cw("0011"), "01") == 1
+        assert occurrence_positions(cw("0011"), "01") == (1,)
+
+    def test_letters_wider_than_a_byte(self):
+        # 1, 256 is 00 01 01 00 in two-byte letters: 01 01, the letter 257,
+        # sits across the letter boundary and is no occurrence
+        w = CircularWord((1, 256, 1), 300)
+        assert count_occurrences(w, (257,)) == 0
+        assert occurrence_positions(w, (1,)) == (0, 2)
+        assert occurrence_positions(w, (1, 1, 256)) == (2,)
+
+    @given(st.data())
+    def test_matches_a_slice_at_each_position(self, data):
+        d = data.draw(st.sampled_from([2, 3, 300]))
+        letters = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=12)))
+        # factors drawn from the word's own periodic extension, so many occur
+        start = data.draw(st.integers(0, len(letters) - 1))
+        size = data.draw(st.integers(1, 3 * len(letters)))
+        factor = data.draw(
+            st.one_of(
+                st.just((letters * 5)[start : start + size]),
+                st.lists(st.integers(0, d - 1), min_size=1, max_size=3 * len(letters)).map(tuple),
+            )
+        )
+        n, m = len(letters), len(factor)
+        ext = (letters * (m // n + 2))[: n + m]
+        expected = tuple(i for i in range(n) if ext[i : i + m] == factor)
+        w = CircularWord(letters, d)
+        assert occurrence_positions(w, factor) == expected
+        assert count_occurrences(w, factor) == len(expected)
+
+    def test_memory_linear_in_word_and_factor(self):
+        # windows of the factor's length at every position would peak near 72 MB
+        w = CircularWord((0, 0, 1) * 1000, 2)
+        factor = w.letters[1:] + w.letters[:1]
+        tracemalloc.start()
+        try:
+            count = count_occurrences(w, factor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert count == unrolled_count(w.letters, factor) == 1000
 
     @given(circular_words_any_alphabet(), st.integers(1, 6))
     def test_positions_are_the_counted_ones(self, w, l):
@@ -278,6 +324,13 @@ class TestBadLengths:
             lambda: span.verify_cks_basis(2, 4, "8"),
             lambda: debruijn.build_graph("2", 3),
             lambda: span.marginalization_check(cw("011"), "3"),
+            # text that is not a str, a label that is not letters, a length that is not an int
+            lambda: parse_word(5),
+            lambda: parse_circular(1),
+            lambda: count_occurrences(cw("011"), None),
+            lambda: occurrence_positions(cw("011"), None),
+            lambda: debruijn.is_spanning_tree(debruijn.build_graph(2, 2), [None]),
+            lambda: words.random_word(Random(0), "3"),
         ],
     )
     def test_refused_as_a_bad_parameter(self, call):
