@@ -35,6 +35,7 @@ from .words import (
     _fits_a_byte,
     check_length,
     check_size,
+    check_word,
     word_string,
 )
 
@@ -59,11 +60,9 @@ class DeBruijnGraph:
 
 def build_graph(d: int, n: int) -> DeBruijnGraph:
     """Construct B(d,n), refusing sizes whose edge count exceeds the cap."""
-    if not isinstance(d, int) or d < 2:
-        raise BadParameterError(f"alphabet needs at least 2 letters, got d={d!r}")
+    alphabet = Alphabet(d)
     check_length(n, "vertex word length")
     check_size(d, n + 1, "edges")
-    alphabet = Alphabet(d)
     return DeBruijnGraph(
         d=d,
         n=n,
@@ -88,6 +87,7 @@ class ClosedPath:
 
 def path_of_word(g: DeBruijnGraph, w: CircularWord) -> ClosedPath:
     """The closed path of w on g: one vertex and one edge per position."""
+    check_word(w, "path_of_word")
     if w.d != g.d:
         raise AlphabetMismatchError(f"word has d={w.d}, graph has d={g.d}")
     return ClosedPath(n=g.n, vertices=tuple(w.factors(g.n)), edges=tuple(w.factors(g.n + 1)))
@@ -135,6 +135,7 @@ def verify_kirchhoff(w: CircularWord, n: int) -> KirchhoffReport:
     byte, are the vertex and the edge counts counted from w, as dense
     lists in lexicographic order, to name the residuals.
     """
+    check_word(w, "verify_kirchhoff")
     check_length(n, "vertex word length")
     d = w.d
     check_size(d, n + 1, "edges")

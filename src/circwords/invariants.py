@@ -14,7 +14,6 @@ out of the run structure of W, via its blocks of isolated letters.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -28,12 +27,20 @@ from .words import (
     _factor_table,
     _isolated_blocks,
     _require_binary,
+    check_word,
     mirror,
     word_string,
 )
 
-#: What the binary-only functions here compute, for _require_binary.
+#: What the binary-only functions here compute, for their word guard.
 _INVARIANT = "the occurrence-difference invariant"
+
+
+def _require_binary_word(w: CircularWord) -> None:
+    """The guard of each function here: w must be a binary CircularWord."""
+    check_word(w, _INVARIANT)
+    _require_binary(w.d, _INVARIANT)
+
 
 #: Orientation convention for the square graph: these four edges are the
 #: quarter turns in the positive direction; their mirrors run backwards.
@@ -106,7 +113,7 @@ def _diffs(codes: bytes) -> tuple[int, int, int, int]:
 
 def grandsart_differences(w: CircularWord) -> tuple[int, int, int, int]:
     """The four pair differences of length-4 occurrence counts."""
-    _require_binary(w.d, _INVARIANT)
+    _require_binary_word(w)
     return _diffs(w.codes(4))
 
 
@@ -117,9 +124,9 @@ class SquareProjection:
     The retained edges, in position order, walk the square graph; each
     carries epsilon +1 (positive quarter turn) or -1.  Their sum is a
     multiple of 4, four times the winding number.  It is also
-    d1+d2+d3+d4, identically: each edge's count enters the sum once,
-    with the sign its pair's difference gives it.  This record is for
-    project_to_square; the report reads the walk's codes directly.
+    d1+d2+d3+d4, identically: the walk keeps every square edge, so each
+    edge's count enters it once, with its pair's sign.  This record is
+    for project_to_square; the report sums its diffs instead.
     """
 
     start_vertex: Letters | None
@@ -150,11 +157,6 @@ def _square_walk(codes: bytes) -> bytes:
     return retained
 
 
-def _epsilon_sum(retained: bytes) -> int:
-    """The epsilon sum of a square walk, from the count of each edge's code."""
-    return sum(map(operator.mul, map(retained.count, _EPSILON), _EPSILON.values()))
-
-
 def _project(codes: bytes) -> SquareProjection:
     """The checked square walk of a closed path, as a record of edges and epsilons."""
     retained = _square_walk(codes)
@@ -177,14 +179,16 @@ def _winding(epsilon_sum: int, w: CircularWord) -> int:
 
 def project_to_square(w: CircularWord) -> SquareProjection:
     """Erase all non-square edges from w's closed path and orient the rest."""
-    _require_binary(w.d, _INVARIANT)
+    _require_binary_word(w)
     return _project(w.codes(4))
 
 
 def winding_number_graph(w: CircularWord) -> int:
-    """Net turns of the projected path: the epsilon sum divided by 4."""
-    _require_binary(w.d, _INVARIANT)
-    return _winding(_epsilon_sum(_square_walk(w.codes(4))), w)
+    """Net turns of the projected path: its epsilon sum, d1+d2+d3+d4, divided by 4."""
+    _require_binary_word(w)
+    codes = w.codes(4)
+    _square_walk(codes)
+    return _winding(sum(_diffs(codes)), w)
 
 
 def winding_number_decomposition(w: CircularWord) -> int:
@@ -196,7 +200,12 @@ def winding_number_decomposition(w: CircularWord) -> int:
     nothing else (fully alternating), has no anchored block and winds
     zero times.
     """
-    _require_binary(w.d, _INVARIANT)
+    _require_binary_word(w)
+    return _decomposition_winding(w)
+
+
+def _decomposition_winding(w: CircularWord) -> int:
+    """winding_number_decomposition of a word the caller has guarded."""
     letters, n = w.letters, w.n
     anchor, matches = _isolated_blocks(w)
     k = 0
@@ -239,24 +248,26 @@ class GrandsartReport:
 def grandsart_report(w: CircularWord) -> GrandsartReport:
     """The diffs and both winding numbers, read from factor codes alone.
 
-    The diffs are counts of the length-4 factor codes.  k_graph is the
-    epsilon sum of the square walk among the same codes, counted per
-    code, divided by 4.  That sum is d1+d2+d3+d4 identically, so this
-    route is not a third count: what it adds is that the walk closes
-    and that the sum is a multiple of 4, and it raises
-    BrokenProjectionError if either fails.  k_decomposition comes from
-    the isolated-letter blocks, read off the length-3 factor codes.  No
-    edge, run or block record is built.  Both code strings are the
-    word's own (CircularWord.codes), made once and kept with it, so a
-    flow check on the same word after the report makes neither again.
+    The diffs are counts of the length-4 factor codes, each square code
+    counted once.  The square walk among the same codes is checked to
+    close, and k_graph is then the quarter of d1+d2+d3+d4, the walk's
+    epsilon sum (see SquareProjection); BrokenProjectionError is raised
+    if the walk breaks or 4 does not divide the sum.  k_decomposition
+    comes from the isolated-letter blocks, read off the length-3 factor
+    codes.  No edge, run or block record is built.  Both code strings
+    are the word's own (CircularWord.codes), made once and kept with
+    it, so a flow check on the same word after the report makes neither
+    again.
     """
-    _require_binary(w.d, _INVARIANT)
+    _require_binary_word(w)
     codes = w.codes(4)
+    _square_walk(codes)
+    diffs = _diffs(codes)
     return GrandsartReport(
         word=w,
-        diffs=_diffs(codes),
-        k_graph=_winding(_epsilon_sum(_square_walk(codes)), w),
-        k_decomposition=winding_number_decomposition(w),
+        diffs=diffs,
+        k_graph=_winding(sum(diffs), w),
+        k_decomposition=_decomposition_winding(w),
     )
 
 

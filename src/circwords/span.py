@@ -73,6 +73,8 @@ from .words import (
     Alphabet,
     CircularWord,
     Letters,
+    WordLike,
+    _as_letters,
     _chunk_codes,
     _dense_counts,
     _fits_a_byte,
@@ -491,7 +493,7 @@ def _cks_basis_holds(echelon: Collection[Sequence[int]], d: int, l: int) -> bool
 
 
 def express_in_span(
-    target: Letters, basis: FunctionalFamily, max_len: int
+    target: WordLike, basis: FunctionalFamily, max_len: int
 ) -> tuple[Fraction, ...]:
     """Exact rational coefficients writing |W|_target over the basis columns.
 
@@ -506,7 +508,7 @@ def express_in_span(
     hold on the sample only.
     """
     check_length(max_len, "max_len")
-    target = tuple(target)
+    target = _as_letters(target)
     Alphabet(basis.d).validate(target)
     if len(target) == 0:
         raise BadParameterError("express the length functional via include_length instead")

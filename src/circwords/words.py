@@ -65,6 +65,12 @@ def check_length(n: int, what: str) -> None:
         raise BadParameterError(f"{what} must be >= 1, got {n}")
 
 
+def check_word(w: CircularWord, what: str) -> None:
+    """The one word guard: refuse w, given to what, unless it is a CircularWord."""
+    if not isinstance(w, CircularWord):
+        raise BadParameterError(f"{what} needs a CircularWord, got {w!r}")
+
+
 def _require_binary(d: int, what: str) -> None:
     """Refuse an alphabet other than 0..1 for what, which only binary words have."""
     if d != 2:
@@ -81,7 +87,7 @@ class Alphabet:
         if not isinstance(self.d, int):
             raise BadParameterError(f"alphabet size must be an integer, got d={self.d!r}")
         if self.d < 2:
-            raise BadLetterError(f"alphabet needs at least 2 letters, got d={self.d}")
+            raise BadParameterError(f"alphabet needs at least 2 letters, got d={self.d}")
 
     def validate(self, letters: Letters) -> None:
         allowed = range(self.d)
@@ -103,6 +109,9 @@ class CircularWord:
     d: int = 2
 
     def __post_init__(self) -> None:
+        if not isinstance(self.letters, tuple):
+            what = type(self.letters).__name__
+            raise BadParameterError(f"a word's letters must be a tuple, got a {what}")
         if len(self.letters) == 0:
             raise EmptyWordError("circular word must have length >= 1")
         Alphabet(self.d).validate(self.letters)
@@ -147,6 +156,7 @@ class CircularWord:
 
     def factors(self, l: int) -> list[Letters]:
         """All n factors of length l in position order (one per position)."""
+        check_length(l, "factor length")
         return list(_windows(self.letters, l))
 
     def rotate(self, s: int) -> "CircularWord":
@@ -169,19 +179,20 @@ class CircularWord:
         return f"CircularWord({self}, d={self.d})"
 
 
-def _windows(letters: Letters, l: int) -> Iterator[Letters]:
-    """The n circular factors of length l, in position order, one at a time.
+def _circular(seq: Letters | bytes, t: int) -> Letters | bytes:
+    """seq (non-empty tuple or bytes), then its next t letters read circularly, wrapping."""
+    n = len(seq)
+    return seq * (t // n + 1) + seq[: t % n]
 
-    The letters are extended by their first l-1 (wrapping as often as
-    needed), and l shifted slices of the extension are zipped, so each
-    factor is built in C and none is kept unless the caller keeps it.
-    For l < 1 every factor is empty.
+
+def _windows(letters: Letters, l: int) -> Iterator[Letters]:
+    """The n circular factors of length l >= 1, in position order, one at a time.
+
+    l shifted slices of _circular(letters, l-1) are zipped, so each factor
+    is built in C and none is kept unless the caller keeps it.
     """
     n = len(letters)
-    if l < 1:
-        return itertools.repeat((), n)
-    reps, extra = divmod(l - 1, n)
-    ext = letters * (reps + 1) + letters[:extra]
+    ext = _circular(letters, l - 1)
     return zip(*(ext[j : j + n] for j in range(l)))
 
 
@@ -190,8 +201,8 @@ def _codes(letters: Letters, d: int, l: int) -> bytes:
 
     Byte i is sum_k a[i+k]·d^(l-1-k), the index of the factor at
     position i in lexicographic order (see _factor_table); d^l must be
-    at most 256.  The letters, extended circularly by their first l-1,
-    sit one per byte in one integer x, and y = sum_j d^j·(x >> 8j),
+    at most 256.  The letters' circular extension by l-1 (_circular)
+    sits one letter per byte in one integer x, and y = sum_j d^j·(x >> 8j),
     taken by Horner's rule, adds to each byte its l-1 predecessors,
     weighted, in a few C-level big-integer operations.  No byte carries
     into the next, because every field is at most d^l - 1 <= 255; the
@@ -200,10 +211,7 @@ def _codes(letters: Letters, d: int, l: int) -> bytes:
     as soon as the next step no longer needs it.
     """
     n = len(letters)
-    raw = bytes(letters)
-    reps, extra = divmod(l - 1, n)
-    x = int.from_bytes(raw * (reps + 1) + raw[:extra], "big")
-    del raw
+    x = int.from_bytes(_circular(bytes(letters), l - 1), "big")
     y = x >> 8 * (l - 1)
     for j in range(l - 2, -1, -1):
         y *= d
@@ -294,19 +302,19 @@ def _occurrences(w: CircularWord, u: WordLike) -> Iterator[int]:
 
     The one factor guard, run at the first step: u is read by
     _as_letters, and must be non-empty and over w's alphabet.  The scan
-    holds memory linear in n + |u|, not n·|u|: w's letters, extended
-    circularly by |u|-1, and u are written as bytes, each letter as the
-    same number of big-endian bytes (one when d <= 256), and bytes.find
-    steps from one hit to the next.  A hit that starts inside a letter
-    is skipped, so the positions are exact for every d.
+    holds memory linear in n + |u|, not n·|u|: the circular extension
+    of w's letters by |u|-1 (_circular) and u are written as bytes,
+    each letter as the same number of big-endian bytes (one when
+    d <= 256), and bytes.find steps from one hit to the next.  A hit
+    that starts inside a letter is skipped, so the positions are exact
+    for every d.
     """
     u = _as_letters(u)
     if len(u) == 0:
         raise EmptyFactorError("occurrence counting needs a non-empty factor")
     Alphabet(w.d).validate(u)
     width = ((w.d - 1).bit_length() + 7) // 8
-    reps, extra = divmod(len(u) - 1, w.n)
-    ext = w.letters * (reps + 1) + w.letters[:extra]
+    ext = _circular(w.letters, len(u) - 1)
     if width == 1:
         text, factor = bytes(ext), bytes(u)
     else:
@@ -359,9 +367,9 @@ def occurrence_vector(w: CircularWord, l: int) -> OccurrenceVector:
     return OccurrenceVector(l=l, d=w.d, total=w.n, counts=counts)
 
 
-def mirror(u: Letters) -> Letters:
-    """The reversal of u."""
-    return tuple(u)[::-1]
+def mirror(u: WordLike) -> Letters:
+    """The reversal of u, read by _as_letters."""
+    return _as_letters(u)[::-1]
 
 
 #: A bytes.translate table taking a length-3 factor code to 1 when its
@@ -425,8 +433,8 @@ def _chunk_codes(
     """Each word with its code string of each length, coded a chunk at a time.
 
     The one way to code many words: each chunk of _BATCH words is
-    written into one buffer, each word followed by its next t circular
-    letters, t = max(lengths) - 1, and one _codes scan per length codes
+    written into one buffer, each word as its circular extension by
+    t = max(lengths) - 1 (_circular), and one _codes scan per length codes
     the whole chunk.  A word's slice of a scan, its n bytes from where
     it starts, reads only its own n + t letters, so it equals
     _codes(letters, d, l).  Yields (letters, slices), one slice per
@@ -436,8 +444,7 @@ def _chunk_codes(
     tail = max(lengths) - 1
     words = iter(words)
     while chunk := list(itertools.islice(words, _BATCH)):
-        # raw * (tail+1) is long enough for n + tail letters at every n >= 1
-        buf = b"".join([(raw * (tail + 1))[: len(raw) + tail] for raw in map(bytes, chunk)])
+        buf = b"".join([_circular(raw, tail) for raw in map(bytes, chunk)])
         starts = itertools.accumulate((len(a) + tail for a in chunk), initial=0)
         cuts = [slice(s, s + len(a)) for s, a in zip(starts, chunk)]
         slices = [list(map(_codes(buf, d, l).__getitem__, cuts)) for l in lengths]
@@ -509,4 +516,5 @@ def random_word(rng: Random, n: int, d: int = 2) -> CircularWord:
     """A uniformly random circular word of length n (for seeded sweeps)."""
     if not isinstance(n, int):
         raise BadParameterError(f"word length must be an integer, got {n!r}")
+    Alphabet(d)  # refuses a bad d before randrange sees it
     return CircularWord(tuple(rng.randrange(d) for _ in range(n)), d)

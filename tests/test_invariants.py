@@ -250,10 +250,11 @@ class TestContinuityCheck:
             invariants._winding(proj.epsilon_sum, cw("0011"))
 
     def test_report_raises_on_a_bad_epsilon_sum(self, monkeypatch):
-        # the one epsilon table, keyed by edge code, that the report and
-        # the projection record both read
-        monkeypatch.setitem(invariants._EPSILON, 0b0011, 3)
-        assert project_to_square(cw("0011")).epsilons == (3, -1)
+        # the report's epsilon sum is d1+d2+d3+d4, read through the pair
+        # codes: miscount 0011's mirror as the absent 0000
+        pairs = ((0b0011, 0b0000),) + invariants._PAIR_CODES[1:]
+        monkeypatch.setattr(invariants, "_PAIR_CODES", pairs)
+        assert grandsart_differences(cw("0011")) == (1, 0, 0, 0)
         with pytest.raises(BrokenProjectionError, match="not a multiple of 4"):
             grandsart_report(cw("0011"))
 

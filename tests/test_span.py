@@ -567,6 +567,7 @@ class TestExpressInSpan:
         # |W|_0011 = |W|_11 - |W|_111 - |W|_1011, proven for every word
         coeffs = express_in_span(u("0011"), cks_family(2, 4), 10)
         assert coeffs == (0, 0, 1, 0, -1, 0, -1, 0, 0)
+        assert express_in_span("0011", cks_family(2, 4), 10) == coeffs
         assert not recwarn.list
 
     def test_uncertified_coefficients_warn(self):

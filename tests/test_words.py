@@ -76,7 +76,7 @@ class TestConstruction:
             parse_circular("", 2)
 
     def test_alphabet_needs_two_letters(self):
-        with pytest.raises(BadLetterError):
+        with pytest.raises(BadParameterError, match="alphabet needs at least 2 letters"):
             Alphabet(1)
 
     @pytest.mark.parametrize("d", [2.5, 2.0, "2", None])
@@ -331,6 +331,18 @@ class TestBadLengths:
             lambda: occurrence_positions(cw("011"), None),
             lambda: debruijn.is_spanning_tree(debruijn.build_graph(2, 2), [None]),
             lambda: words.random_word(Random(0), "3"),
+            # no CircularWord, no letter tuple, an alphabet size below 2, a factor length below 1
+            lambda: CircularWord(None),
+            lambda: CircularWord([0, 1, 0, 0, 1, 1]),
+            lambda: mirror(None),
+            lambda: span.express_in_span(None, span.cks_family(2, 2), 4),
+            lambda: words.random_word(Random(0), 3, "2"),
+            lambda: words.random_word(Random(0), 3, 0),
+            lambda: grandsart_report(None),
+            lambda: debruijn.verify_kirchhoff(None, 3),
+            lambda: debruijn.path_of_word(debruijn.build_graph(2, 2), None),
+            lambda: cw("011").factors(0),
+            lambda: cw("011").factors(-1),
         ],
     )
     def test_refused_as_a_bad_parameter(self, call):
@@ -343,6 +355,7 @@ class TestMirror:
         assert mirror(u("0011")) == u("1100")
         assert mirror(u("0110")) == u("0110")
         assert mirror(()) == ()
+        assert mirror("0011") == (1, 1, 0, 0)
 
 
 def long_zero_runs(w):
@@ -475,7 +488,7 @@ class TestEnumeration:
             list(enumerate_words(2, 0))
 
     def test_bad_alphabet(self):
-        with pytest.raises(BadLetterError):
+        with pytest.raises(BadParameterError):
             list(enumerate_words(1, 3))
 
     @pytest.mark.parametrize("d, max_n", [(2, 12), (3, 7), (4, 5)])
@@ -582,11 +595,21 @@ class TestNecklaces:
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             list(enumerate_necklaces(2, 0))
-        with pytest.raises(BadLetterError):
+        with pytest.raises(BadParameterError):
             list(enumerate_necklaces(1, 3))
 
 
 class TestPeriodicFactors:
+    @pytest.mark.parametrize("as_seq", [tuple, bytes], ids=["tuple", "bytes"])
+    def test_circular_extension_matches_modular_indexing(self, as_seq):
+        # every t up to 3n, so the extension wraps more than once
+        for n in range(1, 7):
+            for letters in itertools.product(range(3), repeat=n):
+                seq = as_seq(letters)
+                for t in range(3 * n + 1):
+                    expected = as_seq(letters[i % n] for i in range(n + t))
+                    assert words._circular(seq, t) == expected
+
     @given(circular_words_any_alphabet(), st.integers(0, 30), st.integers(1, 9))
     def test_factor_matches_modular_indexing(self, w, i, l):
         # A factor may start at any index and wrap any number of times.
