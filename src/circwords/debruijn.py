@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import product
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import AlphabetMismatchError, BadParameterError
@@ -101,14 +102,18 @@ class KirchhoffReport:
     in_residual(U)  = |W|_U - sum_a |W|_{aU}
 
     Both vanish identically for every circular word; nonzero entries are
-    kept so a violation pinpoints the offending vertex.
+    kept so a violation pinpoints the offending vertex.  The residuals
+    are read-only mappings (types.MappingProxyType), so a report can be
+    shared: every clean word of one B(d,n) checked on its codes gets
+    the same report, whose two mappings are one view of a dict of
+    zeros.  ok is computed once per report.
     """
 
     n: int
     out_residuals: Mapping[Letters, int]
     in_residuals: Mapping[Letters, int]
 
-    @property
+    @cached_property
     def ok(self) -> bool:
         return not any(self.out_residuals.values()) and not any(
             self.in_residuals.values()
@@ -124,30 +129,47 @@ def verify_kirchhoff(w: CircularWord, n: int) -> KirchhoffReport:
     """Flow residuals of w at every length-n vertex.
 
     Like build_graph, refuses a B(d,n) whose d^(n+1) edges exceed the
-    cap, since every vertex gets a residual.  When d^(n+1) <= 256 the
-    law is decided on w's factor codes (CircularWord.codes): the edge
-    at position i runs from the vertex at i to the vertex at i+1, so
-    when the edges form a closed walk (_walk_sources) whose sources are
-    the vertex codes, every vertex has as many out-edges and in-edges
-    as occurrences and every residual is 0.  The vertex codes are made
-    from the letters, not from the edges, so a miscounted vertex breaks
-    the comparison.  Only when it fails, or the codes do not fit a
-    byte, are the vertex and the edge counts counted from w, as dense
-    lists in lexicographic order, to name the residuals.
+    cap, on every call, since every vertex gets a residual.  When
+    d^(n+1) <= 256 the law is decided on w's factor codes
+    (CircularWord.codes): the edge at position i runs from the vertex
+    at i to the vertex at i+1, so when the edges form a closed walk
+    (_walk_sources) whose sources are the vertex codes, every vertex
+    has as many out-edges and in-edges as occurrences and every
+    residual is 0.  Such a word gets the one shared clean report of
+    B(d,n) (_code_check), built once and read-only, so a clean word
+    costs no allocation.  The vertex codes are made from the letters,
+    not from the edges, so a miscounted vertex breaks the comparison.
+    Only when it fails, or the codes do not fit a byte, are the vertex
+    and the edge counts counted from w, as dense lists in lexicographic
+    order, to name the residuals in a report of w's own.
     """
     check_word(w, "verify_kirchhoff")
     check_length(n, "vertex word length")
     d = w.d
     check_size(d, n + 1, "edges")
     if _fits_a_byte(d, n + 1):
-        if _walk_sources(w.codes(n + 1), *_end_tables(d, n)) == w.codes(n):
-            # copying a dict reuses its key hashes; fromkeys rehashes every tuple
-            zeros = dict.fromkeys(_factor_table(d, n), 0)
-            return KirchhoffReport(n=n, out_residuals=zeros, in_residuals=zeros.copy())
+        source, target, clean = _code_check(d, n)
+        if _walk_sources(w.codes(n + 1), source, target) == w.codes(n):
+            return clean
     counts = _dense_counts(w.letters, d, n)
     edges = _dense_counts(w.letters, d, n + 1)
     out_res, in_res = _flow_residuals(d, n, counts, edges)
-    return KirchhoffReport(n=n, out_residuals=out_res, in_residuals=in_res)
+    return KirchhoffReport(
+        n=n, out_residuals=MappingProxyType(out_res), in_residuals=MappingProxyType(in_res)
+    )
+
+
+@cache
+def _code_check(d: int, n: int) -> tuple[bytes, bytes, KirchhoffReport]:
+    """What verify_kirchhoff decides B(d,n) on codes with: its two
+    _end_tables, and the clean report every word that passes shares.
+
+    Both residuals of the clean report are one read-only view of a dict
+    that maps each vertex, in lexicographic order, to 0.  Only called
+    with d^(n+1) <= 256, so the cache stays small.
+    """
+    zeros = MappingProxyType(dict.fromkeys(_factor_table(d, n), 0))
+    return (*_end_tables(d, n), KirchhoffReport(n=n, out_residuals=zeros, in_residuals=zeros))
 
 
 @cache

@@ -227,9 +227,8 @@ class GrandsartReport:
 
     @property
     def consistent(self) -> bool:
-        return all(d == self.k_graph for d in self.diffs) and (
-            self.k_decomposition == self.k_graph
-        )
+        k = self.k_graph
+        return self.diffs == (k, k, k, k) and self.k_decomposition == k
 
     def to_dict(self) -> dict:
         d1, d2, d3, d4 = self.diffs

@@ -82,6 +82,7 @@ from .words import (
     _require_binary,
     check_length,
     check_size,
+    check_word,
     occurrence_vector,
     word_string,
 )
@@ -550,6 +551,7 @@ def marginalization_check(w: CircularWord, l: int) -> bool:
     of the dense length-l row (_marginals) must equal the dense length-|U|
     row.  Each shorter length lists all its words, so d^l is capped.
     """
+    check_word(w, "marginalization_check")
     if not isinstance(l, int) or l < 2:
         raise BadParameterError(f"marginalization needs l >= 2, got {l!r}")
     d = w.d

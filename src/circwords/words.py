@@ -297,18 +297,19 @@ def _as_letters(u: WordLike) -> Letters:
     return letters
 
 
-def _occurrences(w: CircularWord, u: WordLike) -> Iterator[int]:
-    """The positions i in 0..n-1 at which u occurs in w (mod n), increasing.
+def _occurrences(w: CircularWord, u: WordLike) -> tuple[bytes, bytes, int]:
+    """The text and the factor that count_occurrences and occurrence_positions search.
 
-    The one factor guard, run at the first step: u is read by
-    _as_letters, and must be non-empty and over w's alphabet.  The scan
-    holds memory linear in n + |u|, not n·|u|: the circular extension
-    of w's letters by |u|-1 (_circular) and u are written as bytes,
-    each letter as the same number of big-endian bytes (one when
-    d <= 256), and bytes.find steps from one hit to the next.  A hit
-    that starts inside a letter is skipped, so the positions are exact
-    for every d.
+    The one factor guard: w must be a CircularWord (check_word), and u
+    is read by _as_letters and must be non-empty and over w's alphabet.
+    The text holds memory linear in n + |u|, not n·|u|: it is the
+    circular extension of w's letters by |u|-1 (_circular), and it and
+    u are written as bytes, each letter as the same number of
+    big-endian bytes (one when d <= 256).  Returns (text, factor,
+    width), width the bytes per letter; a hit of the factor in the text
+    is an occurrence exactly when it starts at a multiple of width.
     """
+    check_word(w, "occurrence counting")
     u = _as_letters(u)
     if len(u) == 0:
         raise EmptyFactorError("occurrence counting needs a non-empty factor")
@@ -316,9 +317,17 @@ def _occurrences(w: CircularWord, u: WordLike) -> Iterator[int]:
     width = ((w.d - 1).bit_length() + 7) // 8
     ext = _circular(w.letters, len(u) - 1)
     if width == 1:
-        text, factor = bytes(ext), bytes(u)
-    else:
-        text, factor = (b"".join(a.to_bytes(width, "big") for a in s) for s in (ext, u))
+        return bytes(ext), bytes(u), 1
+    text, factor = (b"".join(a.to_bytes(width, "big") for a in s) for s in (ext, u))
+    return text, factor, width
+
+
+def _hits(text: bytes, factor: bytes, width: int) -> Iterator[int]:
+    """The occurrences in _occurrences' text, as letter positions, increasing.
+
+    bytes.find steps from one hit to the next; a hit that starts inside
+    a letter is skipped, so the positions are exact for every d.
+    """
     i = text.find(factor)
     while i >= 0:
         if i % width == 0:
@@ -326,14 +335,43 @@ def _occurrences(w: CircularWord, u: WordLike) -> Iterator[int]:
         i = text.find(factor, i + 1)
 
 
+def _has_border(u: bytes) -> bool:
+    """Whether a proper non-empty prefix of u is also a suffix of u.
+
+    k ends as the length of u's longest such border, by the failure
+    function of Knuth, Morris and Pratt, in O(|u|) steps.
+    """
+    fail = [0] * len(u)
+    k = 0
+    for i in range(1, len(u)):
+        while k and u[i] != u[k]:
+            k = fail[k - 1]
+        if u[i] == u[k]:
+            k += 1
+        fail[i] = k
+    return k > 0
+
+
 def count_occurrences(w: CircularWord, u: WordLike) -> int:
-    """Number of positions i in 0..n-1 at which u occurs in w (mod n)."""
-    return sum(1 for _ in _occurrences(w, u))
+    """Number of positions i in 0..n-1 at which u occurs in w (mod n).
+
+    The hits are stepped through one at a time.  Two hits of a factor
+    with no border cannot overlap, so when each letter is one byte one
+    bytes.count of the text counts them all.  The border test takes
+    |u| steps, so it is made only once |u| hits have been stepped
+    through: it never costs more than the stepping it can save.
+    """
+    text, factor, width = _occurrences(w, u)
+    hits = _hits(text, factor, width)
+    first = sum(1 for _ in itertools.islice(hits, len(factor)))
+    if first == len(factor) and width == 1 and not _has_border(factor):
+        return text.count(factor)
+    return first + sum(1 for _ in hits)
 
 
 def occurrence_positions(w: CircularWord, u: WordLike) -> tuple[int, ...]:
     """The positions counted by count_occurrences, in increasing order."""
-    return tuple(_occurrences(w, u))
+    return tuple(_hits(*_occurrences(w, u)))
 
 
 @dataclass(frozen=True)
@@ -362,6 +400,7 @@ class OccurrenceVector:
 
 def occurrence_vector(w: CircularWord, l: int) -> OccurrenceVector:
     """Count every length-l factor of w in one scan, in first-occurrence order."""
+    check_word(w, "occurrence_vector")
     check_length(l, "factor length")
     counts = dict(Counter(_windows(w.letters, l)))
     return OccurrenceVector(l=l, d=w.d, total=w.n, counts=counts)
@@ -407,6 +446,7 @@ def decompose_blocks(w: CircularWord) -> tuple[tuple[int, Letters], ...]:
     letter, or with nothing else (fully alternating), has no anchored
     block and gives ().
     """
+    check_word(w, "block decomposition")
     _require_binary(w.d, "block decomposition")
     letters, n = w.letters, w.n
     anchor, matches = _isolated_blocks(w)

@@ -219,6 +219,24 @@ class TestSweepPath:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == "513 words checked, 0 violations\n"
 
+    def test_verify_builds_no_flow_report(self, monkeypatch, capsys):
+        # every clean word gets B(2,3)'s one shared clean report
+        debruijn.verify_kirchhoff(parse_circular("0"), 3)
+        made = []
+        init = debruijn.KirchhoffReport.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(args or kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(debruijn.KirchhoffReport, "__init__", counted)
+        assert cli.main(["verify", "--max-len", "8"]) == 0
+        assert capsys.readouterr().out == "510 words checked, 0 violations\n"
+        assert made == []
+        # the counter sees a report that is built: B(2,8) is counted densely
+        assert debruijn.verify_kirchhoff(parse_circular("01"), 8).ok
+        assert len(made) == 1
+
     @pytest.mark.parametrize("word", ["0", "01", "010011", "101100", "0000", "0101010101"])
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_report(self, no_records, word, fmt, capsys):

@@ -134,6 +134,12 @@ class TestPathOfWord:
         assert Counter(path.edges) == occurrence_vector(w, n + 1).counts
 
 
+def scanned_ok(report):
+    """Reference for KirchhoffReport.ok: every residual on both sides is 0."""
+    residuals = [*report.out_residuals.values(), *report.in_residuals.values()]
+    return all(r == 0 for r in residuals)
+
+
 class TestKirchhoff:
     def test_paper_vertex_101(self):
         w = cw("00101")
@@ -167,6 +173,18 @@ class TestKirchhoff:
             assert report.out_residuals[vertex] == c - out_sum == 0
             assert report.in_residuals[vertex] == c - in_sum == 0
 
+    def test_clean_words_share_one_read_only_report(self):
+        first, second = verify_kirchhoff(cw("00101"), 3), verify_kirchhoff(cw("0110"), 3)
+        assert first is second
+        zeros = dict.fromkeys(itertools.product(range(2), repeat=3), 0)
+        assert list(first.out_residuals.items()) == list(zeros.items())
+        assert list(first.in_residuals.items()) == list(zeros.items())
+        for residuals in (first.out_residuals, first.in_residuals):
+            with pytest.raises(TypeError):
+                residuals[(0, 0, 0)] = 1
+        assert verify_kirchhoff(cw("0"), 3) is first
+        assert verify_kirchhoff(cw("0"), 2) is not first
+
     def test_miscounted_vertex_shows_in_both_residuals(self, monkeypatch):
         # the vertex codes are made from the letters, not cut from the
         # edge codes, so a wrong vertex code breaks both comparisons and
@@ -180,6 +198,10 @@ class TestKirchhoff:
         monkeypatch.setattr(words, "_codes", miscoded)
         report = verify_kirchhoff(cw("010011"), 3)
         assert not report.ok
+        assert report.ok == scanned_ok(report)
+        for residuals in (report.out_residuals, report.in_residuals):
+            with pytest.raises(TypeError):
+                residuals[u("010")] = 0
         assert report.violations() == [
             ("out", u("010"), 1),
             ("out", u("100"), -1),
@@ -210,7 +232,9 @@ class TestKirchhoff:
 
     @given(binary_circular_words(max_n=32), st.integers(1, 4))
     def test_always_holds(self, w, n):
-        assert verify_kirchhoff(w, n).ok
+        report = verify_kirchhoff(w, n)
+        assert report.ok
+        assert scanned_ok(report)
 
     @given(st.data())
     def test_residuals_match_the_per_vertex_loop(self, data):

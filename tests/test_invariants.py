@@ -28,6 +28,7 @@ from circwords.invariants import (
     SQUARE_SOURCE,
     SQUARE_TARGET,
     SQUARE_VERTICES,
+    GrandsartReport,
     SquareProjection,
     square_graph_dot,
 )
@@ -322,6 +323,17 @@ class TestReport:
         assert rep.diffs == (0, 0, 0, 0)
         assert rep.k_graph == rep.k_decomposition == 0
         assert rep.consistent
+
+    @pytest.mark.parametrize("k", [-2, 0, 1])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize("slot", range(5), ids=["d1", "d2", "d3", "d4", "k_decomp"])
+    def test_consistent_needs_every_value_equal_to_k_graph(self, k, delta, slot):
+        values = [k] * 5
+        rep = GrandsartReport(cw("0"), tuple(values[:4]), k, values[4])
+        assert rep.consistent
+        values[slot] += delta
+        rep = GrandsartReport(cw("0"), tuple(values[:4]), k, values[4])
+        assert not rep.consistent
 
     def test_record_shape(self):
         record = grandsart_report(cw("101100")).to_dict()

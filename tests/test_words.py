@@ -124,6 +124,35 @@ class TestCounting:
     def test_constant_word(self):
         assert count_occurrences(cw("0000"), u("00")) == 4
 
+    @pytest.mark.parametrize(
+        "word, factor, count",
+        [
+            # bordered factors: hits overlap, so each is stepped through
+            ("0000", "00", 4),
+            ("01010", "010", 2),
+            ("0101", "0101", 2),
+            ("00100", "00", 3),
+            ("0", "000", 1),
+            ("0120120", "01201", 1),
+            # no border: one bytes.count once |u| hits are seen, else stepped
+            ("0101", "01", 2),
+            ("001001001", "001", 3),
+            ("0120120120", "012", 3),
+            ("001001", "001", 2),
+            ("0011", "0011", 1),
+            ("0120120", "012", 2),
+        ],
+    )
+    def test_overlapping_hits_all_count(self, word, factor, count):
+        w = parse_circular(word)
+        assert count_occurrences(w, factor) == count == unrolled_count(w.letters, u(factor))
+        assert len(occurrence_positions(w, factor)) == count
+
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=12).map(bytes))
+    def test_border_matches_every_prefix_and_suffix(self, factor):
+        bordered = any(factor[:k] == factor[-k:] for k in range(1, len(factor)))
+        assert words._has_border(factor) == bordered
+
     def test_factor_longer_than_word(self):
         # oracle: unroll W periodically to length n + |U|
         assert unrolled_count((0,), (0, 0, 0, 0)) == 1
@@ -343,6 +372,11 @@ class TestBadLengths:
             lambda: debruijn.path_of_word(debruijn.build_graph(2, 2), None),
             lambda: cw("011").factors(0),
             lambda: cw("011").factors(-1),
+            lambda: occurrence_vector(None, 3),
+            lambda: count_occurrences(None, "0"),
+            lambda: occurrence_positions(None, "0"),
+            lambda: decompose_blocks(None),
+            lambda: span.marginalization_check(None, 3),
         ],
     )
     def test_refused_as_a_bad_parameter(self, call):
