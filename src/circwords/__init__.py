@@ -25,7 +25,6 @@ from .words import (
     OccurrenceVector,
     count_occurrences,
     decompose_blocks,
-    enumerate_necklaces,
     enumerate_words,
     mirror,
     occurrence_positions,
@@ -35,14 +34,12 @@ from .words import (
     word_string,
 )
 from .debruijn import (
-    ClosedPath,
     DeBruijnGraph,
     KirchhoffReport,
     build_graph,
     cyclomatic_number,
     export_dot,
     is_spanning_tree,
-    path_of_word,
     verify_kirchhoff,
 )
 from .invariants import (
@@ -80,7 +77,6 @@ __all__ = [
     "BrokenProjectionError",
     "CircularWord",
     "CircwordsError",
-    "ClosedPath",
     "DeBruijnGraph",
     "EmptyFactorError",
     "EmptyWordError",
@@ -99,7 +95,6 @@ __all__ = [
     "count_occurrences",
     "cyclomatic_number",
     "decompose_blocks",
-    "enumerate_necklaces",
     "enumerate_words",
     "exact_rank",
     "export_dot",
@@ -114,7 +109,6 @@ __all__ = [
     "occurrence_vector",
     "parse_circular",
     "parse_word",
-    "path_of_word",
     "predicted_dimension",
     "project_to_square",
     "span_dimension",

@@ -163,7 +163,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if args.cks:
         results["cks_basis"] = span._cks_basis_holds(report.echelon, args.d, args.l)
     if args.spanning_set:
-        results["spanning_set"] = span._spanning_set_holds(report.echelon, args.l, args.d)
+        results["spanning_set"] = span._spanning_set_holds(report.echelon, args.l)
     ok = all(results.values())
     if args.format == "json":
         payload = report.to_dict()
@@ -191,7 +191,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
     g = debruijn.build_graph(args.d, args.n)
     if args.word is not None:
         w = parse_circular(args.word, args.d)
-        marked |= {word_string(e) for e in debruijn.path_of_word(g, w).edges}
+        marked |= set(map(word_string, w.factors(g.n + 1)))
     print(debruijn.export_dot(g, highlight=sorted(marked)), end="")
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""De Bruijn graphs B(d,n) and the closed path traced by a circular word.
+"""De Bruijn graphs B(d,n) and the flow law of a circular word's closed path.
 
 Vertices are the d^n words of length n, edges the d^(n+1) words of
 length n+1; an edge runs from its length-n prefix to its length-n
@@ -24,13 +24,14 @@ from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import AlphabetMismatchError, BadParameterError
+from .errors import BadParameterError
 from .words import (
     Alphabet,
     CircularWord,
     Letters,
     WordLike,
     _as_letters,
+    _check_type,
     _dense_counts,
     _factor_table,
     _fits_a_byte,
@@ -50,14 +51,6 @@ class DeBruijnGraph:
     vertices: tuple[Letters, ...]
     edges: tuple[Letters, ...]
 
-    @staticmethod
-    def source(edge: Letters) -> Letters:
-        return edge[:-1]
-
-    @staticmethod
-    def target(edge: Letters) -> Letters:
-        return edge[1:]
-
 
 def build_graph(d: int, n: int) -> DeBruijnGraph:
     """Construct B(d,n), refusing sizes whose edge count exceeds the cap."""
@@ -70,28 +63,6 @@ def build_graph(d: int, n: int) -> DeBruijnGraph:
         vertices=tuple(alphabet.words(n)),
         edges=tuple(alphabet.words(n + 1)),
     )
-
-
-@dataclass(frozen=True)
-class ClosedPath:
-    """The closed walk a circular word traces on B(d,n).
-
-    vertices[i] is the length-n factor at position i, edges[i] the
-    length-(n+1) factor at position i; edges[i] runs from vertices[i]
-    to vertices[(i+1) mod n].
-    """
-
-    n: int
-    vertices: tuple[Letters, ...]
-    edges: tuple[Letters, ...]
-
-
-def path_of_word(g: DeBruijnGraph, w: CircularWord) -> ClosedPath:
-    """The closed path of w on g: one vertex and one edge per position."""
-    check_word(w, "path_of_word")
-    if w.d != g.d:
-        raise AlphabetMismatchError(f"word has d={w.d}, graph has d={g.d}")
-    return ClosedPath(n=g.n, vertices=tuple(w.factors(g.n)), edges=tuple(w.factors(g.n + 1)))
 
 
 @dataclass(frozen=True)
@@ -109,7 +80,6 @@ class KirchhoffReport:
     zeros.  ok is computed once per report.
     """
 
-    n: int
     out_residuals: Mapping[Letters, int]
     in_residuals: Mapping[Letters, int]
 
@@ -155,7 +125,7 @@ def verify_kirchhoff(w: CircularWord, n: int) -> KirchhoffReport:
     edges = _dense_counts(w.letters, d, n + 1)
     out_res, in_res = _flow_residuals(d, n, counts, edges)
     return KirchhoffReport(
-        n=n, out_residuals=MappingProxyType(out_res), in_residuals=MappingProxyType(in_res)
+        out_residuals=MappingProxyType(out_res), in_residuals=MappingProxyType(in_res)
     )
 
 
@@ -169,7 +139,7 @@ def _code_check(d: int, n: int) -> tuple[bytes, bytes, KirchhoffReport]:
     with d^(n+1) <= 256, so the cache stays small.
     """
     zeros = MappingProxyType(dict.fromkeys(_factor_table(d, n), 0))
-    return (*_end_tables(d, n), KirchhoffReport(n=n, out_residuals=zeros, in_residuals=zeros))
+    return (*_end_tables(d, n), KirchhoffReport(out_residuals=zeros, in_residuals=zeros))
 
 
 @cache
@@ -267,6 +237,7 @@ def _cyclomatic(d: int, n: int) -> int:
 
 def cyclomatic_number(g: DeBruijnGraph) -> int:
     """edges - vertices + components: the dimension of the cycle space."""
+    _check_type(g, DeBruijnGraph, "cyclomatic_number")
     return _cyclomatic(g.d, g.n)
 
 
@@ -276,20 +247,25 @@ def is_spanning_tree(g: DeBruijnGraph, edge_labels: Iterable[WordLike]) -> bool:
     With |vertices| - 1 edges, connected implies acyclic; a loop or a
     repeated edge wastes one of them and leaves the graph disconnected.
     """
-    labels = [_as_edge(g, e, g.n + 1) for e in edge_labels]
+    _check_type(g, DeBruijnGraph, "is_spanning_tree")
+    labels = _as_words(g, edge_labels, g.n + 1)
     return (
         len(labels) == len(g.vertices) - 1
         and _undirected_components(g.vertices, labels) == 1
     )
 
 
-def _as_edge(g: DeBruijnGraph, e: WordLike, length: int) -> Letters:
-    """e as letters, if it is a word of g of the given length: an edge or a vertex."""
-    e = _as_letters(e)
-    if len(e) != length or any(not 0 <= a < g.d for a in e):
-        what = "an edge" if length > g.n else "a vertex"
-        raise BadParameterError(f"{word_string(e)} is not {what} of B({g.d},{g.n})")
-    return e
+def _as_words(g: DeBruijnGraph, labels: Iterable[WordLike], length: int) -> list[Letters]:
+    """Each label as letters, if it is a word of g of the given length: an edge or a vertex."""
+    if not isinstance(labels, Iterable):
+        raise BadParameterError(f"labels must be an iterable of words, got {labels!r}")
+    words = []
+    for e in map(_as_letters, labels):
+        if len(e) != length or any(not 0 <= a < g.d for a in e):
+            what = "an edge" if length > g.n else "a vertex"
+            raise BadParameterError(f"{word_string(e)} is not {what} of B({g.d},{g.n})")
+        words.append(e)
+    return words
 
 
 def render_dot(
@@ -324,8 +300,9 @@ def export_dot(
     doubled_vertices: Iterable[WordLike] = (),
 ) -> str:
     """DOT text for g, vertices and edges in lexicographic label order."""
-    marked = {word_string(_as_edge(g, e, g.n + 1)) for e in highlight or ()}
-    doubled = {word_string(_as_edge(g, v, g.n)) for v in doubled_vertices}
+    _check_type(g, DeBruijnGraph, "export_dot")
+    marked = set(map(word_string, _as_words(g, highlight or (), g.n + 1)))
+    doubled = set(map(word_string, _as_words(g, doubled_vertices, g.n)))
     nodes = [word_string(v) for v in g.vertices]
     edges = [
         (word_string(e[:-1]), word_string(e[1:]), word_string(e)) for e in g.edges

@@ -79,11 +79,6 @@ SQUARE_TARGET: dict[Letters, Letters] = {
     e: e[1:] if e[2] != e[3] else (e[2], e[2], 1 - e[2]) for e in SQUARE_EDGES
 }
 
-#: The order-four rotation of the square: each positive edge advances it.
-ROTATION: dict[Letters, Letters] = {
-    SQUARE_SOURCE[e]: SQUARE_TARGET[e] for e in POSITIVE_EDGES
-}
-
 #: Every byte that is not the code of a square edge, for bytes.translate to delete.
 _NOT_SQUARE = bytes(sorted(set(range(256)) - set(_EPSILON)))
 
@@ -129,7 +124,6 @@ class SquareProjection:
     for project_to_square; the report sums its diffs instead.
     """
 
-    start_vertex: Letters | None
     retained_edges: tuple[Letters, ...]
     epsilons: tuple[int, ...]
 
@@ -160,10 +154,8 @@ def _square_walk(codes: bytes) -> bytes:
 def _project(codes: bytes) -> SquareProjection:
     """The checked square walk of a closed path, as a record of edges and epsilons."""
     retained = _square_walk(codes)
-    edges = tuple(map(_EDGES.__getitem__, retained))
     return SquareProjection(
-        start_vertex=SQUARE_SOURCE[edges[0]] if edges else None,
-        retained_edges=edges,
+        retained_edges=tuple(map(_EDGES.__getitem__, retained)),
         epsilons=tuple(map(_EPSILON.__getitem__, retained)),
     )
 

@@ -56,7 +56,6 @@ step.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -75,11 +74,11 @@ from .words import (
     Letters,
     WordLike,
     _as_letters,
+    _check_type,
     _chunk_codes,
     _dense_counts,
     _fits_a_byte,
     _necklaces,
-    _require_binary,
     check_length,
     check_size,
     check_word,
@@ -103,10 +102,6 @@ class IntegerMatrix:
     def nrows(self) -> int:
         return len(self.entries)
 
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
 
 @dataclass(frozen=True)
 class FunctionalFamily:
@@ -122,10 +117,15 @@ class FunctionalFamily:
     include_length: bool = False
 
     def __post_init__(self) -> None:
-        if len(set(self.factors)) != len(self.factors):
+        factors = self.factors
+        if not isinstance(factors, tuple) or not all(isinstance(u, tuple) for u in factors):
+            raise BadParameterError(
+                f"a family's factors must be a tuple of letter tuples, got {factors!r}"
+            )
+        if len(set(factors)) != len(factors):
             raise BadParameterError("duplicate factors in family")
         alphabet = Alphabet(self.d)
-        for u in self.factors:
+        for u in factors:
             if len(u) == 0:
                 raise BadParameterError("use include_length for the empty factor")
             alphabet.validate(u)
@@ -173,7 +173,9 @@ def occurrence_matrix(
     words: Sequence[CircularWord], family: FunctionalFamily
 ) -> IntegerMatrix:
     """Row per word, column per functional, exact counts as entries."""
+    _check_type(family, FunctionalFamily, "occurrence_matrix")
     for w in words:
+        check_word(w, "occurrence_matrix")
         if w.d != family.d:
             raise AlphabetMismatchError(f"word {w} has d={w.d}, family has d={family.d}")
     by_length: dict[int, list[Letters]] = {}
@@ -190,6 +192,7 @@ def occurrence_matrix(
 
 def exact_rank(m: IntegerMatrix) -> int:
     """Rank over the rationals, by fraction-free elimination of the rows."""
+    _check_type(m, IntegerMatrix, "exact_rank")
     return _bareiss_rank(m.entries, {})
 
 
@@ -404,9 +407,6 @@ class SpanReport:
             "saturated": self.saturated,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
     """Rank of the matrix of all length-l counts over words up to max_len.
@@ -440,8 +440,8 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
     )
 
 
-def verify_spanning_set(max_len: int, l: int = 4, d: int = 2) -> bool:
-    """Check that {0^l} union {1V} is independent and spans all length-l counts.
+def verify_spanning_set(max_len: int, l: int = 4) -> bool:
+    """Check that the binary {0^l} union {1V} is independent and spans all length-l counts.
 
     Requires rank 2^(l-1)+1 both on the set and on all length-l counts,
     and (as a structural cross-check) that the 1V words minus the loop
@@ -449,11 +449,10 @@ def verify_spanning_set(max_len: int, l: int = 4, d: int = 2) -> bool:
     span_dimension's: max_len < l is refused, and a sample whose rank is
     not certified gives a warning.
     """
-    _require_binary(d, "the 1V spanning set")
-    return _spanning_set_holds(span_dimension(d, l, max_len).echelon, l, d)
+    return _spanning_set_holds(span_dimension(2, l, max_len).echelon, l)
 
 
-def _spanning_set_holds(echelon: Collection[Sequence[int]], l: int, d: int) -> bool:
+def _spanning_set_holds(echelon: Collection[Sequence[int]], l: int) -> bool:
     """verify_spanning_set on the kept rows of a sample of length-l counts.
 
     The kept rows are independent, so all length-l counts have rank
@@ -461,9 +460,8 @@ def _spanning_set_holds(echelon: Collection[Sequence[int]], l: int, d: int) -> b
     B(2,0) has one vertex, whose spanning tree is empty, so the tree
     edges must be none and no graph is built.
     """
-    _require_binary(d, "the 1V spanning set")
     family = spanning_set_family(l)
-    if not _family_rank(echelon, l, family) == predicted_dimension(d, l) == len(echelon):
+    if not _family_rank(echelon, l, family) == predicted_dimension(2, l) == len(echelon):
         return False
     tree_edges = [u for u in family.factors if u[0] == 1 and u != (1,) * l]
     if l == 1:
@@ -509,6 +507,7 @@ def express_in_span(
     hold on the sample only.
     """
     check_length(max_len, "max_len")
+    _check_type(basis, FunctionalFamily, "express_in_span")
     target = _as_letters(target)
     Alphabet(basis.d).validate(target)
     if len(target) == 0:

@@ -71,6 +71,13 @@ def check_word(w: CircularWord, what: str) -> None:
         raise BadParameterError(f"{what} needs a CircularWord, got {w!r}")
 
 
+def _check_type(value: object, cls: type, what: str) -> None:
+    """The guard of every other argument: refuse value, given to what, unless it is a cls."""
+    if not isinstance(value, cls):
+        name = cls.__name__
+        raise BadParameterError(f"{what} needs an argument of type {name}, got {value!r}")
+
+
 def _require_binary(d: int, what: str) -> None:
     """Refuse an alphabet other than 0..1 for what, which only binary words have."""
     if d != 2:
@@ -97,7 +104,9 @@ class Alphabet:
         raise BadLetterError(f"letter {bad} outside alphabet 0..{self.d - 1}")
 
     def words(self, l: int) -> Iterator[Letters]:
-        """All d^l words of length l, lexicographically."""
+        """All d^l words of length l >= 0, lexicographically."""
+        if not isinstance(l, int) or l < 0:
+            raise BadParameterError(f"word length must be an integer >= 0, got {l!r}")
         return itertools.product(range(self.d), repeat=l)
 
 
@@ -251,7 +260,8 @@ def _dense_counts(letters: Letters, d: int, l: int) -> list[int]:
 _DIGITS = {str(i): i for i in range(10)}
 
 
-def _digits(text: str) -> Letters:
+def parse_word(text: str) -> Letters:
+    """Parse a string of ASCII digits into a letter tuple."""
     if not isinstance(text, str):
         raise BadParameterError(f"a word must be a digit string, got {text!r}")
     try:
@@ -260,24 +270,13 @@ def _digits(text: str) -> Letters:
         raise BadLetterError(f"letter {exc.args[0]!r} is not a digit") from None
 
 
-def parse_word(text: str, d: int | None = None) -> Letters:
-    """Parse a string of ASCII digits into a letter tuple.
-
-    The letters are checked against the alphabet 0..d-1 when d is given.
-    """
-    letters = _digits(text)
-    if d is not None:
-        Alphabet(d).validate(letters)
-    return letters
-
-
 def parse_circular(text: str, d: int | None = None) -> CircularWord:
     """Parse a digit string into a circular word over 0..d-1.
 
     The alphabet size is max digit + 1 (at least 2) unless d is given;
     CircularWord checks the letters against it.
     """
-    letters = _digits(text)
+    letters = parse_word(text)
     if d is None:
         d = max(2, max(letters, default=0) + 1)
     return CircularWord(letters, d)
@@ -385,7 +384,6 @@ class OccurrenceVector:
 
     l: int
     d: int
-    total: int
     counts: Mapping[Letters, int]
 
     def __getitem__(self, u: WordLike) -> int:
@@ -394,16 +392,13 @@ class OccurrenceVector:
             raise BadParameterError(f"expected a factor of length {self.l}, got {u}")
         return self.counts.get(u, 0)
 
-    def nonzero(self) -> dict[Letters, int]:
-        return dict(self.counts)
-
 
 def occurrence_vector(w: CircularWord, l: int) -> OccurrenceVector:
     """Count every length-l factor of w in one scan, in first-occurrence order."""
     check_word(w, "occurrence_vector")
     check_length(l, "factor length")
     counts = dict(Counter(_windows(w.letters, l)))
-    return OccurrenceVector(l=l, d=w.d, total=w.n, counts=counts)
+    return OccurrenceVector(l=l, d=w.d, counts=counts)
 
 
 def mirror(u: WordLike) -> Letters:
@@ -514,26 +509,17 @@ def enumerate_words(d: int, n: int) -> Iterator[CircularWord]:
         yield CircularWord._unchecked(letters, d, dict(zip(_PREFILLED, codes)))
 
 
-def enumerate_necklaces(d: int, n: int) -> Iterator[CircularWord]:
+def _necklaces(d: int, n: int) -> Iterator[Letters]:
     """The least rotation of each class of rotations of length n, increasing.
 
-    One word per conjugacy class: d^n/n of them, roughly, instead of d^n.
-    The words are _necklaces' letters, built unchecked.
-    """
-    for letters in _necklaces(d, n):
-        yield CircularWord._unchecked(letters, d)
-
-
-def _necklaces(d: int, n: int) -> Iterator[Letters]:
-    """The letters of enumerate_necklaces(d, n), with no word built.
-
-    The prenecklace successor of Fredricksen, Kessler and Maiorana
-    (Ruskey, Savage and Wang, J. Algorithms 1992) steps through the
-    prenecklaces in lexicographic order: bump the last letter below d-1
-    at index p-1, then repeat the first p letters to length n.  p is
-    the period of the new prenecklace, and it is a necklace exactly
-    when p divides n.  The length and the alphabet are checked once,
-    before the first necklace.
+    One letter tuple per conjugacy class, d^n/n of them roughly instead
+    of d^n, and no word built.  The prenecklace successor of
+    Fredricksen, Kessler and Maiorana (Ruskey, Savage and Wang,
+    J. Algorithms 1992) steps through the prenecklaces in lexicographic
+    order: bump the last letter below d-1 at index p-1, then repeat the
+    first p letters to length n.  p is the period of the new
+    prenecklace, and it is a necklace exactly when p divides n.  The
+    length and the alphabet are checked once, before the first necklace.
     """
     check_length(n, "word length")
     Alphabet(d)  # refuses d < 2 before the first necklace
@@ -552,9 +538,8 @@ def _necklaces(d: int, n: int) -> Iterator[Letters]:
         a = (a[:p] * (n // p + 1))[:n]
 
 
-def random_word(rng: Random, n: int, d: int = 2) -> CircularWord:
-    """A uniformly random circular word of length n (for seeded sweeps)."""
+def random_word(rng: Random, n: int) -> CircularWord:
+    """A uniformly random binary circular word of length n (for seeded sweeps)."""
     if not isinstance(n, int):
         raise BadParameterError(f"word length must be an integer, got {n!r}")
-    Alphabet(d)  # refuses a bad d before randrange sees it
-    return CircularWord(tuple(rng.randrange(d) for _ in range(n)), d)
+    return CircularWord(tuple(rng.randrange(2) for _ in range(n)), 2)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circwords import (
-    AlphabetMismatchError,
     CircularWord,
     SizeLimitError,
     build_graph,
@@ -17,11 +16,11 @@ from circwords import (
     export_dot,
     is_spanning_tree,
     occurrence_vector,
-    path_of_word,
     verify_kirchhoff,
     word_string,
 )
 from circwords import debruijn, invariants, words
+from circwords.errors import BadParameterError
 from conftest import binary_circular_words, cw, scan_count, u
 
 # Adjacency of B(2,3): every edge runs from its length-3 prefix to its
@@ -56,8 +55,8 @@ class TestBuildGraph:
         g = build_graph(2, 3)
         for e in g.edges:
             src, dst = FIGURE_B23_EDGES[word_string(e)]
-            assert word_string(g.source(e)) == src
-            assert word_string(g.target(e)) == dst
+            assert word_string(e[:-1]) == src
+            assert word_string(e[1:]) == dst
 
     def test_smallest_graph(self):
         g = build_graph(2, 1)
@@ -87,51 +86,49 @@ class TestBuildGraph:
     @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 2)])
     def test_degrees_and_connectivity(self, d, n):
         g = build_graph(d, n)
-        out_deg = Counter(g.source(e) for e in g.edges)
-        in_deg = Counter(g.target(e) for e in g.edges)
+        out_deg = Counter(e[:-1] for e in g.edges)
+        in_deg = Counter(e[1:] for e in g.edges)
         assert all(out_deg[v] == d for v in g.vertices)
         assert all(in_deg[v] == d for v in g.vertices)
         assert cyclomatic_number(g) == d ** (n + 1) - d**n + 1
 
 
 class TestPathOfWord:
+    """A word's closed path on B(d,n): its length-n factors are the
+    vertices, its length-(n+1) factors the edges, one of each per position."""
+
     def test_paper_word(self):
-        path = path_of_word(build_graph(2, 3), cw("010011"))
-        assert [word_string(v) for v in path.vertices] == [
+        w = cw("010011")
+        assert [word_string(v) for v in w.factors(3)] == [
             "010", "100", "001", "011", "110", "101",
         ]
-        assert [word_string(e) for e in path.edges] == [
+        assert [word_string(e) for e in w.factors(4)] == [
             "0100", "1001", "0011", "0110", "1101", "1010",
         ]
 
     def test_single_letter_loop(self):
-        path = path_of_word(build_graph(2, 3), cw("0"))
-        assert path.vertices == ((0, 0, 0),)
-        assert path.edges == ((0, 0, 0, 0),)
+        assert cw("0").factors(3) == [(0, 0, 0)]
+        assert cw("0").factors(4) == [(0, 0, 0, 0)]
 
     def test_edge_multiset_is_occurrence_vector(self):
         w = cw("00101")
-        path = path_of_word(build_graph(2, 3), w)
-        assert len(path.edges) == 5
-        assert Counter(path.edges) == occurrence_vector(w, 4).counts
-
-    def test_alphabet_mismatch(self):
-        with pytest.raises(AlphabetMismatchError):
-            path_of_word(build_graph(3, 2), cw("0101"))
+        edges = w.factors(4)
+        assert len(edges) == 5
+        assert Counter(edges) == occurrence_vector(w, 4).counts
 
     @given(binary_circular_words(max_n=24), st.integers(1, 3))
     def test_path_is_closed(self, w, n):
-        g = build_graph(2, n)
-        path = path_of_word(g, w)
-        m = len(path.edges)
-        for i, e in enumerate(path.edges):
-            assert g.source(e) == path.vertices[i]
-            assert g.target(e) == path.vertices[(i + 1) % m]
+        graph_edges = set(build_graph(2, n).edges)
+        vertices, edges = w.factors(n), w.factors(n + 1)
+        m = len(edges)
+        for i, e in enumerate(edges):
+            assert e in graph_edges
+            assert e[:-1] == vertices[i]
+            assert e[1:] == vertices[(i + 1) % m]
 
     @given(binary_circular_words(max_n=24), st.integers(1, 3))
     def test_edge_multiset_property(self, w, n):
-        path = path_of_word(build_graph(2, n), w)
-        assert Counter(path.edges) == occurrence_vector(w, n + 1).counts
+        assert Counter(w.factors(n + 1)) == occurrence_vector(w, n + 1).counts
 
 
 def scanned_ok(report):
@@ -161,7 +158,7 @@ class TestKirchhoff:
         report = verify_kirchhoff(cw("1111"), 3)
         assert report.ok
         assert report.violations() == []
-        assert occurrence_vector(cw("1111"), 3).nonzero() == {u("111"): 4}
+        assert dict(occurrence_vector(cw("1111"), 3).counts) == {u("111"): 4}
 
     def test_residuals_match_direct_sums(self):
         w = cw("0100110")
@@ -338,6 +335,25 @@ class TestWalkSources:
         assert faulty or sources is not None
 
 
+class TestGraphGuard:
+    """A graph argument that is not a DeBruijnGraph, or labels that are not
+    iterable, are refused before anything is read from them."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: cyclomatic_number(None),
+            lambda: export_dot(5),
+            lambda: is_spanning_tree(build_graph(2, 3), 5),
+            lambda: export_dot(build_graph(2, 3), highlight=5),
+        ],
+        ids=["cyclomatic_number", "export_dot", "is_spanning_tree-labels", "export_dot-highlight"],
+    )
+    def test_refused_as_a_bad_parameter(self, call):
+        with pytest.raises(BadParameterError):
+            call()
+
+
 class TestCycleSpace:
     def test_cyclomatic_numbers(self):
         assert cyclomatic_number(build_graph(2, 3)) == 9
@@ -398,8 +414,7 @@ class TestDotExport:
 
     def test_highlighting_a_path(self):
         g = build_graph(2, 3)
-        path = path_of_word(g, cw("010011"))
-        text = export_dot(g, highlight=path.edges)
+        text = export_dot(g, highlight=cw("010011").factors(4))
         assert sum("style=bold" in l for l in text.splitlines()) == 6
 
     def test_edges_in_label_order(self):

@@ -23,7 +23,6 @@ from circwords import debruijn, invariants, words
 from circwords.invariants import (
     NEGATIVE_EDGES,
     POSITIVE_EDGES,
-    ROTATION,
     SQUARE_EDGES,
     SQUARE_SOURCE,
     SQUARE_TARGET,
@@ -110,9 +109,13 @@ def first_square_vertices(v):
     while frontier:
         found |= frontier & SQUARE_VERTICES
         seen |= frontier
-        frontier = {g.target(e) for e in g.edges if g.source(e) in frontier - SQUARE_VERTICES}
+        frontier = {e[1:] for e in g.edges if e[:-1] in frontier - SQUARE_VERTICES}
         frontier -= seen
     return found
+
+
+#: The order-four rotation of the square, as the paper's figure draws it.
+ROTATION = {u("001"): u("110"), u("110"): u("101"), u("101"): u("010"), u("010"): u("001")}
 
 
 class TestSquareStructure:
@@ -128,12 +131,14 @@ class TestSquareStructure:
         assert first_square_vertices(e[1:]) == {SQUARE_TARGET[e]}
 
     def test_rotation_is_a_four_cycle(self):
+        rotation = {SQUARE_SOURCE[e]: SQUARE_TARGET[e] for e in POSITIVE_EDGES}
+        assert rotation == ROTATION
         start = u("001")
         orbit = [start]
         for _ in range(3):
-            orbit.append(ROTATION[orbit[-1]])
+            orbit.append(rotation[orbit[-1]])
         assert [word_string(v) for v in orbit] == ["001", "110", "101", "010"]
-        assert ROTATION[orbit[-1]] == start
+        assert rotation[orbit[-1]] == start
 
     def test_positive_edges_advance_the_rotation(self):
         for e in POSITIVE_EDGES:
@@ -174,7 +179,7 @@ class TestProjection:
             "0100", "0011", "1101", "1010",
         ]
         assert proj.epsilon_sum == 4
-        assert proj.start_vertex == u("010")
+        assert SQUARE_SOURCE[proj.retained_edges[0]] == u("010")
 
     def test_alternating_word(self):
         proj = project_to_square(cw("0101"))
@@ -187,7 +192,6 @@ class TestProjection:
     def test_empty_projection(self):
         proj = project_to_square(cw("0000"))
         assert proj.retained_edges == ()
-        assert proj.start_vertex is None
         assert proj.epsilon_sum == 0
 
     @given(binary_circular_words(max_n=48))
@@ -243,9 +247,7 @@ class TestContinuityCheck:
 
     def test_epsilon_sum_not_a_multiple_of_four(self):
         edges = (u("0011"), u("1101"))
-        proj = SquareProjection(
-            start_vertex=SQUARE_SOURCE[edges[0]], retained_edges=edges, epsilons=(1, 1)
-        )
+        proj = SquareProjection(retained_edges=edges, epsilons=(1, 1))
         message = "epsilon sum 2 of 0011 is not a multiple of 4"
         with pytest.raises(BrokenProjectionError, match=message):
             invariants._winding(proj.epsilon_sum, cw("0011"))

@@ -19,7 +19,6 @@ from circwords import (
     SizeLimitError,
     count_occurrences,
     decompose_blocks,
-    enumerate_necklaces,
     enumerate_words,
     grandsart_report,
     mirror,
@@ -227,11 +226,11 @@ class TestOccurrenceVector:
     def test_paper_word_010011(self):
         ov = occurrence_vector(cw("010011"), 4)
         expected = {u(s): 1 for s in ("0100", "1001", "0011", "0110", "1101", "1010")}
-        assert ov.nonzero() == expected
+        assert dict(ov.counts) == expected
 
     def test_constant_word(self):
         ov = occurrence_vector(cw("1111"), 4)
-        assert ov.nonzero() == {u("1111"): 4}
+        assert dict(ov.counts) == {u("1111"): 4}
         assert ov[u("0000")] == 0
 
     def test_accepts_strings(self):
@@ -342,7 +341,7 @@ class TestBadLengths:
             lambda: debruijn.build_graph(2, 2.5),
             lambda: debruijn.verify_kirchhoff(cw("011"), 2.5),
             lambda: next(enumerate_words(2, 2.5)),
-            lambda: next(enumerate_necklaces(2, 2.5)),
+            lambda: next(words._necklaces(2, 2.5)),
             lambda: occurrence_vector(cw("011"), 2.5),
             lambda: words.check_size(2, -1, "words"),
             # a non-integer size or length, refused before it is compared
@@ -365,11 +364,8 @@ class TestBadLengths:
             lambda: CircularWord([0, 1, 0, 0, 1, 1]),
             lambda: mirror(None),
             lambda: span.express_in_span(None, span.cks_family(2, 2), 4),
-            lambda: words.random_word(Random(0), 3, "2"),
-            lambda: words.random_word(Random(0), 3, 0),
             lambda: grandsart_report(None),
             lambda: debruijn.verify_kirchhoff(None, 3),
-            lambda: debruijn.path_of_word(debruijn.build_graph(2, 2), None),
             lambda: cw("011").factors(0),
             lambda: cw("011").factors(-1),
             lambda: occurrence_vector(None, 3),
@@ -377,6 +373,10 @@ class TestBadLengths:
             lambda: occurrence_positions(None, "0"),
             lambda: decompose_blocks(None),
             lambda: span.marginalization_check(None, 3),
+            # a word length below 0 or not an integer, for Alphabet.words
+            lambda: Alphabet(2).words(-1),
+            lambda: Alphabet(2).words(1.5),
+            lambda: Alphabet(2).words("2"),
         ],
     )
     def test_refused_as_a_bad_parameter(self, call):
@@ -604,14 +604,13 @@ class TestNecklaces:
     @pytest.mark.parametrize("d,max_n", [(2, 9), (3, 9), (4, 7)])
     def test_one_least_rotation_per_class_in_order(self, d, max_n):
         for n in range(1, max_n + 1):
-            got = [w.letters for w in enumerate_necklaces(d, n)]
+            got = list(words._necklaces(d, n))
             classes = {least_rotation(w) for w in enumerate_words(d, n)}
             assert got == sorted(classes)
-            assert all(w.d == d for w in enumerate_necklaces(d, n))
 
     def test_four_letters_length_eight_and_nine(self):
         for n in (8, 9):
-            got = [w.letters for w in enumerate_necklaces(4, n)]
+            got = list(words._necklaces(4, n))
             assert got == sorted(set(got))
             assert all(least_rotation(CircularWord(a, 4)) == a for a in got)
             assert len(got) == necklace_count(4, n)
@@ -619,18 +618,18 @@ class TestNecklaces:
     @pytest.mark.parametrize("d,max_n", [(2, 14), (3, 10), (4, 7)])
     def test_count_is_the_necklace_formula(self, d, max_n):
         for n in range(1, max_n + 1):
-            assert sum(1 for _ in enumerate_necklaces(d, n)) == necklace_count(d, n)
+            assert sum(1 for _ in words._necklaces(d, n)) == necklace_count(d, n)
         assert necklace_count(2, 14) == 1182 and necklace_count(3, 10) == 5934
 
     def test_binary_length_four(self):
-        got = [str(w) for w in enumerate_necklaces(2, 4)]
+        got = [word_string(a) for a in words._necklaces(2, 4)]
         assert got == ["0000", "0001", "0011", "0101", "0111", "1111"]
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
-            list(enumerate_necklaces(2, 0))
+            list(words._necklaces(2, 0))
         with pytest.raises(BadParameterError):
-            list(enumerate_necklaces(1, 3))
+            list(words._necklaces(1, 3))
 
 
 class TestPeriodicFactors:
