@@ -248,24 +248,22 @@ def is_spanning_tree(g: DeBruijnGraph, edge_labels: Iterable[WordLike]) -> bool:
     repeated edge wastes one of them and leaves the graph disconnected.
     """
     _check_type(g, DeBruijnGraph, "is_spanning_tree")
-    labels = _as_words(g, edge_labels, g.n + 1)
+    labels = _as_edges(g, edge_labels)
     return (
         len(labels) == len(g.vertices) - 1
         and _undirected_components(g.vertices, labels) == 1
     )
 
 
-def _as_words(g: DeBruijnGraph, labels: Iterable[WordLike], length: int) -> list[Letters]:
-    """Each label as letters, if it is a word of g of the given length: an edge or a vertex."""
-    if not isinstance(labels, Iterable):
-        raise BadParameterError(f"labels must be an iterable of words, got {labels!r}")
-    words = []
+def _as_edges(g: DeBruijnGraph, labels: Iterable[WordLike]) -> list[Letters]:
+    """Each label as letters, if it is an edge of g."""
+    _check_type(labels, Iterable, "an edge list")
+    edges = []
     for e in map(_as_letters, labels):
-        if len(e) != length or any(not 0 <= a < g.d for a in e):
-            what = "an edge" if length > g.n else "a vertex"
-            raise BadParameterError(f"{word_string(e)} is not {what} of B({g.d},{g.n})")
-        words.append(e)
-    return words
+        if len(e) != g.n + 1 or any(not 0 <= a < g.d for a in e):
+            raise BadParameterError(f"{word_string(e)} is not an edge of B({g.d},{g.n})")
+        edges.append(e)
+    return edges
 
 
 def render_dot(
@@ -294,17 +292,12 @@ def render_dot(
     return "\n".join(lines) + "\n"
 
 
-def export_dot(
-    g: DeBruijnGraph,
-    highlight: Iterable[WordLike] | None = None,
-    doubled_vertices: Iterable[WordLike] = (),
-) -> str:
+def export_dot(g: DeBruijnGraph, highlight: Iterable[WordLike] | None = None) -> str:
     """DOT text for g, vertices and edges in lexicographic label order."""
     _check_type(g, DeBruijnGraph, "export_dot")
-    marked = set(map(word_string, _as_words(g, highlight or (), g.n + 1)))
-    doubled = set(map(word_string, _as_words(g, doubled_vertices, g.n)))
+    marked = set(map(word_string, _as_edges(g, () if highlight is None else highlight)))
     nodes = [word_string(v) for v in g.vertices]
     edges = [
         (word_string(e[:-1]), word_string(e[1:]), word_string(e)) for e in g.edges
     ]
-    return render_dot(f"B({g.d},{g.n})", nodes, edges, highlighted=marked, doubled=doubled)
+    return render_dot(f"B({g.d},{g.n})", nodes, edges, highlighted=marked)

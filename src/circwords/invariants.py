@@ -24,6 +24,7 @@ from .words import (
     Letters,
     WordLike,
     _as_letters,
+    _check_type,
     _factor_table,
     _isolated_blocks,
     _require_binary,
@@ -264,10 +265,9 @@ def grandsart_report(w: CircularWord) -> GrandsartReport:
 
 def square_graph_dot(highlight: Iterable[WordLike] | None = None) -> str:
     """DOT text of the four-vertex square graph with its eight edges."""
-    if highlight is None:
-        marked = set()
-    else:
-        marked = {word_string(_as_square_edge(e)) for e in highlight}
+    labels = () if highlight is None else highlight
+    _check_type(labels, Iterable, "an edge list")
+    marked = {word_string(_as_square_edge(e)) for e in labels}
     nodes = sorted(word_string(v) for v in SQUARE_VERTICES)
     edges = sorted(
         (

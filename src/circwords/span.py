@@ -17,11 +17,12 @@ words of each length, from about d^m/m words.  Each row holds a word's
 d^l counts of length-l factors in lexicographic order, and
 _sample_echelon reduces the distinct rows into one row echelon.  For
 |u| <= l, |W|_u is the sum of the row over the block of columns that
-start with u, and |W| is the sum of the whole row; so a family's values
-are block sums, a fixed linear map, and taken on the kept rows they span
-the same space as on the whole sample.  Ranks and solutions depend only
-on that space.  One cap bounds d^max_len and d^l before anything is
-built.
+start with u.  The empty factor occurs once at every position, so its
+count is the length |W|, and its block is the whole row.  A family's
+values are block sums, a fixed linear map, and taken on the kept rows
+they span the same space as on the whole sample.  Ranks and solutions
+depend only on that space.  One cap bounds d^max_len and d^l before
+anything is built.
 
 Every count row obeys the flow law of B(d,l-1): at every vertex the
 out-sum equals the in-sum, so the row lies in the cycle space of that
@@ -94,7 +95,14 @@ class IntegerMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        widths = {len(r) for r in self.entries}
+        entries = self.entries
+        if not isinstance(entries, tuple) or not all(
+            isinstance(r, tuple) and all(isinstance(x, int) for x in r) for r in entries
+        ):
+            raise BadParameterError(
+                f"a matrix's entries must be a tuple of integer tuples, got {entries!r}"
+            )
+        widths = {len(r) for r in entries}
         if len(widths) > 1:
             raise BadParameterError("ragged rows")
 
@@ -105,16 +113,14 @@ class IntegerMatrix:
 
 @dataclass(frozen=True)
 class FunctionalFamily:
-    """An ordered family of occurrence functionals, one per column.
+    """An ordered family of occurrence functionals W -> |W|_u, one column per factor u.
 
-    When include_length is set, a leading column holds the plain length
-    |W| (the count of the empty factor); the factor columns follow in
-    the listed order.
+    The empty factor () may stand anywhere: it occurs once at every
+    position, so its column holds the length |W|, labelled "length".
     """
 
     d: int
     factors: tuple[Letters, ...]
-    include_length: bool = False
 
     def __post_init__(self) -> None:
         factors = self.factors
@@ -126,17 +132,10 @@ class FunctionalFamily:
             raise BadParameterError("duplicate factors in family")
         alphabet = Alphabet(self.d)
         for u in factors:
-            if len(u) == 0:
-                raise BadParameterError("use include_length for the empty factor")
             alphabet.validate(u)
 
-    @property
-    def ncols(self) -> int:
-        return len(self.factors) + (1 if self.include_length else 0)
-
     def column_labels(self) -> tuple[str, ...]:
-        head = ("length",) if self.include_length else ()
-        return head + tuple(word_string(u) for u in self.factors)
+        return tuple(word_string(u) if u else "length" for u in self.factors)
 
 
 def all_factors_family(d: int, l: int) -> FunctionalFamily:
@@ -154,7 +153,7 @@ def spanning_set_family(l: int = 4) -> FunctionalFamily:
 
 
 def cks_family(d: int, l: int) -> FunctionalFamily:
-    """Length functional plus every factor of length <= l with nonzero ends.
+    """The empty factor, for the length, then every factor of length <= l with nonzero ends.
 
     The words of each length up to l are listed, so d^l is capped.
     """
@@ -166,27 +165,23 @@ def cks_family(d: int, l: int) -> FunctionalFamily:
         for u in Alphabet(d).words(m)
         if u[0] != 0 and u[-1] != 0
     ]
-    return FunctionalFamily(d=d, factors=tuple(factors), include_length=True)
+    return FunctionalFamily(d=d, factors=((),) + tuple(factors))
 
 
 def occurrence_matrix(
     words: Sequence[CircularWord], family: FunctionalFamily
 ) -> IntegerMatrix:
-    """Row per word, column per functional, exact counts as entries."""
+    """Row per word, column per functional, exact counts as entries; () counts |W|."""
     _check_type(family, FunctionalFamily, "occurrence_matrix")
+    _check_type(words, Iterable, "occurrence_matrix")
+    lengths = {len(u) for u in family.factors if u}
+    rows = []
     for w in words:
         check_word(w, "occurrence_matrix")
         if w.d != family.d:
             raise AlphabetMismatchError(f"word {w} has d={w.d}, family has d={family.d}")
-    by_length: dict[int, list[Letters]] = {}
-    for u in family.factors:
-        by_length.setdefault(len(u), []).append(u)
-    rows = []
-    for w in words:
-        vectors = {m: occurrence_vector(w, m).counts for m in by_length}
-        row = [w.n] if family.include_length else []
-        row += [vectors[len(u)].get(u, 0) for u in family.factors]
-        rows.append(tuple(row))
+        vectors = {m: occurrence_vector(w, m).counts for m in lengths}
+        rows.append(tuple(vectors[len(u)].get(u, 0) if u else w.n for u in family.factors))
     return IntegerMatrix(tuple(rows))
 
 
@@ -228,6 +223,8 @@ def _bareiss_rank(rows: Collection[Sequence[int]], echelon: dict[int, list[int]]
 
 def predicted_dimension(d: int, l: int) -> int:
     """(d-1) d^(l-1) + 1, the cyclomatic number of B(d,l-1)."""
+    _check_type(d, int, "predicted_dimension")
+    check_length(l, "factor length")
     return (d - 1) * d ** (l - 1) + 1
 
 
@@ -325,19 +322,15 @@ def _index(u: Letters, d: int) -> int:
 
 
 def _marginals(
-    rows: Iterable[Sequence[int]],
-    d: int,
-    l: int,
-    factors: Sequence[Letters],
-    include_length: bool,
+    rows: Iterable[Sequence[int]], d: int, l: int, factors: Sequence[Letters]
 ) -> list[tuple[int, ...]]:
     """The family's values on each row of length-l counts, as block sums.
 
     For |u| <= l, |W|_u is the sum of |W|_v over the length-l words v
     that start with u, and in lexicographic order those v are one block
-    of d^(l-|u|) columns, from index(u) * d^(l-|u|).  |W| is the sum of
-    the whole row, the leading value when include_length is set.  The
-    map is linear, so it may be applied to any combination of count rows.
+    of d^(l-|u|) columns, from index(u) * d^(l-|u|).  The block of the
+    empty factor is the whole row, whose sum is |W|.  The map is linear,
+    so it may be applied to any combination of count rows.
     """
     blocks = []
     for u in factors:
@@ -347,8 +340,7 @@ def _marginals(
     values = []
     for row in rows:
         sums = list(itertools.accumulate(row, initial=0))
-        head = (sums[-1],) if include_length else ()
-        values.append(head + tuple(sums[b] - sums[a] for a, b in blocks))
+        values.append(tuple(sums[b] - sums[a] for a, b in blocks))
     return values
 
 
@@ -360,8 +352,7 @@ def _family_rank(
     The value rows are the count rows times a fixed 0/1 matrix, so they
     span the same space as the kept rows times that matrix.
     """
-    values = _marginals(echelon, family.d, l, family.factors, family.include_length)
-    return _bareiss_rank(values, {})
+    return _bareiss_rank(_marginals(echelon, family.d, l, family.factors), {})
 
 
 @dataclass(frozen=True)
@@ -472,11 +463,12 @@ def _spanning_set_holds(echelon: Collection[Sequence[int]], l: int) -> bool:
 def verify_cks_basis(d: int, l: int, max_len: int) -> bool:
     """Check the nonzero-first-and-last-letter basis of all counts up to l.
 
-    The candidate basis is the length functional plus every factor of
-    length 1..l whose first and last letters are nonzero; it must have
-    rank (d-1)d^(l-1)+1, and so must all the counts of length <= l.  The
-    sample is span_dimension's: max_len < l is refused, and a sample
-    whose rank is not certified gives a warning.
+    The candidate basis is cks_family's: the empty factor, whose count is
+    the length, and every factor of length 1..l whose first and last
+    letters are nonzero.  It must have rank (d-1)d^(l-1)+1, and so must
+    all the counts of length <= l.  The sample is span_dimension's:
+    max_len < l is refused, and a sample whose rank is not certified
+    gives a warning.
     """
     return _cks_basis_holds(span_dimension(d, l, max_len).echelon, d, l)
 
@@ -496,27 +488,27 @@ def express_in_span(
 ) -> tuple[Fraction, ...]:
     """Exact rational coefficients writing |W|_target over the basis columns.
 
-    Solves the linear system sampled on the necklaces of length
-    1..max_len; free variables (present only when the basis columns are
-    dependent) are pinned to zero.  Raises NotInSpanError when no exact
-    combination exists on the sample, which a sample word then disproves.
-    The sample rows count the factors of length L, the longest of the
-    target and the basis factors, so d^L is capped like d^max_len.  The
-    coefficients are proven for every circular word when the sample's
-    rank is certified as in span_dimension; otherwise a warning says they
-    hold on the sample only.
+    One coefficient per basis factor, in order; the empty target is the
+    length |W|.  Solves the linear system sampled on the necklaces of
+    length 1..max_len; free variables (present only when the basis
+    columns are dependent) are pinned to zero.  Raises NotInSpanError
+    when no exact combination exists on the sample, which a sample word
+    then disproves.  The sample rows count the factors of length L, the
+    longest of the target and the basis factors but at least 1, so d^L
+    is capped like d^max_len.  The coefficients are proven for every
+    circular word when the sample's rank is certified as in
+    span_dimension; otherwise a warning says they hold on the sample
+    only.
     """
     check_length(max_len, "max_len")
     _check_type(basis, FunctionalFamily, "express_in_span")
     target = _as_letters(target)
     Alphabet(basis.d).validate(target)
-    if len(target) == 0:
-        raise BadParameterError("express the length functional via include_length instead")
     factors = basis.factors + (target,)
-    l = max(map(len, factors))
+    l = max(1, *map(len, factors))
     echelon, _, bound, saturated = _sample_echelon(basis.d, l, max_len)
-    rows = _marginals(echelon.values(), basis.d, l, factors, basis.include_length)
-    coefficients = _solve(rows, basis.ncols)
+    rows = _marginals(echelon.values(), basis.d, l, factors)
+    coefficients = _solve(rows, len(basis.factors))
     if not saturated:
         what = "the reported coefficients hold on the sample only"
         _warn_uncertified(basis.d, l, max_len, len(echelon), bound, what)
@@ -557,7 +549,7 @@ def marginalization_check(w: CircularWord, l: int) -> bool:
     check_size(d, l, "factors")
     row = _dense_counts(w.letters, d, l)
     return all(
-        _marginals([row], d, l, list(Alphabet(d).words(m)), False)
+        _marginals([row], d, l, list(Alphabet(d).words(m)))
         == [tuple(_dense_counts(w.letters, d, m))]
         for m in range(1, l)
     )

@@ -97,6 +97,7 @@ class Alphabet:
             raise BadParameterError(f"alphabet needs at least 2 letters, got d={self.d}")
 
     def validate(self, letters: Letters) -> None:
+        _check_type(letters, tuple, "Alphabet.validate")
         allowed = range(self.d)
         if set(letters).issubset(allowed):
             return
@@ -156,6 +157,7 @@ class CircularWord:
         memo = self.__dict__.setdefault("_code_memo", {})
         codes = memo.get(l)
         if codes is None:
+            _check_type(l, int, "CircularWord.codes")
             if l < 1 or not _fits_a_byte(self.d, l):
                 raise BadParameterError(
                     f"factor codes need 1 <= l and {self.d}^l <= 256, got l={l}"
@@ -170,6 +172,7 @@ class CircularWord:
 
     def rotate(self, s: int) -> "CircularWord":
         """Shift indices by s: position i of the result reads position i+s."""
+        _check_type(s, int, "rotate")
         s %= self.n
         return CircularWord(self.letters[s:] + self.letters[:s], self.d)
 
@@ -383,7 +386,6 @@ class OccurrenceVector:
     """
 
     l: int
-    d: int
     counts: Mapping[Letters, int]
 
     def __getitem__(self, u: WordLike) -> int:
@@ -398,7 +400,7 @@ def occurrence_vector(w: CircularWord, l: int) -> OccurrenceVector:
     check_word(w, "occurrence_vector")
     check_length(l, "factor length")
     counts = dict(Counter(_windows(w.letters, l)))
-    return OccurrenceVector(l=l, d=w.d, counts=counts)
+    return OccurrenceVector(l=l, counts=counts)
 
 
 def mirror(u: WordLike) -> Letters:
@@ -540,6 +542,7 @@ def _necklaces(d: int, n: int) -> Iterator[Letters]:
 
 def random_word(rng: Random, n: int) -> CircularWord:
     """A uniformly random binary circular word of length n (for seeded sweeps)."""
+    _check_type(rng, Random, "random_word")
     if not isinstance(n, int):
         raise BadParameterError(f"word length must be an integer, got {n!r}")
     return CircularWord(tuple(rng.randrange(2) for _ in range(n)), 2)

@@ -399,17 +399,10 @@ class TestDotExport:
         assert len(edge_lines) == 4
         assert all("label=" in l for l in edge_lines)
 
-    def test_doubled_vertices_match_figure_marking(self):
-        text = export_dot(build_graph(2, 3), doubled_vertices=["110", "101", "010", "001"])
-        doubled = [l for l in text.splitlines() if "doublecircle" in l and "node [" not in l]
-        assert len(doubled) == 4
-        for v in ("110", "101", "010", "001"):
-            assert f'"{v}" [shape=doublecircle];' in text
-
     def test_deterministic(self):
         g = build_graph(2, 3)
-        a = export_dot(g, highlight=["0100"], doubled_vertices=["010"])
-        b = export_dot(g, highlight=["0100"], doubled_vertices=["010"])
+        a = export_dot(g, highlight=["0100"])
+        b = export_dot(g, highlight=["0100"])
         assert a == b
 
     def test_highlighting_a_path(self):

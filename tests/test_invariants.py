@@ -20,6 +20,7 @@ from circwords import (
     word_string,
 )
 from circwords import debruijn, invariants, words
+from circwords.errors import BadParameterError
 from circwords.invariants import (
     NEGATIVE_EDGES,
     POSITIVE_EDGES,
@@ -396,3 +397,8 @@ class TestSquareDot:
         assert square_graph_dot() == square_graph_dot()
         text = square_graph_dot(highlight=["0011"])
         assert sum("style=bold" in l for l in text.splitlines()) == 1
+
+    def test_labels_that_are_not_iterable_are_refused_as_a_bad_parameter(self):
+        # the edge-list guard of export_dot; None alone means no highlight
+        with pytest.raises(BadParameterError, match="an edge list"):
+            square_graph_dot(5)

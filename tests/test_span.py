@@ -164,7 +164,7 @@ class TestOccurrenceMatrix:
             assert sum(row) == w.n
 
     def test_length_column_first(self):
-        fam = FunctionalFamily(d=2, factors=(u("1"),), include_length=True)
+        fam = FunctionalFamily(d=2, factors=((), u("1")))
         m = occurrence_matrix([cw("0110")], fam)
         assert m.entries == ((4, 2),)
         assert fam.column_labels() == ("length", "1")
@@ -195,6 +195,31 @@ class TestOccurrenceMatrix:
     def test_wrong_types_are_refused_as_a_bad_parameter(self, call):
         with pytest.raises(BadParameterError):
             call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # entries that are not a tuple of integer tuples
+            lambda: IntegerMatrix(None),
+            lambda: IntegerMatrix([(1, 0)]),
+            lambda: IntegerMatrix(([1, 0],)),
+            lambda: exact_rank(IntegerMatrix((("a",),))),
+            lambda: exact_rank(IntegerMatrix(((1.5,),))),
+            # words that are not iterable
+            lambda: occurrence_matrix(None, cks_family(2, 2)),
+            lambda: occurrence_matrix(5, cks_family(2, 2)),
+        ],
+        ids=["none", "list", "list-row", "str-entry", "float-entry", "no-words", "int-words"],
+    )
+    def test_matrix_refusals_are_bad_parameters(self, call):
+        with pytest.raises(BadParameterError):
+            call()
+
+    def test_words_may_be_any_iterable(self):
+        family = FunctionalFamily(2, (u("1"), (), u("01")))
+        words = [cw("0110"), cw("010")]
+        assert occurrence_matrix(iter(words), family) == occurrence_matrix(words, family)
+        assert occurrence_matrix(words, family).entries == ((2, 4, 1), (1, 3, 1))
 
 
 class TestExactRank:
@@ -435,6 +460,32 @@ class TestCksBasis:
         labels = cks_family(2, 4).column_labels()
         assert labels == ("length", "1", "11", "101", "111", "1001", "1011", "1101", "1111")
         assert len(labels) == 9
+        assert cks_family(2, 4).factors[0] == ()
+
+    def test_empty_target_is_the_length_column(self):
+        family = cks_family(2, 4)
+        assert express_in_span("", family, 10) == (1,) + (0,) * 8
+        # the length expressed by itself: the sample rows are length-1 counts
+        assert express_in_span((), FunctionalFamily(2, ((),)), 5) == (1,)
+
+    @pytest.mark.parametrize(
+        "target, family",
+        [
+            ("0011", cks_family(2, 4)),
+            ("0", FunctionalFamily(2, (u("1"), ()))),
+            ("", spanning_set_family(3)),
+            ("12", cks_family(3, 2)),
+        ],
+    )
+    def test_one_coefficient_per_factor(self, target, family):
+        coeffs = express_in_span(target, family, 8)
+        assert len(coeffs) == len(family.factors)
+        for w in words_up_to(family.d, 8):
+            combined = sum(
+                c * (count_occurrences(w, f) if f else w.n)
+                for c, f in zip(coeffs, family.factors)
+            )
+            assert combined == (count_occurrences(w, target) if target else w.n)
 
     def test_binary_cases(self):
         assert verify_cks_basis(2, 3, 8)
@@ -443,9 +494,7 @@ class TestCksBasis:
     def test_smallest_case(self):
         # basis {length, 1} expresses |W|_0 = |W| - |W|_1
         assert verify_cks_basis(2, 1, 4)
-        coeffs = express_in_span(
-            u("0"), FunctionalFamily(d=2, factors=(u("1"),), include_length=True), 4
-        )
+        coeffs = express_in_span(u("0"), FunctionalFamily(d=2, factors=((), u("1"))), 4)
         assert coeffs == (Fraction(1), Fraction(-1))
 
     def test_ternary_case(self):
@@ -512,7 +561,7 @@ def full_family_holds(echelon, l, family, lengths):
     d = family.d
     expected = predicted_dimension(d, l)
     extra = [v for m in lengths for v in Alphabet(d).words(m) if v not in family.factors]
-    everything = FunctionalFamily(d, family.factors + tuple(extra), family.include_length)
+    everything = FunctionalFamily(d, family.factors + tuple(extra))
     return (
         span._family_rank(echelon, l, family) == expected
         and span._family_rank(echelon, l, everything) == expected
@@ -622,7 +671,7 @@ class TestExpressInSpan:
             t = [count_occurrences(w, target.letters) for w in words]
             rows = [r + (b,) for r, b in zip(m.entries, t)]
             try:
-                expected = _solve(rows, family.ncols)
+                expected = _solve(rows, len(family.factors))
             except NotInSpanError:
                 with pytest.raises(NotInSpanError):
                     express_in_span(target.letters, family, 10)
@@ -991,7 +1040,7 @@ class TestMarginals:
         st.integers(1, 4),
         st.booleans(),
     )
-    def test_block_sums_are_the_counts(self, w, kind, l, include_length):
+    def test_block_sums_are_the_counts(self, w, kind, l, with_length):
         if kind == "cks":
             family = cks_family(w.d, l)
         elif kind == "spanning":
@@ -999,15 +1048,14 @@ class TestMarginals:
             family = spanning_set_family(l)
         else:
             factors = [v for m in (1, l) for v in Alphabet(w.d).words(m)][::3]
-            family = FunctionalFamily(w.d, tuple(dict.fromkeys(factors)), include_length)
-        (values,) = _marginals(
-            [_dense_row(w, l)], w.d, l, family.factors, family.include_length
-        )
+            head = [()] if with_length else []
+            family = FunctionalFamily(w.d, tuple(dict.fromkeys(head + factors)))
+        (values,) = _marginals([_dense_row(w, l)], w.d, l, family.factors)
         assert values == occurrence_matrix([w], family).entries[0]
 
     def test_length_is_the_row_sum(self):
-        family = FunctionalFamily(2, (u("1"),), include_length=True)
-        assert _marginals([[5, -2, 0, 7]], 2, 2, family.factors, True) == [(10, 7)]
+        family = FunctionalFamily(2, ((), u("1")))
+        assert _marginals([[5, -2, 0, 7]], 2, 2, family.factors) == [(10, 7)]
 
 
 class TestCaps:
@@ -1041,7 +1089,7 @@ class TestCaps:
             express_in_span(u("000000"), cks_family(2, 2), 4)
 
     def test_express_caps_a_long_basis_factor(self, monkeypatch):
-        basis = FunctionalFamily(2, (u("1"), u("111111")), include_length=True)
+        basis = FunctionalFamily(2, ((), u("1"), u("111111")))
         set_cap(monkeypatch, 2**6)
         # words up to length 4 cannot certify the rank of length-6 counts
         with pytest.warns(UserWarning, match="hold on the sample only"):

@@ -383,6 +383,22 @@ class TestBadLengths:
         with pytest.raises(BadParameterError):
             call()
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Alphabet(2).validate(None),
+            lambda: cw("011").codes("3"),
+            lambda: cw("011").rotate("1"),
+            lambda: span.predicted_dimension("2", 2),
+            lambda: span.predicted_dimension(2, 0),
+            lambda: words.random_word(None, 3),
+        ],
+        ids=["validate", "codes", "rotate", "predicted_dimension-d", "predicted_dimension-l", "random_word"],
+    )
+    def test_wrong_types_are_refused_as_a_bad_parameter(self, call):
+        with pytest.raises(BadParameterError):
+            call()
+
 
 class TestMirror:
     def test_mirror_examples(self):
