@@ -13,6 +13,7 @@ immutable value and safe to share between workers.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -98,11 +99,16 @@ class Alphabet:
 
     def validate(self, letters: Letters) -> None:
         _check_type(letters, tuple, "Alphabet.validate")
-        allowed = range(self.d)
-        if set(letters).issubset(allowed):
-            return
-        bad = next(a for a in letters if a not in allowed)
-        raise BadLetterError(f"letter {bad} outside alphabet 0..{self.d - 1}")
+        # One C pass: the letters as bytes, less every byte below d, are
+        # empty.  Else (a float, a letter past 255 or d) each is looked at.
+        try:
+            if not bytes(letters).translate(None, bytes(range(min(self.d, 256)))):
+                return
+        except (TypeError, ValueError):
+            pass
+        for a in letters:
+            if not (isinstance(a, int) and 0 <= a < self.d):
+                raise BadLetterError(f"letter {a} outside alphabet 0..{self.d - 1}")
 
     def words(self, l: int) -> Iterator[Letters]:
         """All d^l words of length l >= 0, lexicographically."""
@@ -200,12 +206,12 @@ def _circular(seq: Letters | bytes, t: int) -> Letters | bytes:
 def _windows(letters: Letters, l: int) -> Iterator[Letters]:
     """The n circular factors of length l >= 1, in position order, one at a time.
 
-    l shifted slices of _circular(letters, l-1) are zipped, so each factor
-    is built in C and none is kept unless the caller keeps it.
+    l shifted islices of _circular(letters, l-1) are zipped, so each factor
+    is built in C and only the extension, n + l - 1 letters, is buffered.
     """
     n = len(letters)
     ext = _circular(letters, l - 1)
-    return zip(*(ext[j : j + n] for j in range(l)))
+    return zip(*(itertools.islice(ext, j, j + n) for j in range(l)))
 
 
 def _codes(letters: Letters, d: int, l: int) -> bytes:
@@ -304,20 +310,25 @@ def _occurrences(w: CircularWord, u: WordLike) -> tuple[bytes, bytes, int]:
 
     The one factor guard: w must be a CircularWord (check_word), and u
     is read by _as_letters and must be non-empty and over w's alphabet.
-    The text holds memory linear in n + |u|, not n·|u|: it is the
-    circular extension of w's letters by |u|-1 (_circular), and it and
-    u are written as bytes, each letter as the same number of
-    big-endian bytes (one when d <= 256).  Returns (text, factor,
-    width), width the bytes per letter; a hit of the factor in the text
-    is an occurrence exactly when it starts at a multiple of width.
+    When d^|u| <= 256 the text is w.codes(|u|) and the factor is u's
+    code, one byte (its index in _factor_table).  Otherwise the text is
+    the circular extension of w's letters by |u|-1 (_circular), and it
+    and u are written as bytes, each letter as the same number of
+    big-endian bytes (one when d <= 256).  Either text holds memory
+    linear in n + |u|, not n·|u|.  Returns (text, factor, width), width
+    the bytes per letter; a hit of the factor in the text is an
+    occurrence exactly when it starts at a multiple of width.
     """
     check_word(w, "occurrence counting")
     u = _as_letters(u)
     if len(u) == 0:
         raise EmptyFactorError("occurrence counting needs a non-empty factor")
     Alphabet(w.d).validate(u)
+    l = len(u)
+    if _fits_a_byte(w.d, l):
+        return w.codes(l), bytes([_factor_table(w.d, l).index(u)]), 1
     width = ((w.d - 1).bit_length() + 7) // 8
-    ext = _circular(w.letters, len(u) - 1)
+    ext = _circular(w.letters, l - 1)
     if width == 1:
         return bytes(ext), bytes(u), 1
     text, factor = (b"".join(a.to_bytes(width, "big") for a in s) for s in (ext, u))
@@ -337,38 +348,17 @@ def _hits(text: bytes, factor: bytes, width: int) -> Iterator[int]:
         i = text.find(factor, i + 1)
 
 
-def _has_border(u: bytes) -> bool:
-    """Whether a proper non-empty prefix of u is also a suffix of u.
-
-    k ends as the length of u's longest such border, by the failure
-    function of Knuth, Morris and Pratt, in O(|u|) steps.
-    """
-    fail = [0] * len(u)
-    k = 0
-    for i in range(1, len(u)):
-        while k and u[i] != u[k]:
-            k = fail[k - 1]
-        if u[i] == u[k]:
-            k += 1
-        fail[i] = k
-    return k > 0
-
-
 def count_occurrences(w: CircularWord, u: WordLike) -> int:
     """Number of positions i in 0..n-1 at which u occurs in w (mod n).
 
-    The hits are stepped through one at a time.  Two hits of a factor
-    with no border cannot overlap, so when each letter is one byte one
-    bytes.count of the text counts them all.  The border test takes
-    |u| steps, so it is made only once |u| hits have been stepped
-    through: it never costs more than the stepping it can save.
+    When u's code fits a byte, the factor is that one byte, which cannot
+    overlap itself, so one bytes.count of w.codes(|u|) counts it.  The
+    hits of a longer factor are stepped through one at a time.
     """
     text, factor, width = _occurrences(w, u)
-    hits = _hits(text, factor, width)
-    first = sum(1 for _ in itertools.islice(hits, len(factor)))
-    if first == len(factor) and width == 1 and not _has_border(factor):
+    if len(factor) == 1:
         return text.count(factor)
-    return first + sum(1 for _ in hits)
+    return sum(1 for _ in _hits(text, factor, width))
 
 
 def occurrence_positions(w: CircularWord, u: WordLike) -> tuple[int, ...]:
@@ -469,21 +459,23 @@ def _chunk_codes(
 ) -> Iterator[tuple[Letters, tuple[bytes, ...]]]:
     """Each word with its code string of each length, coded a chunk at a time.
 
-    The one way to code many words: each chunk of _BATCH words is
-    written into one buffer, each word as its circular extension by
-    t = max(lengths) - 1 (_circular), and one _codes scan per length codes
-    the whole chunk.  A word's slice of a scan, its n bytes from where
-    it starts, reads only its own n + t letters, so it equals
+    The one way to code many words of one length: every word of a chunk
+    of _BATCH words must have the length n of its first.  Each word is
+    written r = ceil((n + t)/n) times, t = max(lengths) - 1, into one
+    buffer, every word n·r bytes from the last, with no Python-level
+    call per word, and one _codes scan per length codes the whole
+    chunk.  A word's slice of a scan, the first n of its n·r bytes,
+    reads only its own n + t letters, repeated, so it equals
     _codes(letters, d, l).  Yields (letters, slices), one slice per
-    length in the given order.  The words may have any lengths >= 1,
-    and every d^l must be at most 256.
+    length in the given order.  Every d^l must be at most 256.
     """
     tail = max(lengths) - 1
     words = iter(words)
     while chunk := list(itertools.islice(words, _BATCH)):
-        buf = b"".join([_circular(raw, tail) for raw in map(bytes, chunk)])
-        starts = itertools.accumulate((len(a) + tail for a in chunk), initial=0)
-        cuts = [slice(s, s + len(a)) for s, a in zip(starts, chunk)]
+        n = len(chunk[0])
+        r = -(-(n + tail) // n)
+        buf = b"".join(map(operator.mul, map(bytes, chunk), itertools.repeat(r)))
+        cuts = list(map(slice, range(0, len(buf), n * r), range(n, len(buf) + n, n * r)))
         slices = [list(map(_codes(buf, d, l).__getitem__, cuts)) for l in lengths]
         yield from zip(chunk, zip(*slices))
 

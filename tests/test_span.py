@@ -963,7 +963,9 @@ class TestCertifiedSample:
         # the chunk coder's slices up to d^l = 256 and densely past it
         d = data.draw(st.integers(2, 4), label="d")
         l = data.draw(st.integers(1, {2: 9, 3: 6, 4: 5}[d]), label="l")
-        word = st.lists(st.integers(0, d - 1), min_size=1, max_size=20).map(tuple)
+        # one word length per example, as the sample passes them
+        n = data.draw(st.integers(1, 20), label="n")
+        word = st.lists(st.integers(0, d - 1), min_size=n, max_size=n).map(tuple)
         letters = data.draw(st.lists(word, max_size=6), label="words")
         rows = {tuple(span._dense_counts(a, d, l)) for a in letters}
         assert span._sample_rows(letters, d, l, certified=False) == rows

@@ -68,6 +68,20 @@ class TestConstruction:
         with pytest.raises(BadLetterError, match=f"letter {bad} outside alphabet 0..1"):
             CircularWord(letters)
 
+    @pytest.mark.parametrize("d", [2, 300])
+    def test_float_letter_is_refused(self, d):
+        # 1.0 == 1, so a test by equality alone would let it through
+        with pytest.raises(BadLetterError, match=f"letter 1.0 outside alphabet 0..{d - 1}"):
+            CircularWord((0, 1.0), d)
+
+    def test_float_factor_letter_is_refused(self):
+        with pytest.raises(BadLetterError, match="letter 1.0 outside alphabet 0..1"):
+            span.FunctionalFamily(2, ((1.0,),))
+
+    @pytest.mark.parametrize("d", [2, 300])
+    def test_boolean_letters_are_accepted(self, d):
+        assert CircularWord((False, True), d) == CircularWord((0, 1), d)
+
     def test_parse_circular_checks_against_the_given_alphabet(self):
         with pytest.raises(BadLetterError, match="letter 2 outside alphabet 0..1"):
             parse_circular("0120", 2)
@@ -126,14 +140,14 @@ class TestCounting:
     @pytest.mark.parametrize(
         "word, factor, count",
         [
-            # bordered factors: hits overlap, so each is stepped through
+            # hits that overlap
             ("0000", "00", 4),
             ("01010", "010", 2),
             ("0101", "0101", 2),
             ("00100", "00", 3),
             ("0", "000", 1),
             ("0120120", "01201", 1),
-            # no border: one bytes.count once |u| hits are seen, else stepped
+            # hits that cannot overlap
             ("0101", "01", 2),
             ("001001001", "001", 3),
             ("0120120120", "012", 3),
@@ -146,11 +160,6 @@ class TestCounting:
         w = parse_circular(word)
         assert count_occurrences(w, factor) == count == unrolled_count(w.letters, u(factor))
         assert len(occurrence_positions(w, factor)) == count
-
-    @given(st.lists(st.integers(0, 2), min_size=1, max_size=12).map(bytes))
-    def test_border_matches_every_prefix_and_suffix(self, factor):
-        bordered = any(factor[:k] == factor[-k:] for k in range(1, len(factor)))
-        assert words._has_border(factor) == bordered
 
     def test_factor_longer_than_word(self):
         # oracle: unroll W periodically to length n + |U|
@@ -183,15 +192,17 @@ class TestCounting:
 
     @given(st.data())
     def test_matches_a_slice_at_each_position(self, data):
-        d = data.draw(st.sampled_from([2, 3, 300]))
+        d = data.draw(st.sampled_from([2, 3, 4, 300]))
         letters = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=12)))
-        # factors drawn from the word's own periodic extension, so many occur
+        # factors drawn from the word's own periodic extension, so many occur;
+        # lengths either side of d^|u| = 256 pin the code byte and the text search
         start = data.draw(st.integers(0, len(letters) - 1))
-        size = data.draw(st.integers(1, 3 * len(letters)))
+        limit = {2: (8, 9), 3: (5, 6), 4: (4, 5), 300: (1, 2)}[d]
+        size = data.draw(st.integers(1, 3 * len(letters)) | st.sampled_from(limit))
         factor = data.draw(
             st.one_of(
-                st.just((letters * 5)[start : start + size]),
-                st.lists(st.integers(0, d - 1), min_size=1, max_size=3 * len(letters)).map(tuple),
+                st.just((letters * (size // len(letters) + 2))[start : start + size]),
+                st.lists(st.integers(0, d - 1), min_size=size, max_size=size).map(tuple),
             )
         )
         n, m = len(letters), len(factor)
@@ -213,6 +224,18 @@ class TestCounting:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert count == unrolled_count(w.letters, factor) == 1000
+
+    def test_windows_memory_linear_in_word_and_factor(self):
+        # l slices of n letters before the first window would peak near 76 MB
+        w = CircularWord((0,) * 10**4, 2)
+        tracemalloc.start()
+        try:
+            ov = occurrence_vector(w, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert ov.counts == {(0,) * 1000: 10**4}
 
     @given(circular_words_any_alphabet(), st.integers(1, 6))
     def test_positions_are_the_counted_ones(self, w, l):
@@ -590,8 +613,10 @@ class TestChunkCoder:
         # every factor length whose codes fit a byte, in any order
         fitting = [l for l in range(1, 9) if d**l <= 256]
         lengths = data.draw(st.lists(st.sampled_from(fitting), min_size=1, unique=True), label="lengths")
-        # words shorter than max(lengths) - 1 wrap their tail more than once
-        letters = st.lists(st.integers(0, d - 1), min_size=1, max_size=12).map(tuple)
+        # one word length per example: words shorter than max(lengths) - 1
+        # are repeated more than twice
+        n = data.draw(st.integers(1, 12), label="n")
+        letters = st.lists(st.integers(0, d - 1), min_size=n, max_size=n).map(tuple)
         chunk = data.draw(st.lists(letters, max_size=20), label="words")
         made = words._codes
         scans = []
