@@ -121,8 +121,8 @@ def verify_kirchhoff(w: CircularWord, n: int) -> KirchhoffReport:
         source, target, clean = _code_check(d, n)
         if _walk_sources(w.codes(n + 1), source, target) == w.codes(n):
             return clean
-    counts = _dense_counts(w.letters, d, n)
-    edges = _dense_counts(w.letters, d, n + 1)
+    counts = _dense_counts(w._data, d, n)
+    edges = _dense_counts(w._data, d, n + 1)
     out_res, in_res = _flow_residuals(d, n, counts, edges)
     return KirchhoffReport(
         out_residuals=MappingProxyType(out_res), in_residuals=MappingProxyType(in_res)

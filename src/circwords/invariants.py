@@ -199,13 +199,13 @@ def winding_number_decomposition(w: CircularWord) -> int:
 
 def _decomposition_winding(w: CircularWord) -> int:
     """winding_number_decomposition of a word the caller has guarded."""
-    letters, n = w.letters, w.n
+    data, n = w._data, w.n
     anchor, matches = _isolated_blocks(w)
     k = 0
     for block in matches:
         first, end = block.span()
         if (end - first) % 2 == 0:
-            k += 1 - 2 * letters[(anchor + first + 1) % n]
+            k += 1 - 2 * data[(anchor + first + 1) % n]
     return k
 
 

@@ -547,9 +547,9 @@ def marginalization_check(w: CircularWord, l: int) -> bool:
         raise BadParameterError(f"marginalization needs l >= 2, got {l!r}")
     d = w.d
     check_size(d, l, "factors")
-    row = _dense_counts(w.letters, d, l)
+    row = _dense_counts(w._data, d, l)
     return all(
         _marginals([row], d, l, list(Alphabet(d).words(m)))
-        == [tuple(_dense_counts(w.letters, d, m))]
+        == [tuple(_dense_counts(w._data, d, m))]
         for m in range(1, l)
     )

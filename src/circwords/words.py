@@ -99,16 +99,27 @@ class Alphabet:
 
     def validate(self, letters: Letters) -> None:
         _check_type(letters, tuple, "Alphabet.validate")
-        # One C pass: the letters as bytes, less every byte below d, are
-        # empty.  Else (a float, a letter past 255 or d) each is looked at.
+        self._held(letters)
+
+    def _held(self, letters: Letters | bytes) -> bytes | Letters:
+        """The letters, checked, as a word over this alphabet holds them.
+
+        One bytes value, a letter a byte, when d <= 256; a tuple past it.
+        One C pass checks them: as bytes, less every byte below d, they
+        are empty.  Else (a float, a letter past 255 or d) each is looked
+        at, and the first outside 0..d-1 is refused.
+        """
+        d = self.d
         try:
-            if not bytes(letters).translate(None, bytes(range(min(self.d, 256)))):
-                return
+            data = bytes(letters)
+            if not data.translate(None, bytes(range(min(d, 256)))):
+                return data if d <= 256 else tuple(letters)
         except (TypeError, ValueError):
             pass
         for a in letters:
-            if not (isinstance(a, int) and 0 <= a < self.d):
-                raise BadLetterError(f"letter {a} outside alphabet 0..{self.d - 1}")
+            if not (isinstance(a, int) and 0 <= a < d):
+                raise BadLetterError(f"letter {a} outside alphabet 0..{d - 1}")
+        return tuple(letters)
 
     def words(self, l: int) -> Iterator[Letters]:
         """All d^l words of length l >= 0, lexicographically."""
@@ -117,40 +128,66 @@ class Alphabet:
         return itertools.product(range(self.d), repeat=l)
 
 
+def _word_data(letters: Letters | bytes, d: int) -> bytes | Letters:
+    """The one word check: refuse no letters, then a bad d, then a letter outside 0..d-1.
+
+    Returns the letters as the word holds them (Alphabet._held).
+    """
+    if len(letters) == 0:
+        raise EmptyWordError("circular word must have length >= 1")
+    return Alphabet(d)._held(letters)
+
+
+#: bytes.translate tables: complement a binary word's bytes, and write
+#: the letters 0..9 as their ASCII digits.
+_COMPLEMENT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 @dataclass(frozen=True)
 class CircularWord:
-    """Non-empty letter sequence indexed modulo its length."""
+    """Non-empty letter sequence indexed modulo its length.
 
-    letters: Letters
-    d: int = 2
+    The letters are held as one bytes value, a letter a byte, when
+    d <= 256, and as a tuple past it.  Equality and hashing read that
+    value and d, so a word is the same by every route that builds it.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.letters, tuple):
-            what = type(self.letters).__name__
+    _data: bytes | Letters
+    d: int
+
+    def __init__(self, letters: Letters, d: int = 2) -> None:
+        if not isinstance(letters, tuple):
+            what = type(letters).__name__
             raise BadParameterError(f"a word's letters must be a tuple, got a {what}")
-        if len(self.letters) == 0:
-            raise EmptyWordError("circular word must have length >= 1")
-        Alphabet(self.d).validate(self.letters)
+        # What a frozen __init__ stores, written straight to the instance dict.
+        self.__dict__.update(_data=_word_data(letters, d), d=d)
 
     @classmethod
     def _unchecked(
-        cls, letters: Letters, d: int, memo: dict[int, bytes] | None = None
+        cls, data: bytes | Letters, d: int, memo: dict[int, bytes] | None = None
     ) -> "CircularWord":
         """A word whose letters the caller made valid: no length or letter check.
 
-        memo, when given, becomes the word's code memo (see codes), so it
-        must hold the code strings _codes would make for its lengths.
+        data is held as is, so it must be bytes when d <= 256 and a
+        tuple past it.  memo, when given, becomes the word's code memo
+        (see codes), so it must hold the code strings _codes would make
+        for its lengths.
         """
         w = object.__new__(cls)
-        # What the frozen __init__ stores, written straight to the instance dict.
-        w.__dict__.update(letters=letters, d=d)
+        w.__dict__.update(_data=data, d=d)
         if memo is not None:
             w.__dict__["_code_memo"] = memo
         return w
 
     @property
+    def letters(self) -> Letters:
+        """The letters as a tuple of ints, made on each read."""
+        return tuple(self._data)
+
+    @property
     def n(self) -> int:
-        return len(self.letters)
+        return len(self._data)
 
     def codes(self, l: int) -> bytes:
         """The code of each circular factor of length l, one byte per position.
@@ -168,30 +205,32 @@ class CircularWord:
                 raise BadParameterError(
                     f"factor codes need 1 <= l and {self.d}^l <= 256, got l={l}"
                 )
-            codes = memo[l] = _codes(self.letters, self.d, l)
+            codes = memo[l] = _codes(self._data, self.d, l)
         return codes
 
     def factors(self, l: int) -> list[Letters]:
         """All n factors of length l in position order (one per position)."""
         check_length(l, "factor length")
-        return list(_windows(self.letters, l))
+        return list(_windows(self._data, l))
 
     def rotate(self, s: int) -> "CircularWord":
         """Shift indices by s: position i of the result reads position i+s."""
         _check_type(s, int, "rotate")
         s %= self.n
-        return CircularWord(self.letters[s:] + self.letters[:s], self.d)
+        return CircularWord._unchecked(self._data[s:] + self._data[:s], self.d)
 
     def reverse(self) -> "CircularWord":
-        return CircularWord(self.letters[::-1], self.d)
+        return CircularWord._unchecked(self._data[::-1], self.d)
 
     def complement(self) -> "CircularWord":
         """Exchange 0 and 1 (binary words only)."""
         _require_binary(self.d, "complement")
-        return CircularWord(tuple(1 - a for a in self.letters), 2)
+        return CircularWord._unchecked(self._data.translate(_COMPLEMENT), 2)
 
     def __str__(self) -> str:
-        return word_string(self.letters)
+        if self.d <= 10:
+            return self._data.translate(_TO_DIGITS).decode()
+        return word_string(self._data)
 
     def __repr__(self) -> str:
         return f"CircularWord({self}, d={self.d})"
@@ -203,7 +242,7 @@ def _circular(seq: Letters | bytes, t: int) -> Letters | bytes:
     return seq * (t // n + 1) + seq[: t % n]
 
 
-def _windows(letters: Letters, l: int) -> Iterator[Letters]:
+def _windows(letters: Letters | bytes, l: int) -> Iterator[Letters]:
     """The n circular factors of length l >= 1, in position order, one at a time.
 
     l shifted islices of _circular(letters, l-1) are zipped, so each factor
@@ -214,7 +253,7 @@ def _windows(letters: Letters, l: int) -> Iterator[Letters]:
     return zip(*(itertools.islice(ext, j, j + n) for j in range(l)))
 
 
-def _codes(letters: Letters, d: int, l: int) -> bytes:
+def _codes(letters: Letters | bytes, d: int, l: int) -> bytes:
     """The code of each circular factor of length l, one byte per position.
 
     Byte i is sum_k a[i+k]·d^(l-1-k), the index of the factor at
@@ -226,7 +265,8 @@ def _codes(letters: Letters, d: int, l: int) -> bytes:
     into the next, because every field is at most d^l - 1 <= 255; the
     first l-1 bytes hold partial sums and are dropped.  On a long word
     at most four buffers of its length are alive at once: each is freed
-    as soon as the next step no longer needs it.
+    as soon as the next step no longer needs it.  A word's own bytes
+    are read as they are, since bytes(b) is b.
     """
     n = len(letters)
     x = int.from_bytes(_circular(bytes(letters), l - 1), "big")
@@ -251,7 +291,7 @@ def _factor_table(d: int, l: int) -> tuple[Letters, ...]:
     return tuple(itertools.product(range(d), repeat=l))
 
 
-def _dense_counts(letters: Letters, d: int, l: int) -> list[int]:
+def _dense_counts(letters: Letters | bytes, d: int, l: int) -> list[int]:
     """The count of every length-l factor, all d^l of them, lexicographically.
 
     Entry c counts the factor with code c: one bytes.count per code
@@ -265,33 +305,45 @@ def _dense_counts(letters: Letters, d: int, l: int) -> list[int]:
     return list(map(counts.get, factors, itertools.repeat(0)))
 
 
-#: The letters a word's text may hold: the ASCII digits only.
-_DIGITS = {str(i): i for i in range(10)}
+#: A bytes.translate table taking each ASCII digit to its letter, 0..9,
+#: and every other byte to 255: the letters a word's text may hold are
+#: the ASCII digits only.
+_FROM_DIGITS = bytes(b - 48 if 48 <= b <= 57 else 255 for b in range(256))
+
+
+def _digits(text: str) -> bytes:
+    """A string of ASCII digits as bytes, one letter a byte, by one bytes.translate."""
+    if not isinstance(text, str):
+        raise BadParameterError(f"a word must be a digit string, got {text!r}")
+    # each non-ASCII character becomes one "?", so positions still match
+    data = text.encode("ascii", "replace").translate(_FROM_DIGITS)
+    bad = data.find(255)
+    if bad >= 0:
+        raise BadLetterError(f"letter {text[bad]!r} is not a digit")
+    return data
 
 
 def parse_word(text: str) -> Letters:
     """Parse a string of ASCII digits into a letter tuple."""
-    if not isinstance(text, str):
-        raise BadParameterError(f"a word must be a digit string, got {text!r}")
-    try:
-        return tuple(map(_DIGITS.__getitem__, text))
-    except KeyError as exc:
-        raise BadLetterError(f"letter {exc.args[0]!r} is not a digit") from None
+    return tuple(_digits(text))
 
 
 def parse_circular(text: str, d: int | None = None) -> CircularWord:
     """Parse a digit string into a circular word over 0..d-1.
 
-    The alphabet size is max digit + 1 (at least 2) unless d is given;
-    CircularWord checks the letters against it.
+    The alphabet size is max digit + 1 (at least 2) unless d is given.
+    The text becomes the word's bytes by one translate, and _word_data
+    checks them against the alphabet: a non-digit is refused first,
+    then the empty word, then d, then a letter outside 0..d-1.
     """
-    letters = parse_word(text)
+    data = _digits(text)
     if d is None:
-        d = max(2, max(letters, default=0) + 1)
-    return CircularWord(letters, d)
+        # max digit + 1, by one C-level search per digit, not a step per letter
+        d = max(2, max(filter(data.__contains__, range(10)), default=0) + 1)
+    return CircularWord._unchecked(_word_data(data, d), d)
 
 
-def word_string(u: Letters) -> str:
+def word_string(u: Letters | bytes) -> str:
     return "".join(str(a) for a in u)
 
 
@@ -328,9 +380,9 @@ def _occurrences(w: CircularWord, u: WordLike) -> tuple[bytes, bytes, int]:
     if _fits_a_byte(w.d, l):
         return w.codes(l), bytes([_factor_table(w.d, l).index(u)]), 1
     width = ((w.d - 1).bit_length() + 7) // 8
-    ext = _circular(w.letters, l - 1)
+    ext = _circular(w._data, l - 1)
     if width == 1:
-        return bytes(ext), bytes(u), 1
+        return ext, bytes(u), 1
     text, factor = (b"".join(a.to_bytes(width, "big") for a in s) for s in (ext, u))
     return text, factor, width
 
@@ -389,7 +441,7 @@ def occurrence_vector(w: CircularWord, l: int) -> OccurrenceVector:
     """Count every length-l factor of w in one scan, in first-occurrence order."""
     check_word(w, "occurrence_vector")
     check_length(l, "factor length")
-    counts = dict(Counter(_windows(w.letters, l)))
+    counts = dict(Counter(_windows(w._data, l)))
     return OccurrenceVector(l=l, counts=counts)
 
 
@@ -435,20 +487,20 @@ def decompose_blocks(w: CircularWord) -> tuple[tuple[int, Letters], ...]:
     """
     check_word(w, "block decomposition")
     _require_binary(w.d, "block decomposition")
-    letters, n = w.letters, w.n
+    data, n = w._data, w.n
     anchor, matches = _isolated_blocks(w)
     blocks = []
     for block in matches:
         first, end = block.span()
         start = (anchor + first + 1) % n
         stop = start + end - first
-        arc = letters[start:stop] if stop <= n else letters[start:] + letters[: stop - n]
-        blocks.append((start, arc))
+        arc = data[start:stop] if stop <= n else data[start:] + data[: stop - n]
+        blocks.append((start, tuple(arc)))
     return tuple(sorted(blocks))
 
 
 #: Words per chunk of _chunk_codes.  Past a few hundred words a chunk
-#: saves no time, and its letter tuples, buffers and slices are the rank
+#: saves no time, and its letters, buffers and slices are the rank
 #: sample's largest allocation: span_dimension(3, 3, 10) peaks near
 #: 1.6 MB with 4096 words a chunk, near 0.1 MB with 256.
 _BATCH = 1 << 8
@@ -456,7 +508,7 @@ _BATCH = 1 << 8
 
 def _chunk_codes(
     words: Iterable[Letters], d: int, lengths: Sequence[int]
-) -> Iterator[tuple[Letters, tuple[bytes, ...]]]:
+) -> Iterator[tuple[bytes, tuple[bytes, ...]]]:
     """Each word with its code string of each length, coded a chunk at a time.
 
     The one way to code many words of one length: every word of a chunk
@@ -466,15 +518,16 @@ def _chunk_codes(
     call per word, and one _codes scan per length codes the whole
     chunk.  A word's slice of a scan, the first n of its n·r bytes,
     reads only its own n + t letters, repeated, so it equals
-    _codes(letters, d, l).  Yields (letters, slices), one slice per
-    length in the given order.  Every d^l must be at most 256.
+    _codes(letters, d, l).  Yields (data, slices): the word's letters
+    as the bytes the buffer is written from, and one slice per length in
+    the given order.  Every d^l must be at most 256.
     """
     tail = max(lengths) - 1
     words = iter(words)
-    while chunk := list(itertools.islice(words, _BATCH)):
+    while chunk := list(map(bytes, itertools.islice(words, _BATCH))):
         n = len(chunk[0])
         r = -(-(n + tail) // n)
-        buf = b"".join(map(operator.mul, map(bytes, chunk), itertools.repeat(r)))
+        buf = b"".join(map(operator.mul, chunk, itertools.repeat(r)))
         cuts = list(map(slice, range(0, len(buf), n * r), range(n, len(buf) + n, n * r)))
         slices = [list(map(_codes(buf, d, l).__getitem__, cuts)) for l in lengths]
         yield from zip(chunk, zip(*slices))
@@ -490,17 +543,17 @@ def enumerate_words(d: int, n: int) -> Iterator[CircularWord]:
 
     The alphabet is checked once; the words are built unchecked.  When
     every length-4 code fits a byte, _chunk_codes codes the words a
-    chunk at a time, one scan per length in _PREFILLED, and each word's
-    slices become its code memo.
+    chunk at a time, one scan per length in _PREFILLED, and each word
+    is built from the bytes the coder yields, its slices its code memo.
     """
     check_length(n, "word length")
     product = Alphabet(d).words(n)
     if not _fits_a_byte(d, max(_PREFILLED)):
-        for letters in product:
-            yield CircularWord._unchecked(letters, d)
+        for data in map(bytes, product) if d <= 256 else product:
+            yield CircularWord._unchecked(data, d)
         return
-    for letters, codes in _chunk_codes(product, d, _PREFILLED):
-        yield CircularWord._unchecked(letters, d, dict(zip(_PREFILLED, codes)))
+    for data, codes in _chunk_codes(product, d, _PREFILLED):
+        yield CircularWord._unchecked(data, d, dict(zip(_PREFILLED, codes)))
 
 
 def _necklaces(d: int, n: int) -> Iterator[Letters]:

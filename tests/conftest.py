@@ -33,12 +33,11 @@ def u(text: str) -> tuple[int, ...]:
 
 def scan_count(w: CircularWord, factor) -> int:
     """Occurrence count via explicit modular indexing (no slicing)."""
-    factor = tuple(factor)
-    n = w.n
+    factor, letters, n = tuple(factor), w.letters, w.n
     return sum(
         1
         for i in range(n)
-        if all(factor[j] == w.letters[(i + j) % n] for j in range(len(factor)))
+        if all(factor[j] == letters[(i + j) % n] for j in range(len(factor)))
     )
 
 

@@ -770,7 +770,9 @@ def plain_sample(d, l, max_len, counts=None):
 
 
 def misread_slices(monkeypatch, change):
-    """Make the sample read change(letters, l, codes) for each word's slice.
+    """Make the sample read change(data, l, codes) for each word's slice.
+
+    data is the word's letters as the chunk coder yields them, bytes.
 
     The chunk coder is patched where span binds it, so the rows before
     the certificate and the walks after it both see the change.
@@ -827,8 +829,8 @@ class TestCertifiedSample:
         reduced = []
         kernel = span._bareiss_rank
 
-        def misread(letters, l, string):
-            if letters == corrupt and l == 4:
+        def misread(data, l, string):
+            if data == bytes(corrupt) and l == 4:
                 assert string[0] == 0b0001
                 string = bytes([0b0000]) + string[1:]
             return string
@@ -888,9 +890,9 @@ class TestCertifiedSample:
         row = tuple(span._dense_counts(corrupt, d, l))
         calls = []
 
-        def misread(letters, l, string):
+        def misread(data, l, string):
             # the same codes in reverse order: the same row, out of sequence
-            return string[::-1] if letters == corrupt else string
+            return string[::-1] if data == bytes(corrupt) else string
 
         def logged(name, function):
             def call(*args):
@@ -983,9 +985,9 @@ class TestCertifiedSample:
                 row[1] += 1
             return row
 
-        def misread(letters, l, string):
+        def misread(data, l, string):
             # one code too many, 0001: the slice counts one more 0001
-            return string + bytes([0b0001]) if letters == corrupt else string
+            return string + bytes([0b0001]) if data == bytes(corrupt) else string
 
         misread_slices(monkeypatch, misread)
         plain = plain_sample(2, 4, 8, miscount)
@@ -1008,7 +1010,7 @@ class TestCertifiedSample:
         monkeypatch.setattr(words, "_codes", counted)
         monkeypatch.setattr(words, "_BATCH", 7)
         monkeypatch.setattr(CircularWord, "_unchecked", never)
-        monkeypatch.setattr(CircularWord, "__post_init__", never)
+        monkeypatch.setattr(CircularWord, "__init__", never)
         report = span_dimension(3, 3, 10)
         assert report.saturated
         assert report.rank_by_length[3] == (4, report.rank)

@@ -109,6 +109,7 @@ class TestConstruction:
         assert cw("010011").d == 2
         assert cw("000").d == 2  # never below 2
         assert cw("0120").d == 3
+        assert cw("90").d == 10
 
     def test_parse_rejects_non_digits(self):
         with pytest.raises(BadLetterError):
@@ -544,6 +545,83 @@ class TestRotations:
         factor = tuple(factor)
         assert count_occurrences(w.rotate(s), factor) == count_occurrences(w, factor)
 
+    @pytest.mark.parametrize("d", [2, 3, 300])
+    @given(st.data())
+    def test_rotate_and_reverse_are_the_sliced_letters(self, d, data):
+        letters = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=20)))
+        s = data.draw(st.integers(-25, 25), label="s")
+        k = s % len(letters)
+        w = CircularWord(letters, d)
+        for got, expected in ((w.rotate(s), letters[k:] + letters[:k]), (w.reverse(), letters[::-1])):
+            fresh = CircularWord(expected, d)
+            assert (got, hash(got), repr(got)) == (fresh, hash(fresh), repr(fresh))
+            assert got.letters == expected
+
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=40).map(tuple))
+    def test_complement_exchanges_the_letters(self, letters):
+        got = CircularWord(letters, 2).complement()
+        fresh = CircularWord(tuple(1 - a for a in letters), 2)
+        assert (got, hash(got), repr(got)) == (fresh, hash(fresh), repr(fresh))
+        assert got.letters == fresh.letters
+
+    @pytest.mark.parametrize("d", [3, 300])
+    def test_complement_refuses_a_wider_alphabet(self, d):
+        with pytest.raises(BadParameterError, match="complement is defined for binary words"):
+            CircularWord((0, 1, 2), d).complement()
+
+
+#: The most words of one length, d^n, that the routes test enumerates.
+ENUMERATED = 1 << 12
+
+
+class TestHeldLetters:
+    """A word holds its letters as bytes when d <= 256, and as a tuple past it."""
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 300])
+    @given(st.data())
+    def test_a_word_is_the_same_by_every_route(self, d, data):
+        drawn = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=12)))
+        n = len(drawn)
+        # the least rotation, so _necklaces yields it; letters is one of its rotations
+        neck = min(drawn[s:] + drawn[:s] for s in range(n))
+        k = data.draw(st.integers(0, n - 1), label="k")
+        letters = neck[k:] + neck[:k]
+        w = CircularWord(letters, d)
+        routes = [w.rotate(0), CircularWord(neck, d).rotate(k)]
+        if d <= 10:
+            routes.append(parse_circular(word_string(letters), d))
+        if d**n <= ENUMERATED:
+            index = sum(a * d ** (n - 1 - i) for i, a in enumerate(letters))
+            routes.append(next(itertools.islice(enumerate_words(d, n), index, None)))
+            assert neck in words._necklaces(d, n)
+        for v in routes:
+            assert (v, hash(v)) == (w, hash(w))
+            assert v.letters == letters
+            assert (str(v), repr(v)) == (word_string(letters), f"CircularWord({word_string(letters)}, d={d})")
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 12, 300])
+    def test_str_is_the_joined_letters(self, d):
+        rng = Random(d)
+        letters = tuple(rng.randrange(d) for _ in range(500)) + (d - 1, 0)
+        w = CircularWord(letters, d)
+        assert str(w) == word_string(w.letters) == word_string(letters)
+
+    def test_a_long_word_and_its_report_stay_small(self):
+        # a letter tuple alone would take 8 MB, on top of its code strings
+        rng = Random(24)
+        text = format(rng.getrandbits(10**6), "b").zfill(10**6)
+        tracemalloc.start()
+        try:
+            w = parse_circular(text)
+            report = grandsart_report(w)
+            kirchhoff = debruijn.verify_kirchhoff(w, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 << 20
+        assert report.consistent and kirchhoff.ok
+        assert str(w) == text
+
 
 class TestEnumeration:
     def test_length_one(self):
@@ -629,7 +707,7 @@ class TestChunkCoder:
             mp.setattr(words, "_BATCH", batch)
             mp.setattr(words, "_codes", counted)
             coded = list(words._chunk_codes(iter(chunk), d, lengths))
-        assert [a for a, _ in coded] == chunk
+        assert [a for a, _ in coded] == list(map(bytes, chunk))
         for a, slices in coded:
             assert slices == tuple(made(a, d, l) for l in lengths)
         assert scans == lengths * -(-len(chunk) // batch)
