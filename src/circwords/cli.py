@@ -20,7 +20,6 @@ from typing import Sequence
 from . import debruijn, invariants, span, words
 from .errors import CircwordsError, SizeLimitError
 from .words import (
-    CircularWord,
     count_occurrences,
     enumerate_words,
     parse_circular,
@@ -65,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2, help="alphabet size (default 2)")
     p.add_argument("--l", type=int, default=4, help="factor length (default 4)")
     p.add_argument("--max-len", type=int, default=None, metavar="N",
-                   help="sample words up to length N (default 2l+2)")
+                   help="sample the necklaces up to length N (default: the "
+                        "d^l - d^(l-1) + 1 certificate words, up to length 2l-1)")
     p.add_argument("--cks", action="store_true",
                    help="also verify the nonzero-first-and-last-letter basis")
     p.add_argument("--spanning-set", action="store_true",
@@ -86,10 +86,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    letters = parse_word(args.word)
-    u = parse_word(args.factor)
-    d = max(2, max(letters + u, default=0) + 1)
-    print(count_occurrences(CircularWord(letters, d), u))
+    word, factor = args.word, args.factor
+    # max digit of either text + 1, by one C-level search per digit and text
+    d = max(2, 1 + max((a for a in range(10) if str(a) in word or str(a) in factor), default=0))
+    if not word:
+        parse_word(factor)  # a factor that is no digit string is refused before the empty word
+    print(count_occurrences(parse_circular(word, d), factor))
     return EXIT_OK
 
 

@@ -10,40 +10,47 @@ basis of factors whose first and last letters are nonzero.
 Every question is answered from one sample and one echelon, and
 span_dimension is the public way into them: verify_cks_basis and
 verify_spanning_set read its echelon, so they refuse max_len < l and
-warn on an uncertified sample as it does.  The sample holds one word per
-rotation class, the necklaces: every count |W|_U is the same on all
-rotations of W, so they give the same distinct count rows as all d^m
-words of each length, from about d^m/m words.  Each row holds a word's
-d^l counts of length-l factors in lexicographic order, and
-_sample_echelon reduces the distinct rows into one row echelon.  For
-|u| <= l, |W|_u is the sum of the row over the block of columns that
-start with u.  The empty factor occurs once at every position, so its
-count is the length |W|, and its block is the whole row.  A family's
-values are block sums, a fixed linear map, and taken on the kept rows
-they span the same space as on the whole sample.  Ranks and solutions
-depend only on that space.  One cap bounds d^max_len and d^l before
-anything is built.
+warn on an uncertified sample as it does.  By default the sample is the
+certificate words: the word 0, and 0^(l-1)·y for each y of length 1..l
+whose first and last letters are nonzero, d^l - d^(l-1) + 1 words of
+lengths 1..2l-1, whose rows are triangular on distinct lead columns
+(_sample_echelon says why).  With an explicit max_len the sample holds
+one word per rotation class of each length up to it, the necklaces:
+every count |W|_U is the same on all rotations of W, so they give the
+same distinct count rows as all d^m words of each length, from about
+d^m/m words.  Each row holds a word's d^l counts of length-l factors in
+lexicographic order, and _sample_echelon reduces the distinct rows into
+one row echelon.  For |u| <= l, |W|_u is the sum of the row over the
+block of columns that start with u.  The empty factor occurs once at
+every position, so its count is the length |W|, and its block is the
+whole row.  A family's values are block sums, a fixed linear map, and
+taken on the kept rows they span the same space as on the whole sample.
+Ranks and solutions depend only on that space.  One cap bounds
+d^max_len, or d^(2l) for the certificate words, and d^l before anything
+is built.
 
 Every count row obeys the flow law of B(d,l-1): at every vertex the
 out-sum equals the in-sum, so the row lies in the cycle space of that
 digraph.  Its flow relations form the incidence matrix, of rank V - c
-for V vertices and c weakly connected components (Biggs, Algebraic
-Graph Theory, ch. 4), so the cycle space has dimension d^l - d^(l-1) + c,
-the cyclomatic number of B(d,l-1); no relation matrix is built.
-debruijn decides every flow-law question here, on the codes and rows
-it is given: the bound, from the package's one union-find, and whether
-a word's walk closes or a row obeys the law.  Once the sample's rank
-meets the bound and every kept row obeys the law, the kept rows span the
-cycle space, so from then on a row adds rank exactly when it breaks the
-law.  One routine, _sample_rows, makes each length's distinct rows from
-the necklaces' bare letters, and it alone chooses how: when d^l <= 256
-it codes them a chunk at a time, one big-integer scan per chunk, and
-counts each row from the word's length-l code string; otherwise it
-counts each row densely.  Once certified it keeps only the rows that
-break the law: a code string whose walk on B(d,l-1) closes is skipped
-uncounted, and every other row is checked by O(d^l) slice sums.  Only a
-row that breaks the law goes to the kernel, so the echelon and the rank
-trace are the same as if every row had been eliminated.
+for V vertices and c weakly connected components (Biggs, Algebraic Graph
+Theory, ch. 4), so the cycle space has dimension d^l - d^(l-1) + c, the
+cyclomatic number of B(d,l-1); no relation matrix is built.  debruijn
+decides every flow-law question here, on the codes and rows it is given:
+the bound, from the package's one union-find, and whether a word's walk
+closes or a row obeys the law.  Once the sample's rank meets the bound
+and every kept row obeys the law, the kept rows span the cycle space, so
+from then on a row adds rank exactly when it breaks the law; the
+certificate words meet the bound only with their last length, so this
+serves the necklace sample.  One routine, _sample_rows, makes each
+length's distinct rows from either sample's bare letters, and it alone
+chooses how: when d^l <= 256 it codes them a chunk at a time, one
+big-integer scan per chunk, and counts each row from the word's length-l
+code string; otherwise it counts each row densely.  Once certified it
+keeps only the rows that break the law: a code string whose walk on
+B(d,l-1) closes is skipped uncounted, and every other row is checked by
+O(d^l) slice sums.  Only a row that breaks the law goes to the kernel,
+so the echelon and the rank trace are the same as if every row had been
+eliminated.
 
 All arithmetic is exact.  One fraction-free elimination kernel serves
 every caller: it reduces a batch of integer rows against a row echelon
@@ -56,12 +63,13 @@ step.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from . import debruijn
 from .errors import (
@@ -256,19 +264,47 @@ def _sample_rows(
     return rows
 
 
+def _certificate_words(d: int, l: int, m: int) -> Iterator[Letters]:
+    """The certificate words of length m: the word 0 at m = 1, and 0^(l-1)·y.
+
+    y runs over the words of length m-l+1 whose first and last letters
+    are nonzero, in lexicographic order, so the words have lengths
+    1..2l-1 and there are d^l - d^(l-1) + 1 of them in all.
+    """
+    if m == 1:
+        yield (0,)
+    if m >= l:
+        pad = (0,) * (l - 1)
+        for y in itertools.product(range(d), repeat=m - l + 1):
+            if y[0] and y[-1]:
+                yield pad + y
+
+
 def _sample_echelon(
-    d: int, l: int, max_len: int
+    d: int, l: int, max_len: int | None
 ) -> tuple[dict[int, list[int]], list[tuple[int, int]], int, bool]:
     """An echelon of the length-l count rows of the sample, and its certificate.
 
-    The sample is the necklaces of each length 1..max_len, as bare
-    letter tuples (words._necklaces), and _sample_rows makes each
-    length's distinct rows; no word object is built.  A bad length or
-    alphabet is refused, and so are the caps on d^max_len, the number of
-    all words of the top length, and on d^l, the width of a row, before
-    anything is built.  Returns (echelon, rank_by_length, bound,
+    With max_len None the sample is the certificate words of each length
+    1..2l-1 (_certificate_words); otherwise it is the necklaces of each
+    length 1..max_len (words._necklaces).  Either way the words are bare
+    letter tuples, and _sample_rows makes each length's distinct rows;
+    no word object is built.  A bad length or alphabet is refused, and
+    so are the caps before anything is built: on d^max_len, the number
+    of all words of the top length, or without max_len on d^(2l), which
+    bounds the bound·d^l entries of the certificate rows; and on d^l,
+    the width of a row.  Returns (echelon, rank_by_length, bound,
     saturated), where rank_by_length holds (m, rank) after the words of
     length m.
+
+    Why the certificate words saturate: each row has a lead column.  For
+    0^(l-1)·y it is the largest nonzero count column among the factors
+    that end in a nonzero letter, which is y padded on the left with
+    zeros to length l; the word 0 leads at 0^l, which no other word
+    holds.  So each row is zero on every lead above its own.  The leads
+    are distinct and the words are as many as the bound, so the rows are
+    triangular on their leads and independent, and the rank meets the
+    bound.
 
     bound is the cyclomatic number of B(d,l-1), d^l - d^(l-1) + c with c
     its weakly connected components from the union-find: the dimension
@@ -283,7 +319,12 @@ def _sample_echelon(
     the dimension.
     """
     check_length(l, "factor length")
-    check_size(d, max_len, "sample words")
+    if max_len is None:
+        check_size(d, 2 * l, "certificate row entries")
+        max_len, sample = 2 * l - 1, functools.partial(_certificate_words, d, l)
+    else:
+        check_size(d, max_len, "sample words")
+        sample = functools.partial(_necklaces, d)
     check_size(d, l, "count columns")
     Alphabet(d)
     bound = debruijn._cyclomatic(d, l - 1)
@@ -294,7 +335,7 @@ def _sample_echelon(
         # The counts of a length-m word sum to m, so no row of this
         # length repeats one of an earlier length: the distinct rows of
         # length m are exactly the new ones, and each is reduced once.
-        rank = _bareiss_rank(_sample_rows(_necklaces(d, m), d, l, certified), echelon)
+        rank = _bareiss_rank(_sample_rows(sample(m), d, l, certified), echelon)
         rank_by_length.append((m, rank))
         certified = certified or (
             rank == bound
@@ -400,28 +441,28 @@ class SpanReport:
 
 
 def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
-    """Rank of the matrix of all length-l counts over words up to max_len.
+    """Rank of the matrix of all length-l counts over a sample of words.
 
-    The sample holds the necklaces of each length 1..max_len.  max_len
-    defaults to 2l+2, which saturates the rank for every tested
-    alphabet; an unsaturated result triggers a warning since the rank is
-    then only a lower bound on the dimension.  The bound is the
-    cyclomatic number of B(d,l-1), taken from the union-find after both
-    caps are checked; no relation matrix is built.
+    Without max_len the sample is the certificate words of lengths
+    1..2l-1 (_sample_echelon), whose rows meet the bound, and d^(2l) is
+    capped; with it, the necklaces of each length 1..max_len.  An
+    unsaturated result triggers a warning since the rank is then only a
+    lower bound on the dimension.  The bound is the cyclomatic number of
+    B(d,l-1), taken from the union-find after the caps are checked; no
+    relation matrix is built.
     """
     check_length(l, "factor length")
-    if max_len is None:
-        max_len = 2 * l + 2
-    if not isinstance(max_len, int) or max_len < l:
+    if max_len is not None and (not isinstance(max_len, int) or max_len < l):
         raise BadParameterError(f"need max_len >= l, got max_len={max_len!r} < l={l}")
     echelon, rank_by_length, bound, saturated = _sample_echelon(d, l, max_len)
     rank = len(echelon)
+    top = rank_by_length[-1][0]
     if not saturated:
-        _warn_uncertified(d, l, max_len, rank, bound, "the reported rank is a lower bound")
+        _warn_uncertified(d, l, top, rank, bound, "the reported rank is a lower bound")
     return SpanReport(
         d=d,
         l=l,
-        lengths=tuple(range(1, max_len + 1)),
+        lengths=tuple(range(1, top + 1)),
         rank=rank,
         predicted=predicted_dimension(d, l),
         relations=d**l - rank,

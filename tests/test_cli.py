@@ -10,7 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from circwords import cli, debruijn, invariants, parse_circular, parse_word, span, words
+from circwords import (
+    CircwordsError, cli, debruijn, invariants, parse_circular, parse_word, span, words
+)
 from conftest import unrolled_count
 
 
@@ -44,6 +46,27 @@ class TestCount:
     def test_non_ascii_digit_is_usage_error(self, capsys):
         assert cli.main(["count", "٠١١", "1"]) == 2
         assert "is not a digit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "word,factor",
+        [
+            ("00101", "010"), ("010101", "0101"), ("0110", "2"),  # d = 2, then 3 from the factor
+            ("0120", "20"), ("2100122", "12"),  # d = 3
+            ("9081709", "9"), ("0123456789", "90"), ("5", "55555"),  # d = 10 and 6
+            ("", "01"), ("", ""), ("", "x"),  # the empty word
+            ("0110", ""), ("x", ""),  # the empty factor
+            ("01x", "y"), ("01", "1y"), ("٠١", "1"),  # non-digits, word's first
+        ],
+    )
+    def test_matches_the_letter_tuple_route(self, word, factor, capsys):
+        # the reference: both texts as letter tuples, d their max letter + 1
+        try:
+            letters, u = parse_word(word), parse_word(factor)
+            d = max(2, max(letters + u, default=0) + 1)
+            expected = (0, f"{words.count_occurrences(words.CircularWord(letters, d), u)}\n", "")
+        except CircwordsError as exc:
+            expected = (2, "", f"error: {exc}\n")
+        assert (cli.main(["count", word, factor]), *capsys.readouterr()) == expected
 
 
 class TestReport:
@@ -338,6 +361,19 @@ class TestRank:
         code, _, err = run_cli("rank", "--d", "2", "--l", "4", "--max-len", "25")
         assert code == 2
         assert "error" in err
+
+    def test_default_certifies_l_10(self, capsys):
+        assert cli.main(["rank", "--l", "10", "--cks", "--spanning-set"]) == 0
+        out, err = capsys.readouterr()
+        assert "max_len 19\nrank 513\npredicted 513\n" in out
+        assert "saturated true\ncks_basis ok\nspanning_set ok\n" in out
+        assert err == ""
+
+    def test_default_caps_d_to_the_2l(self, capsys):
+        assert cli.main(["rank", "--l", "11"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: 2^22 = 4194304 certificate row entries exceed the cap of 1048576\n"
+        )
 
 
 class TestRankFailureModes:

@@ -269,13 +269,18 @@ class TestSpanDimension:
         assert report.relations == d**l - expected
         assert report.saturated
 
-    def test_default_max_len_is_2l_plus_2(self):
-        report = span_dimension(2, 3)
-        assert report.lengths == tuple(range(1, 9))
+    @pytest.mark.parametrize("d,l", [(2, 1), (2, 3), (3, 2), (2, 6)])
+    def test_default_samples_the_certificate_words(self, d, l, monkeypatch):
+        # no necklace, where words defines the generator or where span binds it
+        monkeypatch.setattr(words, "_necklaces", never)
+        monkeypatch.setattr(span, "_necklaces", never)
+        report = span_dimension(d, l)
+        assert report.lengths == tuple(range(1, 2 * l))
+        assert report.saturated
 
     @pytest.mark.parametrize("d,l", [(2, 2), (2, 3), (2, 4), (3, 2)])
     def test_rank_trace_is_monotone_and_sticks(self, d, l):
-        report = span_dimension(d, l)
+        report = span_dimension(d, l, 2 * l + 2)
         ranks = [r for _, r in report.rank_by_length]
         assert ranks == sorted(ranks)
         first_hit = ranks.index(report.predicted)
@@ -284,7 +289,7 @@ class TestSpanDimension:
 
     @pytest.mark.parametrize("d,l", [(2, 3), (3, 2), (2, 4)])
     def test_rank_trace_matches_rank_of_each_prefix_sample(self, d, l):
-        report = span_dimension(d, l)
+        report = span_dimension(d, l, 2 * l + 2)
         family = all_factors_family(d, l)
         for m, rank in report.rank_by_length:
             assert rank == exact_rank(occurrence_matrix(words_up_to(d, m), family))
@@ -378,6 +383,75 @@ class TestSpanDimension:
     @pytest.mark.parametrize("d,l", [(2, 2), (2, 3), (2, 4), (3, 2)])
     def test_matches_cyclomatic_number(self, d, l):
         assert predicted_dimension(d, l) == cyclomatic_number(build_graph(d, l - 1))
+
+
+def certificate_words(d, l, m):
+    return [CircularWord(a, d) for a in span._certificate_words(d, l, m)]
+
+
+class TestCertificateWords:
+    """The default sample: the word 0 and 0^(l-1)·y, y with nonzero ends."""
+
+    @pytest.mark.parametrize(
+        "d,l",
+        [(2, l) for l in range(1, 11)]
+        + [(3, l) for l in range(1, 7)]
+        + [(4, l) for l in range(1, 6)]
+        + [(5, l) for l in range(2, 5)]
+        + [(16, 2)],
+    )
+    def test_default_is_saturated_at_the_predicted_rank(self, d, l, recwarn):
+        report = span_dimension(d, l)
+        assert report.saturated
+        assert report.rank == report.predicted
+        assert report.lengths == tuple(range(1, 2 * l))
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("d,l", [(2, 1), (2, 2), (2, 4), (3, 2), (3, 3), (4, 2), (2, 7)])
+    def test_rows_are_triangular_on_their_leads(self, d, l):
+        # each row leads, among the columns of factors that end in a
+        # nonzero letter, with y padded on the left with zeros; the word 0
+        # leads at 0^l, which no other word holds
+        leads = []
+        for m in range(1, 2 * l):
+            for w in certificate_words(d, l, m):
+                row = span._dense_counts(w.letters, d, l)
+                ending = [c for c in range(d**l) if row[c] and c % d]
+                lead = max(ending, default=0)
+                y = w.letters[l - 1 :]
+                assert lead == (span._index(y, d) if ending else 0)
+                assert row[0] == (w.letters == (0,))
+                leads.append(lead)
+        assert sorted(leads) == sorted(set(leads))
+        assert len(leads) == predicted_dimension(d, l)
+
+    @pytest.mark.parametrize("d,l", [(2, 1), (2, 3), (2, 4), (3, 2), (3, 3)])
+    def test_rank_trace_matches_rank_of_the_words_up_to_each_length(self, d, l):
+        report = span_dimension(d, l)
+        family = all_factors_family(d, l)
+        sample = []
+        for m, rank in report.rank_by_length:
+            sample += certificate_words(d, l, m)
+            assert rank == exact_rank(occurrence_matrix(sample, family))
+
+    def test_a_miscounted_row_is_not_certified(self, monkeypatch):
+        # the first length-7 word of (2,4), 0001001, reads its first factor
+        # 0001 as the loop 0000 in the chunk coder's scan, so its row
+        # breaks the flow law
+        first = bytes(u("0001001"))
+        codes = words._codes
+
+        def misread(data, d, l):
+            string = codes(data, d, l)
+            if l == 4 and data.startswith(first):
+                assert string[0] == 0b0001
+                string = bytes([0b0000]) + string[1:]
+            return string
+
+        monkeypatch.setattr(words, "_codes", misread)
+        with pytest.warns(UserWarning, match="at max_len=7 is not certified.*lower bound"):
+            report = span_dimension(2, 4)
+        assert not report.saturated
 
 
 class TestSpanningSet:

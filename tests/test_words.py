@@ -74,6 +74,21 @@ class TestConstruction:
         with pytest.raises(BadLetterError, match=f"letter 1.0 outside alphabet 0..{d - 1}"):
             CircularWord((0, 1.0), d)
 
+    @pytest.mark.parametrize(
+        "letters,bad",
+        [((256, 300), 300), ((299, -1), -1), ((256, 1.0), 1.0), ((256, "1"), "1"), ((0, 2**70), 2**70)],
+    )
+    def test_a_wide_alphabet_names_its_first_bad_letter(self, letters, bad):
+        # a letter past 255 fails the bytes check, and the letter loop
+        # names the first letter outside 0..d-1
+        with pytest.raises(BadLetterError, match=f"letter {bad} outside alphabet 0..299"):
+            CircularWord(letters, 300)
+
+    def test_a_wide_alphabet_holds_letters_past_255_as_a_tuple(self):
+        w = CircularWord((0, 299, 256, True), 300)
+        assert w._data == (0, 299, 256, 1)
+        assert w.letters == (0, 299, 256, 1)
+
     def test_float_factor_letter_is_refused(self):
         with pytest.raises(BadLetterError, match="letter 1.0 outside alphabet 0..1"):
             span.FunctionalFamily(2, ((1.0,),))
