@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -35,7 +36,13 @@ EXIT_USAGE = 2
 DEFAULT_SEED = 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Parsing reads it without changing it, so one process can run many
+    commands, a usage error among them, through one parser.
+    """
     parser = argparse.ArgumentParser(
         prog="circwords",
         description="Occurrence combinatorics of circular words.",
@@ -214,8 +221,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     `warning: <message>` line each, so stderr names no source file; on
     a usage error only the `error:` line is printed.
     """
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         try:
             code = _HANDLERS[args.command](args)

@@ -12,7 +12,9 @@ _walk_sources, and on a row of edge counts by _obeys_flow_law's slice
 sums.  verify_kirchhoff compares the walk's sources with the word's
 vertex codes and counts residuals only to name a violation; the rank
 sample in span, which codes its own words, asks _cyclomatic for its
-bound and the two tests for each word's codes and row.
+bound, the block form of the walk test for a whole chunk of code
+strings of one length, and the two tests for each word's codes and row
+in a chunk that fails it.
 """
 
 from __future__ import annotations
@@ -153,16 +155,30 @@ def _end_tables(d: int, n: int) -> tuple[bytes, bytes]:
     return bytes(c // d for c in range(256)), bytes(c % size for c in range(256))
 
 
-def _walk_sources(edges: bytes, source: bytes, target: bytes) -> bytes | None:
+def _walk_sources(
+    edges: bytes, source: bytes, target: bytes, n: int | None = None
+) -> bytes | None:
     """The source codes of the edges when they form a closed walk, else None.
 
     source and target are bytes.translate tables from an edge code to
     its source and its target vertex code.  The walk closes when each
     edge's target is the next edge's source, the last edge's the first's;
     it then enters each vertex as often as it leaves it.
+
+    Given n >= 1, the edges are consecutive blocks of n, and the test
+    asks whether every block closes its own walk: the expected targets
+    are the sources shifted by one, except that each block's last edge
+    must lead back to its block's first source, written over the shift
+    by one strided slice assignment.  So a whole chunk of code strings
+    of one length is decided by a constant number of C-level calls.
+    With n None the edges are one walk, and no further copy is made.
     """
     sources = edges.translate(source)
-    if edges.translate(target) == sources[1:] + sources[:1]:
+    expected = sources[1:] + sources[:1]
+    if n is not None:
+        expected = bytearray(expected)
+        expected[n - 1 :: n] = sources[::n]
+    if edges.translate(target) == expected:
         return sources
     return None
 

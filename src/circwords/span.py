@@ -48,9 +48,11 @@ big-integer scan per chunk, and counts each row from the word's length-l
 code string; otherwise it counts each row densely.  Once certified it
 keeps only the rows that break the law: a code string whose walk on
 B(d,l-1) closes is skipped uncounted, and every other row is checked by
-O(d^l) slice sums.  Only a row that breaks the law goes to the kernel,
-so the echelon and the rank trace are the same as if every row had been
-eliminated.
+O(d^l) slice sums.  The walks of a chunk's words are decided together,
+by one block test of the joined code strings, and only a chunk that
+fails it is walked word by word.  Only a row that breaks the law goes
+to the kernel, so the echelon and the rank trace are the same as if
+every row had been eliminated.
 
 All arithmetic is exact.  One fraction-free elimination kernel serves
 every caller: it reduces a batch of integer rows against a row echelon
@@ -243,20 +245,28 @@ def _sample_rows(
 
     The sample's one row routine.  When d^l <= 256 the words are coded a
     chunk at a time (words._chunk_codes) and each row is counted from
-    the word's slice, skipping, once certified, a word whose codes close
-    their walk on B(d,l-1); otherwise each row is counted densely.  Once
-    certified only the rows debruijn._obeys_flow_law rejects are kept:
-    a misread code can fail the walk and still give a lawful row.
+    the word's slice; otherwise each row is counted densely.  Once
+    certified, a word whose codes close their walk on B(d,l-1) adds no
+    row.  A chunk whose slices all have its words' length n is decided
+    whole, by one block test of its joined slices (debruijn._walk_sources
+    with n), and adds no row when it passes; a chunk that fails it, or
+    whose slices differ in length, is walked word by word.  Only the
+    rows debruijn._obeys_flow_law rejects are kept: a misread code can
+    fail the walk and still give a lawful row.
     """
     if _fits_a_byte(d, l):
         columns = range(d**l)
         walk = debruijn._walk_sources
         source, target = debruijn._end_tables(d, l - 1)
-        rows = {
-            tuple(map(codes.count, columns))
-            for _, (codes,) in _chunk_codes(letters, d, (l,))
-            if not certified or walk(codes, source, target) is None
-        }
+        rows = set()
+        for data, (slices,) in _chunk_codes(letters, d, (l,)):
+            if certified:
+                n = len(data[0])
+                whole = set(map(len, slices)) == {n}
+                if whole and walk(b"".join(slices), source, target, n) is not None:
+                    continue
+                slices = [codes for codes in slices if walk(codes, source, target) is None]
+            rows.update(tuple(map(codes.count, columns)) for codes in slices)
     else:
         rows = {tuple(_dense_counts(a, d, l)) for a in letters}
     if certified:

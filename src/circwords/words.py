@@ -508,8 +508,8 @@ _BATCH = 1 << 8
 
 def _chunk_codes(
     words: Iterable[Letters], d: int, lengths: Sequence[int]
-) -> Iterator[tuple[bytes, tuple[bytes, ...]]]:
-    """Each word with its code string of each length, coded a chunk at a time.
+) -> Iterator[tuple[list[bytes], list[list[bytes]]]]:
+    """The words a chunk at a time, with each word's code string of each length.
 
     The one way to code many words of one length: every word of a chunk
     of _BATCH words must have the length n of its first.  Each word is
@@ -518,9 +518,10 @@ def _chunk_codes(
     call per word, and one _codes scan per length codes the whole
     chunk.  A word's slice of a scan, the first n of its n·r bytes,
     reads only its own n + t letters, repeated, so it equals
-    _codes(letters, d, l).  Yields (data, slices): the word's letters
-    as the bytes the buffer is written from, and one slice per length in
-    the given order.  Every d^l must be at most 256.
+    _codes(letters, d, l).  Yields one record per chunk, (data,
+    slices): the words' letters as the bytes the buffer is written
+    from, and per length, in the given order, the list of the words'
+    slices, in the order of data.  Every d^l must be at most 256.
     """
     tail = max(lengths) - 1
     words = iter(words)
@@ -529,8 +530,7 @@ def _chunk_codes(
         r = -(-(n + tail) // n)
         buf = b"".join(map(operator.mul, chunk, itertools.repeat(r)))
         cuts = list(map(slice, range(0, len(buf), n * r), range(n, len(buf) + n, n * r)))
-        slices = [list(map(_codes(buf, d, l).__getitem__, cuts)) for l in lengths]
-        yield from zip(chunk, zip(*slices))
+        yield chunk, [list(map(_codes(buf, d, l).__getitem__, cuts)) for l in lengths]
 
 
 #: The factor lengths whose codes enumerate_words makes for its words:
@@ -544,7 +544,8 @@ def enumerate_words(d: int, n: int) -> Iterator[CircularWord]:
     The alphabet is checked once; the words are built unchecked.  When
     every length-4 code fits a byte, _chunk_codes codes the words a
     chunk at a time, one scan per length in _PREFILLED, and each word
-    is built from the bytes the coder yields, its slices its code memo.
+    of a chunk is built from the bytes the coder yields, its slices its
+    code memo.
     """
     check_length(n, "word length")
     product = Alphabet(d).words(n)
@@ -552,8 +553,9 @@ def enumerate_words(d: int, n: int) -> Iterator[CircularWord]:
         for data in map(bytes, product) if d <= 256 else product:
             yield CircularWord._unchecked(data, d)
         return
-    for data, codes in _chunk_codes(product, d, _PREFILLED):
-        yield CircularWord._unchecked(data, d, dict(zip(_PREFILLED, codes)))
+    for chunk, slices in _chunk_codes(product, d, _PREFILLED):
+        for data, codes in zip(chunk, zip(*slices)):
+            yield CircularWord._unchecked(data, d, dict(zip(_PREFILLED, codes)))
 
 
 def _necklaces(d: int, n: int) -> Iterator[Letters]:

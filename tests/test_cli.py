@@ -559,6 +559,34 @@ class TestDot:
         assert code == 2
 
 
+class TestSharedParser:
+    """main builds its parser once, and one process runs commands as fresh ones do."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize(
+        "bad", [["rank", "--d", "x"], ["rank", "--l", "0"]], ids=["argparse", "handler"]
+    )
+    def test_a_usage_error_then_rank_as_in_fresh_processes(self, bad, capsys):
+        codes = []
+        for argv in (bad, ["rank", "--d", "3", "--l", "3", "--max-len", "8", "--cks"]):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            codes.append(code)
+            assert (code, *capsys.readouterr()) == run_cli(*argv)
+        assert codes == [2, 0]
+
+    def test_verify_twice_prints_the_same(self, capsys):
+        outputs = []
+        for _ in range(2):
+            assert cli.main(["verify", "--max-len", "6"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] == ("126 words checked, 0 violations\n", "")
+
+
 class TestUsage:
     @pytest.mark.parametrize(
         "argv",

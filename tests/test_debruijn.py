@@ -334,6 +334,33 @@ class TestWalkSources:
         # a word's own edges always close their walk
         assert faulty or sources is not None
 
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_block_form_closes_exactly_when_every_string_does(self, data):
+        # a chunk of 1-20 code strings of one length on B(d,n), with
+        # d^(n+1) <= 256, one of them with a faulty byte or none
+        d = data.draw(st.integers(2, 4), label="d")
+        n = data.draw(st.integers(1, {2: 7, 3: 4, 4: 3}[d]), label="n")
+        size = data.draw(st.integers(1, 20), label="size")
+        word = st.lists(st.integers(0, d - 1), min_size=size, max_size=size).map(tuple)
+        letters = data.draw(st.lists(word, min_size=1, max_size=20), label="words")
+        chunk = [bytearray(words._codes(a, d, n + 1)) for a in letters]
+        if data.draw(st.booleans(), label="fault"):
+            j = data.draw(st.integers(0, len(chunk) - 1), label="string")
+            i = data.draw(st.integers(0, size - 1), label="position")
+            chunk[j][i] = data.draw(st.integers(0, 255), label="code")
+        chunk = list(map(bytes, chunk))
+        joined = b"".join(chunk)
+        source, target = debruijn._end_tables(d, n)
+        each = [debruijn._walk_sources(codes, source, target) for codes in chunk]
+        block = debruijn._walk_sources(joined, source, target, size)
+        assert (block is not None) == all(s is not None for s in each)
+        if block is not None:
+            assert block == b"".join(each)
+        # without n the joined strings are one walk, decided as before
+        whole = debruijn._walk_sources(joined, source, target)
+        assert whole == walk_sources_by_edge(joined, source, target)
+
 
 class TestGraphGuard:
     """A graph argument that is not a DeBruijnGraph, or labels that are not

@@ -846,7 +846,8 @@ def plain_sample(d, l, max_len, counts=None):
 def misread_slices(monkeypatch, change):
     """Make the sample read change(data, l, codes) for each word's slice.
 
-    data is the word's letters as the chunk coder yields them, bytes.
+    data is the word's letters as the chunk coder yields them, bytes;
+    change is mapped over each word of each chunk record.
 
     The chunk coder is patched where span binds it, so the rows before
     the certificate and the walks after it both see the change.
@@ -854,8 +855,11 @@ def misread_slices(monkeypatch, change):
     coder = words._chunk_codes
 
     def misread(letters, d, lengths):
-        for a, slices in coder(letters, d, lengths):
-            yield a, tuple(change(a, l, codes) for l, codes in zip(lengths, slices))
+        for chunk, slices in coder(letters, d, lengths):
+            yield chunk, [
+                [change(a, l, codes) for a, codes in zip(chunk, per_word)]
+                for l, per_word in zip(lengths, slices)
+            ]
 
     monkeypatch.setattr(span, "_chunk_codes", misread)
 
@@ -1031,6 +1035,37 @@ class TestCertifiedSample:
             misread_slices(monkeypatch, lambda *args: misread)
             broken = span._sample_rows([w.letters], 2, 3, certified=True)
             assert (broken == set()) is holds
+
+    def test_a_slice_of_another_length_sends_its_chunk_word_by_word(self, monkeypatch):
+        # one length-8 necklace reads one code too many, 0001 after its
+        # last edge 1000, so its walk cannot close; the chunk skips the
+        # block test and walks each word, and only that word's row is
+        # counted and checked
+        letters = list(span._necklaces(2, 8))
+        corrupt = u("00010111")
+        assert corrupt in letters
+        misread = words._codes(corrupt, 2, 4) + bytes([0b0001])
+        row = tuple(map(misread.count, range(16)))
+        walked, checked = [], []
+        walk, law = debruijn._walk_sources, debruijn._obeys_flow_law
+
+        def logged_walk(*args):
+            walked.append(args)
+            return walk(*args)
+
+        def logged_law(counted, d):
+            checked.append(counted)
+            return law(counted, d)
+
+        misread_slices(
+            monkeypatch, lambda data, l, codes: misread if data == bytes(corrupt) else codes
+        )
+        monkeypatch.setattr(debruijn, "_walk_sources", logged_walk)
+        monkeypatch.setattr(debruijn, "_obeys_flow_law", logged_law)
+        assert span._sample_rows(letters, 2, 4, certified=True) == {row}
+        assert len(walked) == len(letters)
+        assert all(len(args) == 3 for args in walked)
+        assert checked == [row]
 
     @settings(max_examples=200)
     @given(st.data())

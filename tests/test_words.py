@@ -721,7 +721,11 @@ class TestChunkCoder:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(words, "_BATCH", batch)
             mp.setattr(words, "_codes", counted)
-            coded = list(words._chunk_codes(iter(chunk), d, lengths))
+            coded = [
+                (a, codes)
+                for data, slices in words._chunk_codes(iter(chunk), d, lengths)
+                for a, codes in zip(data, zip(*slices))
+            ]
         assert [a for a, _ in coded] == list(map(bytes, chunk))
         for a, slices in coded:
             assert slices == tuple(made(a, d, l) for l in lengths)
