@@ -168,11 +168,10 @@ def cmd_rank(args: argparse.Namespace) -> int:
         words._require_binary(args.d, "the 1V spanning set")  # before sampling
     report = span.span_dimension(args.d, args.l, args.max_len)
     results = {"rank_matches": report.rank == report.predicted}
-    # The report's kept rows answer the other two questions: one sample.
     if args.cks:
-        results["cks_basis"] = span._cks_basis_holds(report.echelon, args.d, args.l)
+        results["cks_basis"] = span._cks_basis_holds(report)
     if args.spanning_set:
-        results["spanning_set"] = span._spanning_set_holds(report.echelon, args.l)
+        results["spanning_set"] = span._spanning_set_holds(report)
     ok = all(results.values())
     if args.format == "json":
         payload = report.to_dict()

@@ -8,13 +8,14 @@ extends uniquely one letter to the left and one to the right, so the
 vertex count equals the sum of its out-edge counts and the sum of its
 in-edge counts.  Every flow-law decision is made here, on the codes
 and rows the caller gives: on code strings by one closed-walk test,
-_walk_sources, and on a row of edge counts by _obeys_flow_law's slice
-sums.  verify_kirchhoff compares the walk's sources with the word's
+_walk_sources, and on (edge code, count) pairs by one balance test,
+_balanced.  verify_kirchhoff compares the walk's sources with the word's
 vertex codes and counts residuals only to name a violation; the rank
 sample in span, which codes its own words, asks _cyclomatic for its
 bound, the block form of the walk test for a whole chunk of code
 strings of one length, and the two tests for each word's codes and row
-in a chunk that fails it.
+in a chunk that fails it; its certificate words' sparse rows go to
+_balanced, which _obeys_flow_law runs on a dense row.
 """
 
 from __future__ import annotations
@@ -184,9 +185,17 @@ def _walk_sources(
 
 
 def _obeys_flow_law(row: Sequence[int], d: int) -> bool:
-    """Whether each vertex's out-sum equals its in-sum, by slice sums of the edge counts."""
-    out_sums, in_sums = _edge_sums(d, row)
-    return list(out_sums) == list(in_sums)
+    """Whether a dense row of the d^(n+1) edge counts of B(d,n) obeys the law."""
+    return _balanced(enumerate(row), d, len(row) // d)
+
+
+def _balanced(counts: Iterable[tuple[int, int]], d: int, vertices: int) -> bool:
+    """Whether (edge code, count) pairs obey the flow law: edge e of B(d,n) runs e // d -> e % d^n."""
+    balance: dict[int, int] = {}
+    for e, c in counts:
+        balance[e // d] = balance.get(e // d, 0) + c
+        balance[e % vertices] = balance.get(e % vertices, 0) - c
+    return not any(balance.values())
 
 
 def _flow_residuals(

@@ -7,14 +7,14 @@ span.  For factors of length at most l over d letters that dimension is
 the formula, the independent spanning set {0^l} union {1V}, and the
 basis of factors whose first and last letters are nonzero.
 
-Every question is answered from one sample and one echelon, and
-span_dimension is the public way into them: verify_cks_basis and
-verify_spanning_set read its echelon, so they refuse max_len < l and
+span_dimension is the public way into the sample: verify_cks_basis and
+verify_spanning_set read its report, so they refuse max_len < l and
 warn on an uncertified sample as it does.  By default the sample is the
 certificate words: the word 0, and 0^(l-1)·y for each y of length 1..l
 whose first and last letters are nonzero, d^l - d^(l-1) + 1 words of
-lengths 1..2l-1, whose rows are triangular on distinct lead columns
-(_sample_echelon says why).  With an explicit max_len the sample holds
+lengths 1..2l-1, whose rows are triangular on distinct lead columns:
+_triangular checks that, and each basis, on their sparse rows with no
+elimination.  With an explicit max_len the sample holds
 one word per rotation class of each length up to it, the necklaces:
 every count |W|_U is the same on all rotations of W, so they give the
 same distinct count rows as all d^m words of each length, from about
@@ -26,8 +26,7 @@ every position, so its count is the length |W|, and its block is the
 whole row.  A family's values are block sums, a fixed linear map, and
 taken on the kept rows they span the same space as on the whole sample.
 Ranks and solutions depend only on that space.  One cap bounds
-d^max_len, or d^(2l) for the certificate words, and d^l before anything
-is built.
+d^max_len, for the necklaces, and d^l before anything is built.
 
 Every count row obeys the flow law of B(d,l-1): at every vertex the
 out-sum equals the in-sum, so the row lies in the cycle space of that
@@ -42,13 +41,13 @@ and every kept row obeys the law, the kept rows span the cycle space, so
 from then on a row adds rank exactly when it breaks the law; the
 certificate words meet the bound only with their last length, so this
 serves the necklace sample.  One routine, _sample_rows, makes each
-length's distinct rows from either sample's bare letters, and it alone
+length's distinct rows from the necklaces' bare letters, and it alone
 chooses how: when d^l <= 256 it codes them a chunk at a time, one
 big-integer scan per chunk, and counts each row from the word's length-l
 code string; otherwise it counts each row densely.  Once certified it
 keeps only the rows that break the law: a code string whose walk on
-B(d,l-1) closes is skipped uncounted, and every other row is checked by
-O(d^l) slice sums.  The walks of a chunk's words are decided together,
+B(d,l-1) closes is skipped uncounted, and every other row is checked in
+O(d^l).  The walks of a chunk's words are decided together,
 by one block test of the joined code strings, and only a chunk that
 fails it is walked word by word.  Only a row that breaks the law goes
 to the kernel, so the echelon and the rank trace are the same as if
@@ -69,9 +68,10 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import debruijn
 from .errors import (
@@ -87,6 +87,7 @@ from .words import (
     _as_letters,
     _check_type,
     _chunk_codes,
+    _circular,
     _dense_counts,
     _fits_a_byte,
     _necklaces,
@@ -290,31 +291,54 @@ def _certificate_words(d: int, l: int, m: int) -> Iterator[Letters]:
                 yield pad + y
 
 
+def _sparse_counts(w: Letters, d: int, l: int) -> Counter[int]:
+    """The nonzero length-l counts of the circular word w by factor code, in O(|w| + l)."""
+    size = d**l
+    codes = itertools.accumulate(_circular(w, l - 1), lambda c, a: (c * d + a) % size)
+    return Counter(itertools.islice(codes, l - 1, None))
+
+
+def _triangular(d: int, l: int, count: int, lead: Callable, values: Callable = dict) -> tuple:
+    """The trace, and whether the certificate words' rows are triangular on their leads.
+
+    A word's sparse length-l counts must obey the flow law, and its row,
+    values() of them, be nonzero at lead(y), y its tail (of 0^(l-1)·y, or
+    () for the word 0), and zero at every later word's; the count leads
+    must be distinct.  The count row of 0^(l-1)·y leads at y left-padded
+    with zeros, its other factors ending in a nonzero letter being shorter
+    prefixes of y; the word 0 leads at 0^l.  The trace holds (m, distinct
+    leads up to length m).  Leads are taken first, so no row is kept.
+    """
+    words = functools.partial(_certificate_words, d, l)
+    leads, position, rank_by_length = [], {}, []
+    for m in range(1, 2 * l):
+        for w in words(m):
+            leads.append(lead(w[l - 1 :] if any(w) else ()))
+            position.setdefault(leads[-1], len(position))
+        rank_by_length.append((m, len(position)))
+    counts = (_sparse_counts(w, d, l) for m in range(1, 2 * l) for w in words(m))
+    holds = len(position) == len(leads) == count and all(
+        debruijn._balanced(c.items(), d, d ** (l - 1))
+        and (row := values(c)).get(k)
+        and all(position.get(j, i) <= i for j in row)
+        for i, (k, c) in enumerate(zip(leads, counts))
+    )
+    return rank_by_length, holds
+
+
 def _sample_echelon(
-    d: int, l: int, max_len: int | None
+    d: int, l: int, max_len: int
 ) -> tuple[dict[int, list[int]], list[tuple[int, int]], int, bool]:
     """An echelon of the length-l count rows of the sample, and its certificate.
 
-    With max_len None the sample is the certificate words of each length
-    1..2l-1 (_certificate_words); otherwise it is the necklaces of each
-    length 1..max_len (words._necklaces).  Either way the words are bare
-    letter tuples, and _sample_rows makes each length's distinct rows;
-    no word object is built.  A bad length or alphabet is refused, and
-    so are the caps before anything is built: on d^max_len, the number
-    of all words of the top length, or without max_len on d^(2l), which
-    bounds the bound·d^l entries of the certificate rows; and on d^l,
-    the width of a row.  Returns (echelon, rank_by_length, bound,
+    The sample is the necklaces of each length 1..max_len
+    (words._necklaces), as bare letter tuples, and _sample_rows makes
+    each length's distinct rows; no word object is built.  A bad length
+    or alphabet is refused, and so are the caps before anything is
+    built: on d^max_len, the number of all words of the top length, and
+    on d^l, the width of a row.  Returns (echelon, rank_by_length, bound,
     saturated), where rank_by_length holds (m, rank) after the words of
     length m.
-
-    Why the certificate words saturate: each row has a lead column.  For
-    0^(l-1)·y it is the largest nonzero count column among the factors
-    that end in a nonzero letter, which is y padded on the left with
-    zeros to length l; the word 0 leads at 0^l, which no other word
-    holds.  So each row is zero on every lead above its own.  The leads
-    are distinct and the words are as many as the bound, so the rows are
-    triangular on their leads and independent, and the rank meets the
-    bound.
 
     bound is the cyclomatic number of B(d,l-1), d^l - d^(l-1) + c with c
     its weakly connected components from the union-find: the dimension
@@ -329,12 +353,7 @@ def _sample_echelon(
     the dimension.
     """
     check_length(l, "factor length")
-    if max_len is None:
-        check_size(d, 2 * l, "certificate row entries")
-        max_len, sample = 2 * l - 1, functools.partial(_certificate_words, d, l)
-    else:
-        check_size(d, max_len, "sample words")
-        sample = functools.partial(_necklaces, d)
+    check_size(d, max_len, "sample words")
     check_size(d, l, "count columns")
     Alphabet(d)
     bound = debruijn._cyclomatic(d, l - 1)
@@ -345,7 +364,7 @@ def _sample_echelon(
         # The counts of a length-m word sum to m, so no row of this
         # length repeats one of an earlier length: the distinct rows of
         # length m are exactly the new ones, and each is reduced once.
-        rank = _bareiss_rank(_sample_rows(sample(m), d, l, certified), echelon)
+        rank = _bareiss_rank(_sample_rows(_necklaces(d, m), d, l, certified), echelon)
         rank_by_length.append((m, rank))
         certified = certified or (
             rank == bound
@@ -395,15 +414,23 @@ def _marginals(
     return values
 
 
-def _family_rank(
-    echelon: Collection[Sequence[int]], l: int, family: FunctionalFamily
-) -> int:
-    """Rank of the family's values on the sample, from the sample's kept rows.
+def _family_holds(family: FunctionalFamily, l: int, lead: Callable) -> bool:
+    """Whether the family is triangular on the certificate words, word y leading at lead(y).
 
-    The value rows are the count rows times a fixed 0/1 matrix, so they
-    span the same space as the kept rows times that matrix.
+    |W|_u is the block sum of the counts of the codes c with c // d^(l-|u|) = index(u).
     """
-    return _bareiss_rank(_marginals(echelon, family.d, l, family.factors), {})
+    d, blocks = family.d, {}
+    for u in family.factors:
+        blocks.setdefault(d ** (l - len(u)), {})[_index(u, d)] = u
+
+    def values(counts: Counter[int]) -> dict[Letters, int]:
+        row: dict[Letters, int] = {}
+        for (c, n), (b, at) in itertools.product(counts.items(), blocks.items()):
+            if (u := at.get(c // b)) is not None:
+                row[u] = row.get(u, 0) + n
+        return row
+
+    return _triangular(d, l, len(family.factors), lead, values)[1]
 
 
 @dataclass(frozen=True)
@@ -421,10 +448,6 @@ class SpanReport:
     the law, and counts none for a word whose factor codes close their
     walk (d^l <= 256).  A row that breaks the law is eliminated, so the
     trace reads as if every row had been.
-
-    echelon holds the kept rows in order of their leading columns; every
-    sample row is in their span, so other families' ranks can be read
-    off them.  It is not part of to_dict.
     """
 
     d: int
@@ -435,7 +458,6 @@ class SpanReport:
     relations: int
     rank_by_length: tuple[tuple[int, int], ...]
     saturated: bool
-    echelon: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -454,8 +476,8 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
     """Rank of the matrix of all length-l counts over a sample of words.
 
     Without max_len the sample is the certificate words of lengths
-    1..2l-1 (_sample_echelon), whose rows meet the bound, and d^(2l) is
-    capped; with it, the necklaces of each length 1..max_len.  An
+    1..2l-1, checked by _triangular, and d^l is capped; with it, the
+    necklaces of each length 1..max_len (_sample_echelon).  An
     unsaturated result triggers a warning since the rank is then only a
     lower bound on the dimension.  The bound is the cyclomatic number of
     B(d,l-1), taken from the union-find after the caps are checked; no
@@ -464,9 +486,14 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
     check_length(l, "factor length")
     if max_len is not None and (not isinstance(max_len, int) or max_len < l):
         raise BadParameterError(f"need max_len >= l, got max_len={max_len!r} < l={l}")
-    echelon, rank_by_length, bound, saturated = _sample_echelon(d, l, max_len)
-    rank = len(echelon)
-    top = rank_by_length[-1][0]
+    if max_len is None:
+        check_size(d, l, "count columns")
+        Alphabet(d)
+        bound = debruijn._cyclomatic(d, l - 1)
+        rank_by_length, saturated = _triangular(d, l, bound, functools.partial(_index, d=d))
+    else:
+        _, rank_by_length, bound, saturated = _sample_echelon(d, l, max_len)
+    top, rank = rank_by_length[-1]
     if not saturated:
         _warn_uncertified(d, l, top, rank, bound, "the reported rank is a lower bound")
     return SpanReport(
@@ -478,32 +505,32 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
         relations=d**l - rank,
         rank_by_length=tuple(rank_by_length),
         saturated=saturated,
-        echelon=tuple(tuple(echelon[col]) for col in sorted(echelon)),
     )
 
 
 def verify_spanning_set(max_len: int, l: int = 4) -> bool:
     """Check that the binary {0^l} union {1V} is independent and spans all length-l counts.
 
-    Requires rank 2^(l-1)+1 both on the set and on all length-l counts,
+    Requires the set triangular on the certificate words of a saturated sample,
     and (as a structural cross-check) that the 1V words minus the loop
     1^l form a spanning tree of B(2,l-1).  The sample is
     span_dimension's: max_len < l is refused, and a sample whose rank is
     not certified gives a warning.
     """
-    return _spanning_set_holds(span_dimension(2, l, max_len).echelon, l)
+    return _spanning_set_holds(span_dimension(2, l, max_len))
 
 
-def _spanning_set_holds(echelon: Collection[Sequence[int]], l: int) -> bool:
-    """verify_spanning_set on the kept rows of a sample of length-l counts.
+def _spanning_set_holds(report: SpanReport) -> bool:
+    """verify_spanning_set on a binary sample's report.
 
-    The kept rows are independent, so all length-l counts have rank
-    len(echelon): every such count is one entry of the row.  At l = 1
+    Word y leads at y·0^(l-|y|): its other 1V factors are y's shorter
+    suffixes that start with 1, so padded.  At l = 1
     B(2,0) has one vertex, whose spanning tree is empty, so the tree
     edges must be none and no graph is built.
     """
+    l = report.l
     family = spanning_set_family(l)
-    if not _family_rank(echelon, l, family) == predicted_dimension(2, l) == len(echelon):
+    if not (report.saturated and _family_holds(family, l, lambda y: y + (0,) * (l - len(y)))):
         return False
     tree_edges = [u for u in family.factors if u[0] == 1 and u != (1,) * l]
     if l == 1:
@@ -516,22 +543,19 @@ def verify_cks_basis(d: int, l: int, max_len: int) -> bool:
 
     The candidate basis is cks_family's: the empty factor, whose count is
     the length, and every factor of length 1..l whose first and last
-    letters are nonzero.  It must have rank (d-1)d^(l-1)+1, and so must
-    all the counts of length <= l.  The sample is span_dimension's:
+    letters are nonzero.  It must be triangular on the certificate words
+    of a saturated sample.  The sample is span_dimension's:
     max_len < l is refused, and a sample whose rank is not certified
     gives a warning.
     """
-    return _cks_basis_holds(span_dimension(d, l, max_len).echelon, d, l)
+    return _cks_basis_holds(span_dimension(d, l, max_len))
 
 
-def _cks_basis_holds(echelon: Collection[Sequence[int]], d: int, l: int) -> bool:
-    """verify_cks_basis on the kept rows of a sample of length-l counts.
-
-    The kept rows are independent, and every count of length <= l is a
-    block sum of a row, so all of them have rank len(echelon).
-    """
-    basis = cks_family(d, l)
-    return _family_rank(echelon, l, basis) == predicted_dimension(d, l) == len(echelon)
+def _cks_basis_holds(report: SpanReport) -> bool:
+    """verify_cks_basis on a sample's report: word y leads at y, its other
+    factors with nonzero ends lying inside y, so shorter."""
+    basis = cks_family(report.d, report.l)
+    return report.saturated and _family_holds(basis, report.l, lambda y: y)
 
 
 def express_in_span(

@@ -369,11 +369,42 @@ class TestRank:
         assert "saturated true\ncks_basis ok\nspanning_set ok\n" in out
         assert err == ""
 
-    def test_default_caps_d_to_the_2l(self, capsys):
-        assert cli.main(["rank", "--l", "11"]) == 2
+    def test_default_caps_d_to_the_l(self, capsys):
+        # the certificate words' rows are sparse, so d^l, the count
+        # columns, is the default path's one cap
+        assert cli.main(["rank", "--l", "11", "--cks", "--spanning-set"]) == 0
+        out, err = capsys.readouterr()
+        assert "max_len 21\nrank 1025\npredicted 1025\n" in out
+        assert "saturated true\ncks_basis ok\nspanning_set ok\n" in out
+        assert err == ""
+        assert cli.main(["rank", "--l", "21"]) == 2
         assert capsys.readouterr() == (
-            "", "error: 2^22 = 4194304 certificate row entries exceed the cap of 1048576\n"
+            "", "error: 2^21 = 2097152 count columns exceed the cap of 1048576\n"
         )
+
+    def test_default_path_sees_a_missing_basis_factor(self, monkeypatch, capsys):
+        # cks_family without 1011, and the spanning set with 1010 swapped
+        # for 0101: the certificate words 0001011 and 000101 lead at no
+        # column, so each check fails on the default path
+        cks, spanning = span.cks_family(2, 4), span.spanning_set_family(4)
+        without = span.FunctionalFamily(2, tuple(f for f in cks.factors if f != (1, 0, 1, 1)))
+        swapped = span.FunctionalFamily(
+            2, tuple((0, 1, 0, 1) if f == (1, 0, 1, 0) else f for f in spanning.factors)
+        )
+        monkeypatch.setattr(span, "cks_family", lambda d, l: without)
+        monkeypatch.setattr(span, "spanning_set_family", lambda l: swapped)
+        assert cli.main(["rank", "--l", "4", "--cks"]) == 1
+        assert "saturated true\ncks_basis FAILED\n" in capsys.readouterr().out
+        assert cli.main(["rank", "--l", "4", "--spanning-set"]) == 1
+        assert "saturated true\nspanning_set FAILED\n" in capsys.readouterr().out
+
+    def test_default_path_runs_no_elimination(self, monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("the default path eliminated")
+
+        monkeypatch.setattr(span, "_bareiss_rank", never)
+        assert cli.main(["rank", "--l", "4", "--cks", "--spanning-set"]) == 0
+        assert "cks_basis ok\nspanning_set ok\n" in capsys.readouterr().out
 
 
 class TestRankFailureModes:

@@ -362,6 +362,27 @@ class TestWalkSources:
         assert whole == walk_sources_by_edge(joined, source, target)
 
 
+class TestBalance:
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_sparse_and_dense_rows_obey_the_law_as_the_slice_sums_say(self, data):
+        # a word's rows of edge counts on B(d,n), some with one count
+        # changed, decided on their nonzero entries, on the dense row, and
+        # by the reference: each vertex's out-sum against its in-sum
+        d = data.draw(st.integers(2, 4), label="d")
+        n = data.draw(st.integers(0, {2: 8, 3: 5, 4: 4}[d]), label="n")
+        letters = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=30))
+        row = words._dense_counts(tuple(letters), d, n + 1)
+        if data.draw(st.booleans(), label="fault"):
+            i = data.draw(st.integers(0, len(row) - 1), label="edge")
+            row[i] += data.draw(st.sampled_from([-1, 1, 2]), label="change")
+        out_sums, in_sums = debruijn._edge_sums(d, row)
+        law = list(out_sums) == list(in_sums)
+        sparse = [(e, c) for e, c in enumerate(row) if c]
+        assert debruijn._balanced(sparse, d, d**n) is law
+        assert debruijn._obeys_flow_law(row, d) is law
+
+
 class TestGraphGuard:
     """A graph argument that is not a DeBruijnGraph, or labels that are not
     iterable, are refused before anything is read from them."""

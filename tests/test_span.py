@@ -1,9 +1,9 @@
 """Exact rank, span dimension, spanning set, CKS basis, marginalization."""
 
+import functools
 import tracemalloc
 import warnings
 from fractions import Fraction
-from functools import cache
 from unittest import mock
 
 import pytest
@@ -84,14 +84,17 @@ def _flow_relations(d, l):
     return relations
 
 
-EDGE_SUMS = debruijn._edge_sums
 COMPONENTS = debruijn._undirected_components
 
 
-def rotated_in_sums(d, edges):
-    out_sums, in_sums = EDGE_SUMS(d, edges)
-    in_sums = list(in_sums)
-    return out_sums, in_sums[1:] + in_sums[:1]
+def rotated_in_sums(counts, d, vertices):
+    """The flow law with the in-sums rotated by one vertex: each count is
+    taken to enter the vertex before its target."""
+    balance = [0] * vertices
+    for e, c in counts:
+        balance[e // d] += c
+        balance[(e % vertices - 1) % vertices] -= c
+    return not any(balance)
 
 
 def one_more_component(vertices, edges):
@@ -337,7 +340,7 @@ class TestSpanDimension:
         [
             # the right bound, but a law the sample rows do not obey: the
             # in-sums come out rotated, so the kept rows fail the check
-            lambda mp: mp.setattr(debruijn, "_edge_sums", rotated_in_sums),
+            lambda mp: mp.setattr(debruijn, "_balanced", rotated_in_sums),
             # one extra component: the bound is one higher than the rank
             lambda mp: mp.setattr(debruijn, "_undirected_components", one_more_component),
         ],
@@ -406,6 +409,61 @@ class TestCertificateWords:
         assert report.rank == report.predicted
         assert report.lengths == tuple(range(1, 2 * l))
         assert not recwarn.list
+        # the bases are triangular on the same words
+        assert span._cks_basis_holds(report)
+        if d == 2:
+            assert span._spanning_set_holds(report)
+
+    @pytest.mark.parametrize("change", ["drop", "repeat", "replace"])
+    def test_a_dropped_or_repeated_word_is_not_certified(self, change, monkeypatch):
+        # the word 0001011 of (2,4) is left out, given twice, or replaced
+        # by a second 0001001: too few leads, too many, or one lead twice
+        words_of = span._certificate_words
+
+        def changed(d, l, m):
+            for w in words_of(d, l, m):
+                if w != u("0001011"):
+                    yield w
+                elif change != "drop":
+                    yield from {"repeat": (w, w), "replace": (u("0001001"),)}[change]
+
+        monkeypatch.setattr(span, "_certificate_words", changed)
+        with pytest.warns(UserWarning, match="at max_len=7 is not certified.*lower bound"):
+            report = span_dimension(2, 4)
+        assert not report.saturated
+        assert report.rank == {"drop": 8, "repeat": 9, "replace": 8}[change]
+        assert not span._cks_basis_holds(report)
+        assert not span._spanning_set_holds(report)
+
+    def test_a_row_on_a_later_lead_is_not_triangular(self):
+        # (2,2): the words 0, 01 and 011 lead at 00, 01 and 11; a row,
+        # given here by its word's length, may hold an earlier word's lead,
+        # not a later one's, and must hold its own
+        rows = {1: {0: 1}, 2: {1: 1, 2: 1}, 3: {3: 1, 1: 5}}
+        lead = functools.partial(span._index, d=2)
+
+        def check(count, length=None, row=None):
+            table = {**rows, length: row}
+            return span._triangular(2, 2, count, lead, lambda c: table[sum(c.values())])
+
+        assert check(3) == ([(1, 1), (2, 2), (3, 3)], True)
+        assert not check(4)[1]
+        for length, row in ((2, {1: 1, 3: 1}), (3, {1: 1}), (1, {0: 1, 1: 1})):
+            assert not check(3, length, row)[1]
+
+    def test_no_elimination_and_no_kept_rows(self, monkeypatch):
+        # the rows are checked one at a time: the peak stays with the
+        # leads, the bound's union-find and one sparse row
+        span_dimension(2, 12)  # fill the caches, which are not per call
+        tracemalloc.start()
+        try:
+            assert span_dimension(2, 12).saturated
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        monkeypatch.setattr(span, "_bareiss_rank", never)
+        assert span_dimension(2, 6).saturated
 
     @pytest.mark.parametrize("d,l", [(2, 1), (2, 2), (2, 4), (3, 2), (3, 3), (4, 2), (2, 7)])
     def test_rows_are_triangular_on_their_leads(self, d, l):
@@ -436,19 +494,20 @@ class TestCertificateWords:
 
     def test_a_miscounted_row_is_not_certified(self, monkeypatch):
         # the first length-7 word of (2,4), 0001001, reads its first factor
-        # 0001 as the loop 0000 in the chunk coder's scan, so its row
-        # breaks the flow law
-        first = bytes(u("0001001"))
-        codes = words._codes
+        # 0001 as the loop 0000 in its sparse row, so the row breaks the
+        # flow law
+        first = u("0001001")
+        counts = span._sparse_counts
 
-        def misread(data, d, l):
-            string = codes(data, d, l)
-            if l == 4 and data.startswith(first):
-                assert string[0] == 0b0001
-                string = bytes([0b0000]) + string[1:]
-            return string
+        def misread(w, d, l):
+            row = counts(w, d, l)
+            if l == 4 and w == first:
+                assert row[0b0001] == 1
+                row[0b0001] -= 1
+                row[0b0000] += 1
+            return row
 
-        monkeypatch.setattr(words, "_codes", misread)
+        monkeypatch.setattr(span, "_sparse_counts", misread)
         with pytest.warns(UserWarning, match="at max_len=7 is not certified.*lower bound"):
             report = span_dimension(2, 4)
         assert not report.saturated
@@ -587,16 +646,20 @@ class TestCksBasis:
 
         monkeypatch.setattr(span, "_bareiss_rank", recording)
         assert check()
-        # one sampling batch per length 1..10, then one for the family: the
-        # rank of all the counts is the number of kept rows
-        assert len(batches) == 11
-        sampled, families = batches[:10], batches[10:]
-        rows = [r for batch in sampled for r in batch]
+        # one sampling batch per length 1..10, and none for the family,
+        # which is checked triangular on the certificate words
+        assert len(batches) == 10
+        rows = [r for batch in batches for r in batch]
         # 261 necklaces up to length 10 give 231 distinct count rows; the
         # kernel sees the 37 of lengths 1..6, where the rank is certified
         assert len(rows) == len(set(rows)) == 37
-        # a family's values are taken on the 9 kept rows, not on the sample
-        assert all(len(batch) <= 9 for batch in families)
+
+    def test_an_extra_factor_is_not_a_basis(self, monkeypatch):
+        # |W|_0 joins the basis: the family still spans, but is dependent
+        extra = FunctionalFamily(2, cks_family(2, 4).factors + (u("0"),))
+        monkeypatch.setattr(span, "cks_family", lambda d, l: extra)
+        assert not verify_cks_basis(2, 4, 10)
+        assert not span._cks_basis_holds(span_dimension(2, 4))
 
     @pytest.mark.parametrize(
         "check", [lambda: verify_cks_basis(2, 4, 2), lambda: verify_spanning_set(2, l=4)]
@@ -624,9 +687,9 @@ HOLDS_SAMPLES = [
 ]
 
 
-@cache
-def kept_rows(d, l, max_len):
-    return tuple(_sample_echelon(d, l, max_len)[0].values())
+def family_rank(echelon, l, family):
+    """Reference: the rank of the family's values on the kept rows, eliminated."""
+    return _bareiss_rank(_marginals(echelon, family.d, l, family.factors), {})
 
 
 def full_family_holds(echelon, l, family, lengths):
@@ -637,42 +700,45 @@ def full_family_holds(echelon, l, family, lengths):
     extra = [v for m in lengths for v in Alphabet(d).words(m) if v not in family.factors]
     everything = FunctionalFamily(d, family.factors + tuple(extra))
     return (
-        span._family_rank(echelon, l, family) == expected
-        and span._family_rank(echelon, l, everything) == expected
+        family_rank(echelon, l, family) == expected
+        and family_rank(echelon, l, everything) == expected
     )
 
 
 class TestFullFamilyRank:
-    """All the counts of a sample have the rank of its kept rows."""
+    """The triangular checks answer as eliminating every count of the sample."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(HOLDS_SAMPLES), st.booleans(), st.one_of(st.none(), st.integers(0)))
     def test_holds_as_with_every_factor_eliminated(self, case, reduce, extra):
         d, l, max_len = case
-        echelon = kept_rows(d, l, max_len)
-        if extra is not None:
-            # a miscounted row, one edge's unit vector, joins the kept rows
-            # and may lift the rank past the bound
-            unit = [0] * d**l
-            unit[extra % d**l] = 1
-            rows = {}
-            _bareiss_rank([*echelon, unit], rows)
-            echelon = tuple(rows.values())
         basis, family = cks_family(d, l), spanning_set_family(l)
         if reduce and (d, l) == (2, 4):
             # the spanning set without 1010, as in test_necklace_sample_sees_1010_missing
             basis = family = FunctionalFamily(2, tuple(f for f in family.factors if f != u("1010")))
-        with mock.patch.object(span, "cks_family", lambda d, l: basis), mock.patch.object(
-            span, "spanning_set_family", lambda l: family
-        ):
-            expected = full_family_holds(echelon, l, basis, range(1, l + 1))
-            assert span._cks_basis_holds(echelon, d, l) == expected
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mp.setattr(span, "cks_family", lambda d, l: basis)
+            mp.setattr(span, "spanning_set_family", lambda l: family)
+            if extra is not None:
+                # the necklace 0^(max_len-1)·1 reads its first length-l code
+                # as another, so its row may break the flow law, before the
+                # certificate or after it
+                corrupt = bytes(max_len - 1) + b"\x01"
+                code = bytes([extra % d**l])
+                misread_slices(mp, lambda a, m, codes: code + codes[1:] if a == corrupt else codes)
+            echelon, _, _, saturated = _sample_echelon(d, l, max_len)
+            rows = tuple(echelon.values())
+            expected = saturated and full_family_holds(rows, l, basis, range(1, l + 1))
+            assert verify_cks_basis(d, l, max_len) == expected
             if d == 2 and l >= 2:
                 tree = [v for v in family.factors if v[0] == 1 and v != (1,) * l]
-                expected = full_family_holds(echelon, l, family, [l]) and is_spanning_tree(
-                    build_graph(2, l - 1), tree
+                expected = (
+                    saturated
+                    and full_family_holds(rows, l, family, [l])
+                    and is_spanning_tree(build_graph(2, l - 1), tree)
                 )
-                assert span._spanning_set_holds(echelon, l) == expected
+                assert verify_spanning_set(max_len, l) == expected
 
 
 class TestExpressInSpan:
