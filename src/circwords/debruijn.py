@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
-from itertools import product
+from itertools import compress, product
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -185,12 +185,12 @@ def _walk_sources(
 
 
 def _obeys_flow_law(row: Sequence[int], d: int) -> bool:
-    """Whether a dense row of the d^(n+1) edge counts of B(d,n) obeys the law."""
-    return _balanced(enumerate(row), d, len(row) // d)
+    """Whether a dense row of B(d,n)'s d^(n+1) edge counts obeys the law, on its nonzero counts."""
+    return _balanced(compress(enumerate(row), row), d, len(row) // d)
 
 
 def _balanced(counts: Iterable[tuple[int, int]], d: int, vertices: int) -> bool:
-    """Whether (edge code, count) pairs obey the flow law: edge e of B(d,n) runs e // d -> e % d^n."""
+    """Whether (edge code, count) pairs obey the law: edge e of B(d,n) runs e // d -> e % d^n."""
     balance: dict[int, int] = {}
     for e, c in counts:
         balance[e // d] = balance.get(e // d, 0) + c

@@ -13,8 +13,9 @@ warn on an uncertified sample as it does.  By default the sample is the
 certificate words: the word 0, and 0^(l-1)·y for each y of length 1..l
 whose first and last letters are nonzero, d^l - d^(l-1) + 1 words of
 lengths 1..2l-1, whose rows are triangular on distinct lead columns:
-_triangular checks that, and each basis, on their sparse rows with no
-elimination.  With an explicit max_len the sample holds
+_triangular checks that on their sparse rows with no elimination, and
+the bases are checked triangular on the same words, whatever max_len;
+with it, max_len only decides saturation.  With it the sample holds
 one word per rotation class of each length up to it, the necklaces:
 every count |W|_U is the same on all rotations of W, so they give the
 same distinct count rows as all d^m words of each length, from about
@@ -298,32 +299,46 @@ def _sparse_counts(w: Letters, d: int, l: int) -> Counter[int]:
     return Counter(itertools.islice(codes, l - 1, None))
 
 
-def _triangular(d: int, l: int, count: int, lead: Callable, values: Callable = dict) -> tuple:
-    """The trace, and whether the certificate words' rows are triangular on their leads.
+def _triangular(
+    d: int, l: int, count: int, lead: Callable, values: Callable | None = None
+) -> tuple[list[tuple[int, int]], bool]:
+    """The certificate words' rows checked triangular on their leads, in order.
 
-    A word's sparse length-l counts must obey the flow law, and its row,
-    values() of them, be nonzero at lead(y), y its tail (of 0^(l-1)·y, or
-    () for the word 0), and zero at every later word's; the count leads
-    must be distinct.  The count row of 0^(l-1)·y leads at y left-padded
-    with zeros, its other factors ending in a nonzero letter being shorter
-    prefixes of y; the word 0 leads at 0^l.  The trace holds (m, distinct
-    leads up to length m).  Leads are taken first, so no row is kept.
+    Word i, 0^(l-1)·y or the word 0 with y = (), leads at lead(y), which
+    no earlier word's lead may equal.  Its row, values() of its sparse
+    length-l counts or, with values None, the counts checked against the
+    flow law, must be nonzero at that lead and zero at every later word's.
+    The count row of 0^(l-1)·y leads at y left-padded with zeros, its
+    other factors ending in a nonzero letter being shorter prefixes of y;
+    the word 0 leads at 0^l.  The rows before the first that fails are
+    triangular, so independent: the trace holds (m, their number up to
+    length m).  The flag says every row passed and there are count of
+    them.  Leads are taken first, so no row is kept.
     """
-    words = functools.partial(_certificate_words, d, l)
-    leads, position, rank_by_length = [], {}, []
+    leads, ends, position = [], [], {}
     for m in range(1, 2 * l):
-        for w in words(m):
-            leads.append(lead(w[l - 1 :] if any(w) else ()))
-            position.setdefault(leads[-1], len(position))
-        rank_by_length.append((m, len(position)))
-    counts = (_sparse_counts(w, d, l) for m in range(1, 2 * l) for w in words(m))
-    holds = len(position) == len(leads) == count and all(
-        debruijn._balanced(c.items(), d, d ** (l - 1))
-        and (row := values(c)).get(k)
-        and all(position.get(j, i) <= i for j in row)
-        for i, (k, c) in enumerate(zip(leads, counts))
-    )
-    return rank_by_length, holds
+        leads += (lead(w[l - 1 :] if any(w) else ()) for w in _certificate_words(d, l, m))
+        ends.append(len(leads))
+    for i, k in enumerate(leads):
+        position.setdefault(k, i)
+    words = (w for m in range(1, 2 * l) for w in _certificate_words(d, l, m))
+    passed = 0
+    for i, (k, w) in enumerate(zip(leads, words)):
+        counts = _sparse_counts(w, d, l)
+        if values is None and not debruijn._balanced(counts.items(), d, d ** (l - 1)):
+            break
+        row = counts if values is None else values(counts)
+        if position[k] != i or not row.get(k) or any(position.get(j, i) > i for j in row):
+            break
+        passed += 1
+    return [(m, min(n, passed)) for m, n in enumerate(ends, 1)], passed == len(leads) == count
+
+
+def _bound(d: int, l: int) -> int:
+    """The cyclomatic number of B(d,l-1), once d^l is capped and the alphabet checked."""
+    check_size(d, l, "count columns")
+    Alphabet(d)
+    return debruijn._cyclomatic(d, l - 1)
 
 
 def _sample_echelon(
@@ -354,9 +369,7 @@ def _sample_echelon(
     """
     check_length(l, "factor length")
     check_size(d, max_len, "sample words")
-    check_size(d, l, "count columns")
-    Alphabet(d)
-    bound = debruijn._cyclomatic(d, l - 1)
+    bound = _bound(d, l)
     echelon: dict[int, list[int]] = {}
     rank_by_length = []
     certified = False
@@ -414,12 +427,12 @@ def _marginals(
     return values
 
 
-def _family_holds(family: FunctionalFamily, l: int, lead: Callable) -> bool:
-    """Whether the family is triangular on the certificate words, word y leading at lead(y).
+def _family_holds(family: FunctionalFamily, report: SpanReport, lead: Callable) -> bool:
+    """Whether the sample is saturated and the family triangular on it, y leading at lead(y).
 
     |W|_u is the block sum of the counts of the codes c with c // d^(l-|u|) = index(u).
     """
-    d, blocks = family.d, {}
+    d, l, blocks = family.d, report.l, {}
     for u in family.factors:
         blocks.setdefault(d ** (l - len(u)), {})[_index(u, d)] = u
 
@@ -430,7 +443,7 @@ def _family_holds(family: FunctionalFamily, l: int, lead: Callable) -> bool:
                 row[u] = row.get(u, 0) + n
         return row
 
-    return _triangular(d, l, len(family.factors), lead, values)[1]
+    return report.saturated and _triangular(d, l, len(family.factors), lead, values)[1]
 
 
 @dataclass(frozen=True)
@@ -438,16 +451,18 @@ class SpanReport:
     """Measured rank of the length-l occurrence functionals.
 
     rank_by_length traces the cumulative rank as words of each length
-    join the sample.  saturated means the rank is proven to be the
+    join the sample; by default the rank counts the certificate words
+    whose rows pass _triangular before the first that fails, a proven
+    lower bound.  saturated means the rank is proven to be the
     dimension: every count row of a circular word obeys the flow law of
     B(d,l-1), so the cyclomatic number of that graph bounds the
     dimension from above, and the sample's rank reaches that bound with
-    every kept row obeying the law.  The kept rows then span the cycle
-    space, so a later row that obeys the law adds no rank: past that
-    point the sample's one row routine returns only the rows that break
-    the law, and counts none for a word whose factor codes close their
-    walk (d^l <= 256).  A row that breaks the law is eliminated, so the
-    trace reads as if every row had been.
+    every kept row obeying the law.  On necklaces the kept rows then span
+    the cycle space, so a later row that obeys the law adds no rank: past
+    that point the sample's one row routine returns only the rows that
+    break the law, and counts none for a word whose factor codes close
+    their walk (d^l <= 256).  A row that breaks the law is eliminated, so
+    the trace reads as if every row had been.
     """
 
     d: int
@@ -476,7 +491,7 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
     """Rank of the matrix of all length-l counts over a sample of words.
 
     Without max_len the sample is the certificate words of lengths
-    1..2l-1, checked by _triangular, and d^l is capped; with it, the
+    1..2l-1, checked by _triangular, and d^l is the one cap; with it, the
     necklaces of each length 1..max_len (_sample_echelon).  An
     unsaturated result triggers a warning since the rank is then only a
     lower bound on the dimension.  The bound is the cyclomatic number of
@@ -487,9 +502,7 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
     if max_len is not None and (not isinstance(max_len, int) or max_len < l):
         raise BadParameterError(f"need max_len >= l, got max_len={max_len!r} < l={l}")
     if max_len is None:
-        check_size(d, l, "count columns")
-        Alphabet(d)
-        bound = debruijn._cyclomatic(d, l - 1)
+        bound = _bound(d, l)
         rank_by_length, saturated = _triangular(d, l, bound, functools.partial(_index, d=d))
     else:
         _, rank_by_length, bound, saturated = _sample_echelon(d, l, max_len)
@@ -511,11 +524,12 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
 def verify_spanning_set(max_len: int, l: int = 4) -> bool:
     """Check that the binary {0^l} union {1V} is independent and spans all length-l counts.
 
-    Requires the set triangular on the certificate words of a saturated sample,
-    and (as a structural cross-check) that the 1V words minus the loop
-    1^l form a spanning tree of B(2,l-1).  The sample is
-    span_dimension's: max_len < l is refused, and a sample whose rank is
-    not certified gives a warning.
+    Requires a saturated sample, the set triangular on the certificate
+    words of lengths 1..2l-1 whatever max_len, and (as a structural
+    cross-check) that the 1V words minus the loop 1^l form a spanning
+    tree of B(2,l-1).  The sample is span_dimension's, and max_len only
+    decides its saturation: max_len < l is refused, and a sample whose
+    rank is not certified gives a warning.
     """
     return _spanning_set_holds(span_dimension(2, l, max_len))
 
@@ -530,7 +544,7 @@ def _spanning_set_holds(report: SpanReport) -> bool:
     """
     l = report.l
     family = spanning_set_family(l)
-    if not (report.saturated and _family_holds(family, l, lambda y: y + (0,) * (l - len(y)))):
+    if not _family_holds(family, report, lambda y: y + (0,) * (l - len(y))):
         return False
     tree_edges = [u for u in family.factors if u[0] == 1 and u != (1,) * l]
     if l == 1:
@@ -543,10 +557,11 @@ def verify_cks_basis(d: int, l: int, max_len: int) -> bool:
 
     The candidate basis is cks_family's: the empty factor, whose count is
     the length, and every factor of length 1..l whose first and last
-    letters are nonzero.  It must be triangular on the certificate words
-    of a saturated sample.  The sample is span_dimension's:
-    max_len < l is refused, and a sample whose rank is not certified
-    gives a warning.
+    letters are nonzero.  The sample must be saturated, and the basis
+    triangular on the certificate words of lengths 1..2l-1 whatever
+    max_len.  The sample is span_dimension's, and max_len only decides
+    its saturation: max_len < l is refused, and a sample whose rank is
+    not certified gives a warning.
     """
     return _cks_basis_holds(span_dimension(d, l, max_len))
 
@@ -554,8 +569,7 @@ def verify_cks_basis(d: int, l: int, max_len: int) -> bool:
 def _cks_basis_holds(report: SpanReport) -> bool:
     """verify_cks_basis on a sample's report: word y leads at y, its other
     factors with nonzero ends lying inside y, so shorter."""
-    basis = cks_family(report.d, report.l)
-    return report.saturated and _family_holds(basis, report.l, lambda y: y)
+    return _family_holds(cks_family(report.d, report.l), report, lambda y: y)
 
 
 def express_in_span(

@@ -414,15 +414,21 @@ class TestCertificateWords:
         if d == 2:
             assert span._spanning_set_holds(report)
 
-    @pytest.mark.parametrize("change", ["drop", "repeat", "replace"])
-    def test_a_dropped_or_repeated_word_is_not_certified(self, change, monkeypatch):
-        # the word 0001011 of (2,4) is left out, given twice, or replaced
-        # by a second 0001001: too few leads, too many, or one lead twice
+    @pytest.mark.parametrize(
+        "word,change,rank",
+        [("0001011", "drop", 8), ("0001011", "repeat", 7), ("0001011", "replace", 6),
+         ("0001111", "repeat", 9)],
+    )
+    def test_a_dropped_or_repeated_word_is_not_certified(self, word, change, rank, monkeypatch):
+        # a word of (2,4) is left out, given twice, or replaced by a second
+        # 0001001: too few leads, or one lead twice, where the rank counts
+        # only the rows before the repeat, proven independent; a repeated
+        # last word leaves the rank at the bound, but not every row passes
         words_of = span._certificate_words
 
         def changed(d, l, m):
             for w in words_of(d, l, m):
-                if w != u("0001011"):
+                if w != u(word):
                     yield w
                 elif change != "drop":
                     yield from {"repeat": (w, w), "replace": (u("0001001"),)}[change]
@@ -431,7 +437,7 @@ class TestCertificateWords:
         with pytest.warns(UserWarning, match="at max_len=7 is not certified.*lower bound"):
             report = span_dimension(2, 4)
         assert not report.saturated
-        assert report.rank == {"drop": 8, "repeat": 9, "replace": 8}[change]
+        assert report.rank == rank
         assert not span._cks_basis_holds(report)
         assert not span._spanning_set_holds(report)
 
@@ -511,6 +517,9 @@ class TestCertificateWords:
         with pytest.warns(UserWarning, match="at max_len=7 is not certified.*lower bound"):
             report = span_dimension(2, 4)
         assert not report.saturated
+        # the rank counts the five rows before it: 0, 0001, 00011, 000101, 000111
+        assert report.rank == 5
+        assert report.rank_by_length == ((1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (6, 5), (7, 5))
 
 
 class TestSpanningSet:
