@@ -14,8 +14,8 @@ certificate words: the word 0, and 0^(l-1)·y for each y of length 1..l
 whose first and last letters are nonzero, d^l - d^(l-1) + 1 words of
 lengths 1..2l-1, whose rows are triangular on distinct lead columns:
 _triangular checks that on their sparse rows with no elimination, and
-the bases are checked triangular on the same words, whatever max_len;
-with it, max_len only decides saturation.  With it the sample holds
+checks each basis triangular on the same words whatever max_len.  An
+explicit max_len only decides saturation: the sample then holds
 one word per rotation class of each length up to it, the necklaces:
 every count |W|_U is the same on all rotations of W, so they give the
 same distinct count rows as all d^m words of each length, from about
