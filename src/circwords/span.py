@@ -7,27 +7,26 @@ span.  For factors of length at most l over d letters that dimension is
 the formula, the independent spanning set {0^l} union {1V}, and the
 basis of factors whose first and last letters are nonzero.
 
-span_dimension is the public way into the sample: verify_cks_basis and
-verify_spanning_set read its report, so they refuse max_len < l and
-warn on an uncertified sample as it does.  By default the sample is the
-certificate words: the word 0, and 0^(l-1)·y for each y of length 1..l
-whose first and last letters are nonzero, d^l - d^(l-1) + 1 words of
-lengths 1..2l-1, whose rows are triangular on distinct lead columns:
-_triangular checks that on their sparse rows with no elimination, and
-checks each basis triangular on the same words whatever max_len.  An
-explicit max_len only decides saturation: the sample then holds
-one word per rotation class of each length up to it, the necklaces:
-every count |W|_U is the same on all rotations of W, so they give the
-same distinct count rows as all d^m words of each length, from about
-d^m/m words.  Each row holds a word's d^l counts of length-l factors in
-lexicographic order, and _sample_echelon reduces the distinct rows into
-one row echelon.  For |u| <= l, |W|_u is the sum of the row over the
-block of columns that start with u.  The empty factor occurs once at
-every position, so its count is the length |W|, and its block is the
-whole row.  A family's values are block sums, a fixed linear map, and
-taken on the kept rows they span the same space as on the whole sample.
-Ranks and solutions depend only on that space.  One cap bounds
-d^max_len, for the necklaces, and d^l before anything is built.
+span_dimension is the public way into the sample: verify_cks_basis,
+verify_spanning_set and express_in_span read it, so they refuse what it
+refuses and warn on an uncertified sample as it does.  By default the
+sample is the certificate words: the word 0, and 0^(l-1)·y for each y
+of length 1..l whose first and last letters are nonzero, d^l - d^(l-1)
++ 1 words of lengths 1..2l-1, whose rows are triangular on distinct
+lead columns.  _triangular checks that on their sparse rows with no
+elimination, and each basis on the same words whatever max_len; once
+they pass, their rows span every count row, so express_in_span solves
+on them alone.  For |u| <= l, |W|_u is the sum of the length-l counts
+over the block of codes that start with u (_block_sums); the empty
+factor occurs once at every position, so its count |W| sums every code.
+Block sums are a fixed linear map, so ranks and solutions depend only
+on the space the count rows span.  An explicit max_len only decides
+saturation, on one word per rotation class of each length up to it,
+the necklaces: every count |W|_U is the same on all rotations of W, so
+they give the same distinct count rows as all d^m words of each length,
+from about d^m/m words.  _sample_echelon reduces their dense rows of
+d^l counts, in lexicographic order, into one row echelon.  One cap
+bounds d^l before anything is built, and on the necklaces d^max_len.
 
 Every count row obeys the flow law of B(d,l-1): at every vertex the
 out-sum equals the in-sum, so the row lies in the cycle space of that
@@ -59,8 +58,8 @@ every caller: it reduces a batch of integer rows against a row echelon
 and keeps the independent ones.  exact_rank starts from an empty
 echelon; the sampler keeps one echelon across lengths and feeds it only
 the rows new at each length; express_in_span reduces the [A | b] rows
-of the kept rows and back-substitutes, with rationals only in that last
-step.
+of the certificate words and back-substitutes, with rationals only in
+that last step.
 """
 
 from __future__ import annotations
@@ -292,7 +291,7 @@ def _certificate_words(d: int, l: int, m: int) -> Iterator[Letters]:
                 yield pad + y
 
 
-def _sparse_counts(w: Letters, d: int, l: int) -> Counter[int]:
+def _sparse_counts(w: Letters | bytes, d: int, l: int) -> Counter[int]:
     """The nonzero length-l counts of the circular word w by factor code, in O(|w| + l)."""
     size = d**l
     codes = itertools.accumulate(_circular(w, l - 1), lambda c, a: (c * d + a) % size)
@@ -387,15 +386,6 @@ def _sample_echelon(
     return echelon, rank_by_length, bound, certified and len(echelon) == bound
 
 
-def _warn_uncertified(d: int, l: int, max_len: int, rank: int, bound: int, what: str) -> None:
-    """Warn, for the caller's caller, that a sample's rank is not proven; what says so."""
-    warnings.warn(
-        f"rank {rank} of ({d},{l}) functionals at max_len={max_len} is not "
-        f"certified by the flow-relation bound {bound}; {what}",
-        stacklevel=3,
-    )
-
-
 def _index(u: Letters, d: int) -> int:
     """The position of u among the d^|u| words of its length, lexicographically."""
     i = 0
@@ -404,36 +394,19 @@ def _index(u: Letters, d: int) -> int:
     return i
 
 
-def _marginals(
-    rows: Iterable[Sequence[int]], d: int, l: int, factors: Sequence[Letters]
-) -> list[tuple[int, ...]]:
-    """The family's values on each row of length-l counts, as block sums.
+def _block_sums(
+    d: int, l: int, factors: Iterable[Letters]
+) -> Callable[[Counter[int]], dict[Letters, int]]:
+    """The factors' values on a row of length-l counts by code, as block sums.
 
-    For |u| <= l, |W|_u is the sum of |W|_v over the length-l words v
-    that start with u, and in lexicographic order those v are one block
-    of d^(l-|u|) columns, from index(u) * d^(l-|u|).  The block of the
-    empty factor is the whole row, whose sum is |W|.  The map is linear,
-    so it may be applied to any combination of count rows.
+    For |u| <= l, |W|_u is the sum of the counts of the codes c with
+    c // d^(l-|u|) = index(u): in lexicographic order the length-l words
+    that start with u are one block.  The block of the empty factor is
+    every code, whose counts sum to |W|.  The returned map takes a row
+    to its nonzero values, keyed by factor.
     """
-    blocks = []
+    blocks: dict[int, dict[int, Letters]] = {}
     for u in factors:
-        width = d ** (l - len(u))
-        start = _index(u, d) * width
-        blocks.append((start, start + width))
-    values = []
-    for row in rows:
-        sums = list(itertools.accumulate(row, initial=0))
-        values.append(tuple(sums[b] - sums[a] for a, b in blocks))
-    return values
-
-
-def _family_holds(family: FunctionalFamily, report: SpanReport, lead: Callable) -> bool:
-    """Whether the sample is saturated and the family triangular on it, y leading at lead(y).
-
-    |W|_u is the block sum of the counts of the codes c with c // d^(l-|u|) = index(u).
-    """
-    d, l, blocks = family.d, report.l, {}
-    for u in family.factors:
         blocks.setdefault(d ** (l - len(u)), {})[_index(u, d)] = u
 
     def values(counts: Counter[int]) -> dict[Letters, int]:
@@ -443,6 +416,13 @@ def _family_holds(family: FunctionalFamily, report: SpanReport, lead: Callable) 
                 row[u] = row.get(u, 0) + n
         return row
 
+    return values
+
+
+def _family_holds(family: FunctionalFamily, report: SpanReport, lead: Callable) -> bool:
+    """Whether the sample is saturated and the family triangular on it, y leading at lead(y)."""
+    d, l = family.d, report.l
+    values = _block_sums(d, l, family.factors)
     return report.saturated and _triangular(d, l, len(family.factors), lead, values)[1]
 
 
@@ -508,7 +488,11 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
         _, rank_by_length, bound, saturated = _sample_echelon(d, l, max_len)
     top, rank = rank_by_length[-1]
     if not saturated:
-        _warn_uncertified(d, l, top, rank, bound, "the reported rank is a lower bound")
+        warnings.warn(
+            f"rank {rank} of ({d},{l}) functionals at max_len={top} is not certified "
+            f"by the flow-relation bound {bound}; the reported rank is a lower bound",
+            stacklevel=2,
+        )
     return SpanReport(
         d=d,
         l=l,
@@ -573,35 +557,35 @@ def _cks_basis_holds(report: SpanReport) -> bool:
 
 
 def express_in_span(
-    target: WordLike, basis: FunctionalFamily, max_len: int
+    target: WordLike, basis: FunctionalFamily, max_len: int | None = None
 ) -> tuple[Fraction, ...]:
-    """Exact rational coefficients writing |W|_target over the basis columns.
+    """Exact rational coefficients writing |W|_target over the basis columns, for every W.
 
     One coefficient per basis factor, in order; the empty target is the
-    length |W|.  Solves the linear system sampled on the necklaces of
-    length 1..max_len; free variables (present only when the basis
-    columns are dependent) are pinned to zero.  Raises NotInSpanError
-    when no exact combination exists on the sample, which a sample word
-    then disproves.  The sample rows count the factors of length L, the
-    longest of the target and the basis factors but at least 1, so d^L
-    is capped like d^max_len.  The coefficients are proven for every
-    circular word when the sample's rank is certified as in
-    span_dimension; otherwise a warning says they hold on the sample
-    only.
+    length |W|.  L is the longest of the target and the basis factors,
+    at least 1.  span_dimension(d, L) applies the caps and proves that
+    the certificate words' count rows span every count row; the system
+    is solved on those words, each row the basis values and the
+    target's, block sums of its sparse counts.  Free variables (present
+    only when the basis columns are dependent) are pinned to zero.  So
+    the coefficients hold on every circular word, NotInSpanError says
+    no combination does, and an unproven span gives span_dimension's
+    warning.  max_len is refused unless None or an integer >= 1, and
+    nothing else reads it: it stays because callers pass it positionally.
     """
-    check_length(max_len, "max_len")
+    if max_len is not None:
+        check_length(max_len, "max_len")
     _check_type(basis, FunctionalFamily, "express_in_span")
     target = _as_letters(target)
-    Alphabet(basis.d).validate(target)
+    d = basis.d
+    Alphabet(d).validate(target)
     factors = basis.factors + (target,)
     l = max(1, *map(len, factors))
-    echelon, _, bound, saturated = _sample_echelon(basis.d, l, max_len)
-    rows = _marginals(echelon.values(), basis.d, l, factors)
-    coefficients = _solve(rows, len(basis.factors))
-    if not saturated:
-        what = "the reported coefficients hold on the sample only"
-        _warn_uncertified(basis.d, l, max_len, len(echelon), bound, what)
-    return coefficients
+    span_dimension(d, l)
+    values = _block_sums(d, l, factors)
+    words = (w for m in range(1, 2 * l) for w in _certificate_words(d, l, m))
+    rows = (values(_sparse_counts(w, d, l)) for w in words)
+    return _solve([tuple(row.get(u, 0) for u in factors) for row in rows], len(basis.factors))
 
 
 def _solve(rows: Collection[Sequence[int]], ncols: int) -> tuple[Fraction, ...]:
@@ -628,17 +612,15 @@ def marginalization_check(w: CircularWord, l: int) -> bool:
 
     For each factor U with 1 <= |U| < l, |W|_U must equal the sum of
     |W|_V over the length-l words V having U as a prefix: the block sums
-    of the dense length-l row (_marginals) must equal the dense length-|U|
-    row.  Each shorter length lists all its words, so d^l is capped.
+    (_block_sums) of the sparse length-l counts must equal the counts of
+    every shorter length (occurrence_vector).  Each shorter length lists
+    all its words, so d^l is capped.
     """
     check_word(w, "marginalization_check")
     if not isinstance(l, int) or l < 2:
         raise BadParameterError(f"marginalization needs l >= 2, got {l!r}")
     d = w.d
     check_size(d, l, "factors")
-    row = _dense_counts(w._data, d, l)
-    return all(
-        _marginals([row], d, l, list(Alphabet(d).words(m)))
-        == [tuple(_dense_counts(w._data, d, m))]
-        for m in range(1, l)
-    )
+    values = _block_sums(d, l, (u for m in range(1, l) for u in Alphabet(d).words(m)))
+    shorter = {u: n for m in range(1, l) for u, n in occurrence_vector(w, m).counts.items()}
+    return values(_sparse_counts(w._data, d, l)) == shorter

@@ -167,7 +167,8 @@ def test_criterion_7_cks_basis_and_express():
     rng = Random(20260809)
     mismatches = 0
     for _ in range(1000):
-        # held out: solving sampled lengths 1..10, validation uses 11..32
+        # held out: the solution comes from the certificate words of lengths
+        # 1..7, validation uses 11..32
         w = random_word(rng, rng.randint(11, 32))
         counts = occurrence_vector(w, 4)
         for t, coeffs in solutions.items():

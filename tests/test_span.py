@@ -1,6 +1,7 @@
 """Exact rank, span dimension, spanning set, CKS basis, marginalization."""
 
 import functools
+import itertools
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -38,7 +39,7 @@ from circwords import (
 )
 from circwords import debruijn, span, words
 from circwords.errors import BadParameterError
-from circwords.span import _bareiss_rank, _marginals, _sample_echelon, _solve
+from circwords.span import _bareiss_rank, _block_sums, _sample_echelon, _solve
 from conftest import (
     binary_circular_words,
     circular_words_any_alphabet,
@@ -696,6 +697,25 @@ HOLDS_SAMPLES = [
 ]
 
 
+def _marginals(rows, d, l, factors):
+    """Reference: the factors' values on each dense row of length-l counts, as block sums.
+
+    In lexicographic order the length-l words that start with u are one
+    block of d^(l-|u|) columns, from index(u) * d^(l-|u|); the empty
+    factor's block is the whole row, whose sum is |W|.
+    """
+    blocks = []
+    for f in factors:
+        width = d ** (l - len(f))
+        start = span._index(f, d) * width
+        blocks.append((start, start + width))
+    values = []
+    for row in rows:
+        sums = list(itertools.accumulate(row, initial=0))
+        values.append(tuple(sums[b] - sums[a] for a, b in blocks))
+    return values
+
+
 def family_rank(echelon, l, family):
     """Reference: the rank of the family's values on the kept rows, eliminated."""
     return _bareiss_rank(_marginals(echelon, family.d, l, family.factors), {})
@@ -782,11 +802,56 @@ class TestExpressInSpan:
         assert express_in_span("0011", cks_family(2, 4), 10) == coeffs
         assert not recwarn.list
 
-    def test_uncertified_coefficients_warn(self):
-        # up to length 2 the sample's rank is 3 of 9: |W|_0011 is 0 on it
-        with pytest.warns(UserWarning, match="hold on the sample only"):
-            coeffs = express_in_span(u("0011"), cks_family(2, 4), 2)
-        assert coeffs == (0,) * 9
+    def test_a_short_max_len_gives_the_proven_coefficients(self, recwarn):
+        # the words up to length 2 would not span the length-4 counts, but
+        # max_len is not read: the certificate words prove the answer
+        coeffs = express_in_span(u("0011"), cks_family(2, 4), 2)
+        assert coeffs == (0, 0, 1, 0, -1, 0, -1, 0, 0)
+        assert not recwarn.list
+
+    def test_never_samples(self, monkeypatch):
+        monkeypatch.setattr(span, "_sample_echelon", never)
+        monkeypatch.setattr(span, "_necklaces", never)
+        coeffs = express_in_span("0011", cks_family(2, 4), 10)
+        assert coeffs == (0, 0, 1, 0, -1, 0, -1, 0, 0)
+
+    @pytest.mark.parametrize("max_len", [None, *range(1, 11)])
+    def test_max_len_is_not_read(self, max_len, recwarn):
+        cks = express_in_span("0011", cks_family(2, 4), max_len)
+        spanning = express_in_span("0101", spanning_set_family(4), max_len)
+        assert cks == (0, 0, 1, 0, -1, 0, -1, 0, 0)
+        assert spanning == express_in_span("0101", spanning_set_family(4))
+        assert not recwarn.list
+
+    def test_a_long_target_is_proven_outside_the_span(self):
+        # a length-14 count is no combination of counts of length <= 4;
+        # the certificate rows are a few entries each, never d^14 wide
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotInSpanError):
+                express_in_span("00110101110010", cks_family(2, 4), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_a_miscounted_certificate_row_warns(self, monkeypatch):
+        # 0001001's first factor 0001 read as the loop 0000, as in
+        # TestCertificateWords.test_a_miscounted_row_is_not_certified: the
+        # span is not proven, so the answer comes with a warning
+        first = u("0001001")
+        counts = span._sparse_counts
+
+        def misread(w, d, l):
+            row = counts(w, d, l)
+            if l == 4 and w == first:
+                row[0b0001] -= 1
+                row[0b0000] += 1
+            return row
+
+        monkeypatch.setattr(span, "_sparse_counts", misread)
+        with pytest.warns(UserWarning, match="not certified"):
+            express_in_span("0011", cks_family(2, 4), 10)
 
     def test_empty_sample_is_refused(self):
         with pytest.raises(ValueError, match="max_len must be >= 1"):
@@ -869,13 +934,16 @@ class TestMarginalization:
     def test_a_miscounted_factor_breaks_it(self, monkeypatch):
         # 00101's length-3 factor at 0, 001, is counted as 101, so the
         # length-3 counts starting with 0 sum to one less than |W|_0
-        made = words._codes
+        counts = span._sparse_counts
 
-        def miscoded(letters, d, l):
-            codes = made(letters, d, l)
-            return bytes([0b101]) + codes[1:] if l == 3 else codes
+        def miscounted(letters, d, l):
+            row = counts(letters, d, l)
+            if l == 3:
+                row[0b001] -= 1
+                row[0b101] += 1
+            return row
 
-        monkeypatch.setattr(words, "_codes", miscoded)
+        monkeypatch.setattr(span, "_sparse_counts", miscounted)
         assert not marginalization_check(cw("00101"), 3)
         assert marginalization_check(cw("00101"), 2)
 
@@ -1238,12 +1306,15 @@ class TestMarginals:
             factors = [v for m in (1, l) for v in Alphabet(w.d).words(m)][::3]
             head = [()] if with_length else []
             family = FunctionalFamily(w.d, tuple(dict.fromkeys(head + factors)))
-        (values,) = _marginals([_dense_row(w, l)], w.d, l, family.factors)
-        assert values == occurrence_matrix([w], family).entries[0]
+        values = _block_sums(w.d, l, family.factors)(span._sparse_counts(w.letters, w.d, l))
+        expected = occurrence_matrix([w], family).entries[0]
+        assert tuple(values.get(f, 0) for f in family.factors) == expected
+        assert _marginals([_dense_row(w, l)], w.d, l, family.factors) == [expected]
 
     def test_length_is_the_row_sum(self):
-        family = FunctionalFamily(2, ((), u("1")))
-        assert _marginals([[5, -2, 0, 7]], 2, 2, family.factors) == [(10, 7)]
+        # the map is linear, so it applies to any combination of count rows
+        values = _block_sums(2, 2, ((), u("1")))
+        assert values({0b00: 5, 0b01: -2, 0b11: 7}) == {(): 10, u("1"): 7}
 
 
 class TestCaps:
@@ -1279,8 +1350,10 @@ class TestCaps:
     def test_express_caps_a_long_basis_factor(self, monkeypatch):
         basis = FunctionalFamily(2, ((), u("1"), u("111111")))
         set_cap(monkeypatch, 2**6)
-        # words up to length 4 cannot certify the rank of length-6 counts
-        with pytest.warns(UserWarning, match="hold on the sample only"):
+        # max_len 4 is below the factor length 6, and not read: the
+        # length-6 certificate words prove the answer
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert express_in_span(u("0"), basis, 4) == (1, -1, 0)
         set_cap(monkeypatch, 2**6 - 1)
         with pytest.raises(SizeLimitError):
