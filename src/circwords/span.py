@@ -47,9 +47,10 @@ big-integer scan per chunk, and counts each row from the word's length-l
 code string; otherwise it counts each row densely.  Once certified it
 keeps only the rows that break the law: a code string whose walk on
 B(d,l-1) closes is skipped uncounted, and every other row is checked in
-O(d^l).  The walks of a chunk's words are decided together,
-by one block test of the joined code strings, and only a chunk that
-fails it is walked word by word.  Only a row that breaks the law goes
+O(d^l).  The walks of a chunk's words are decided together, by one
+block test of their codes gathered from the coder's buffer with no
+per-word string, and only a chunk that fails it is cut into code
+strings and walked word by word.  Only a row that breaks the law goes
 to the kernel, so the echelon and the rank trace are the same as if
 every row had been eliminated.
 
@@ -91,6 +92,7 @@ from .words import (
     _dense_counts,
     _fits_a_byte,
     _necklaces,
+    _slices,
     check_length,
     check_size,
     check_word,
@@ -245,27 +247,33 @@ def _sample_rows(
     """The distinct length-l count rows of the words, once certified only the law-breaking ones.
 
     The sample's one row routine.  When d^l <= 256 the words are coded a
-    chunk at a time (words._chunk_codes) and each row is counted from
-    the word's slice; otherwise each row is counted densely.  Once
-    certified, a word whose codes close their walk on B(d,l-1) adds no
-    row.  A chunk whose slices all have its words' length n is decided
-    whole, by one block test of its joined slices (debruijn._walk_sources
-    with n), and adds no row when it passes; a chunk that fails it, or
-    whose slices differ in length, is walked word by word.  Only the
-    rows debruijn._obeys_flow_law rejects are kept: a misread code can
-    fail the walk and still give a lawful row.
+    chunk at a time (words._chunk_codes), and each row is counted from
+    the word's code string, cut from the chunk's buffer (words._slices);
+    otherwise each row is counted densely.  Once certified, a word whose
+    codes close their walk on B(d,l-1) adds no row.  A chunk is decided
+    whole first: each word's n codes are gathered from the buffer by n
+    strided copies, and one block test of them (debruijn._walk_sources
+    with n) passes the chunk with no code string cut.  Only a chunk that
+    fails it is cut and walked word by word.  Only the rows
+    debruijn._obeys_flow_law rejects are kept: a misread code can fail
+    the walk and still give a lawful row.
     """
     if _fits_a_byte(d, l):
         columns = range(d**l)
         walk = debruijn._walk_sources
         source, target = debruijn._end_tables(d, l - 1)
         rows = set()
-        for data, (slices,) in _chunk_codes(letters, d, (l,)):
+        for data, buffers, stride in _chunk_codes(letters, d, (l,)):
+            n = len(data[0])
             if certified:
-                n = len(data[0])
-                whole = set(map(len, slices)) == {n}
-                if whole and walk(b"".join(slices), source, target, n) is not None:
+                (codes,) = buffers
+                joined = bytearray(n * len(data))
+                for j in range(n):
+                    joined[j::n] = codes[j::stride]
+                if walk(joined, source, target, n) is not None:
                     continue
+            (slices,) = _slices(buffers, n, stride)
+            if certified:
                 slices = [codes for codes in slices if walk(codes, source, target) is None]
             rows.update(tuple(map(codes.count, columns)) for codes in slices)
     else:

@@ -500,28 +500,29 @@ def decompose_blocks(w: CircularWord) -> tuple[tuple[int, Letters], ...]:
 
 
 #: Words per chunk of _chunk_codes.  Past a few hundred words a chunk
-#: saves no time, and its letters, buffers and slices are the rank
-#: sample's largest allocation: span_dimension(3, 3, 10) peaks near
-#: 1.6 MB with 4096 words a chunk, near 0.1 MB with 256.
+#: saves no time, and its letters and buffers are the rank sample's
+#: largest allocation: span_dimension(3, 3, 10) peaks near 1.6 MB with
+#: 4096 words a chunk, near 0.1 MB with 256.
 _BATCH = 1 << 8
 
 
 def _chunk_codes(
     words: Iterable[Letters], d: int, lengths: Sequence[int]
-) -> Iterator[tuple[list[bytes], list[list[bytes]]]]:
-    """The words a chunk at a time, with each word's code string of each length.
+) -> Iterator[tuple[list[bytes], list[bytes], int]]:
+    """The words a chunk at a time, with one code buffer per length for the chunk.
 
     The one way to code many words of one length: every word of a chunk
     of _BATCH words must have the length n of its first.  Each word is
     written r = ceil((n + t)/n) times, t = max(lengths) - 1, into one
-    buffer, every word n·r bytes from the last, with no Python-level
-    call per word, and one _codes scan per length codes the whole
-    chunk.  A word's slice of a scan, the first n of its n·r bytes,
-    reads only its own n + t letters, repeated, so it equals
-    _codes(letters, d, l).  Yields one record per chunk, (data,
-    slices): the words' letters as the bytes the buffer is written
-    from, and per length, in the given order, the list of the words'
-    slices, in the order of data.  Every d^l must be at most 256.
+    buffer, every word stride = n·r bytes from the last, with no
+    Python-level call per word, and one _codes scan per length codes the
+    whole chunk.  Word i's first n codes of a scan, from i·stride, read
+    only its own n + t letters, repeated, so they equal _codes(letters,
+    d, l).  Yields one record per chunk, (data, buffers, stride): the
+    words' letters as the bytes the buffer is written from, the scan of
+    each length, in the given order, and the stride.  No word's codes
+    are cut out here: _slices cuts them when a caller needs them one by
+    one.  Every d^l must be at most 256.
     """
     tail = max(lengths) - 1
     words = iter(words)
@@ -529,8 +530,16 @@ def _chunk_codes(
         n = len(chunk[0])
         r = -(-(n + tail) // n)
         buf = b"".join(map(operator.mul, chunk, itertools.repeat(r)))
-        cuts = list(map(slice, range(0, len(buf), n * r), range(n, len(buf) + n, n * r)))
-        yield chunk, [list(map(_codes(buf, d, l).__getitem__, cuts)) for l in lengths]
+        yield chunk, [_codes(buf, d, l) for l in lengths], n * r
+
+
+def _slices(buffers: Sequence[bytes], n: int, stride: int) -> list[list[bytes]]:
+    """Per buffer of _chunk_codes, each word's code string: n bytes every stride.
+
+    One list of cuts serves every buffer of the chunk.
+    """
+    cuts = list(map(slice, range(0, len(buffers[0]), stride), itertools.count(n, stride)))
+    return [list(map(codes.__getitem__, cuts)) for codes in buffers]
 
 
 #: The factor lengths whose codes enumerate_words makes for its words:
@@ -544,8 +553,8 @@ def enumerate_words(d: int, n: int) -> Iterator[CircularWord]:
     The alphabet is checked once; the words are built unchecked.  When
     every length-4 code fits a byte, _chunk_codes codes the words a
     chunk at a time, one scan per length in _PREFILLED, and each word
-    of a chunk is built from the bytes the coder yields, its slices its
-    code memo.
+    of a chunk is built from the bytes the coder yields, its code
+    strings, cut from the scans by _slices, its code memo.
     """
     check_length(n, "word length")
     product = Alphabet(d).words(n)
@@ -553,8 +562,8 @@ def enumerate_words(d: int, n: int) -> Iterator[CircularWord]:
         for data in map(bytes, product) if d <= 256 else product:
             yield CircularWord._unchecked(data, d)
         return
-    for chunk, slices in _chunk_codes(product, d, _PREFILLED):
-        for data, codes in zip(chunk, zip(*slices)):
+    for chunk, buffers, stride in _chunk_codes(product, d, _PREFILLED):
+        for data, codes in zip(chunk, zip(*_slices(buffers, n, stride))):
             yield CircularWord._unchecked(data, d, dict(zip(_PREFILLED, codes)))
 
 
@@ -568,7 +577,10 @@ def _necklaces(d: int, n: int) -> Iterator[Letters]:
     order: bump the last letter below d-1 at index p-1, then repeat the
     first p letters to length n.  p is the period of the new
     prenecklace, and it is a necklace exactly when p divides n.  The
-    length and the alphabet are checked once, before the first necklace.
+    common step bumps the letter at index n-1: p is then n, and the
+    letters are already their own repetition, so it is taken in place,
+    with no scan and no rebuilt list.  The length and the alphabet are
+    checked once, before the first necklace.
     """
     check_length(n, "word length")
     Alphabet(d)  # refuses d < 2 before the first necklace
@@ -578,7 +590,11 @@ def _necklaces(d: int, n: int) -> Iterator[Letters]:
     while True:
         if n % p == 0:
             yield tuple(a)
-        p = n
+        if a[-1] < top:
+            a[-1] += 1
+            p = n
+            continue
+        p = n - 1
         while p and a[p - 1] == top:
             p -= 1
         if not p:

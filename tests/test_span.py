@@ -987,10 +987,12 @@ def plain_sample(d, l, max_len, counts=None):
 
 
 def misread_slices(monkeypatch, change):
-    """Make the sample read change(data, l, codes) for each word's slice.
+    """Make the sample read change(data, l, codes) for each word's code string.
 
     data is the word's letters as the chunk coder yields them, bytes;
-    change is mapped over each word of each chunk record.
+    codes are the word's n codes, cut from the chunk's buffer of each
+    length at i·stride, and change must return n codes, which are
+    written back in their place.
 
     The chunk coder is patched where span binds it, so the rows before
     the certificate and the walks after it both see the change.
@@ -998,11 +1000,18 @@ def misread_slices(monkeypatch, change):
     coder = words._chunk_codes
 
     def misread(letters, d, lengths):
-        for chunk, slices in coder(letters, d, lengths):
-            yield chunk, [
-                [change(a, l, codes) for a, codes in zip(chunk, per_word)]
-                for l, per_word in zip(lengths, slices)
-            ]
+        for chunk, buffers, stride in coder(letters, d, lengths):
+            n = len(chunk[0])
+            changed = []
+            for l, codes in zip(lengths, buffers):
+                codes = bytearray(codes)
+                for i, a in enumerate(chunk):
+                    at = i * stride
+                    new = change(a, l, bytes(codes[at : at + n]))
+                    assert len(new) == n
+                    codes[at : at + n] = new
+                changed.append(bytes(codes))
+            yield chunk, changed, stride
 
     monkeypatch.setattr(span, "_chunk_codes", misread)
 
@@ -1179,15 +1188,17 @@ class TestCertifiedSample:
             broken = span._sample_rows([w.letters], 2, 3, certified=True)
             assert (broken == set()) is holds
 
-    def test_a_slice_of_another_length_sends_its_chunk_word_by_word(self, monkeypatch):
-        # one length-8 necklace reads one code too many, 0001 after its
-        # last edge 1000, so its walk cannot close; the chunk skips the
-        # block test and walks each word, and only that word's row is
+    def test_a_misread_code_sends_its_chunk_word_by_word(self, monkeypatch):
+        # one length-8 necklace reads its last length-4 code, 1000, as
+        # 0001, so its walk cannot close; the chunk fails its one block
+        # test and each word is walked, and only that word's row is
         # counted and checked
         letters = list(span._necklaces(2, 8))
         corrupt = u("00010111")
         assert corrupt in letters
-        misread = words._codes(corrupt, 2, 4) + bytes([0b0001])
+        codes = words._codes(corrupt, 2, 4)
+        assert codes[-1] == 0b1000
+        misread = codes[:-1] + bytes([0b0001])
         row = tuple(map(misread.count, range(16)))
         walked, checked = [], []
         walk, law = debruijn._walk_sources, debruijn._obeys_flow_law
@@ -1206,8 +1217,7 @@ class TestCertifiedSample:
         monkeypatch.setattr(debruijn, "_walk_sources", logged_walk)
         monkeypatch.setattr(debruijn, "_obeys_flow_law", logged_law)
         assert span._sample_rows(letters, 2, 4, certified=True) == {row}
-        assert len(walked) == len(letters)
-        assert all(len(args) == 3 for args in walked)
+        assert [len(args) for args in walked] == [4] + [3] * len(letters)
         assert checked == [row]
 
     @settings(max_examples=200)
@@ -1234,12 +1244,16 @@ class TestCertifiedSample:
         def miscount(letters, d, l):
             row = counts(letters, d, l)
             if letters == corrupt:
-                row[1] += 1
+                row[0b0001] -= 1
+                row[0b0000] += 1
             return row
 
         def misread(data, l, string):
-            # one code too many, 0001: the slice counts one more 0001
-            return string + bytes([0b0001]) if data == bytes(corrupt) else string
+            # its first code, 0001, read as 0000: one 0001 fewer, one 0000 more
+            if data == bytes(corrupt) and l == 4:
+                assert string[0] == 0b0001
+                string = bytes([0b0000]) + string[1:]
+            return string
 
         misread_slices(monkeypatch, misread)
         plain = plain_sample(2, 4, 8, miscount)
@@ -1267,6 +1281,40 @@ class TestCertifiedSample:
         assert report.saturated
         assert report.rank_by_length[3] == (4, report.rank)
         assert scans == [3] * sum(-(-size // 7) for size in sizes)
+
+    @pytest.mark.parametrize("d,l,max_len", [(3, 3, 10), (2, 4, 10)])
+    def test_a_certified_chunk_is_one_walk_and_no_slice(self, d, l, max_len, monkeypatch):
+        # past the certifying length each chunk is decided by one block
+        # test on the codes gathered from its buffer: no code string is
+        # cut, and no word is walked alone
+        events = []
+        coder, cut, walk = span._chunk_codes, span._slices, debruijn._walk_sources
+
+        def logged_coder(*args):
+            for record in coder(*args):
+                events.append(("chunk", len(record[0][0])))
+                yield record
+
+        def logged_cut(*args):
+            events.append(("slices", None))
+            return cut(*args)
+
+        def logged_walk(*args):
+            events.append(("walk", len(args)))
+            return walk(*args)
+
+        monkeypatch.setattr(span, "_chunk_codes", logged_coder)
+        monkeypatch.setattr(span, "_slices", logged_cut)
+        monkeypatch.setattr(debruijn, "_walk_sources", logged_walk)
+        report = span_dimension(d, l, max_len)
+        assert report.saturated
+        certifying = next(m for m, rank in report.rank_by_length if rank == report.rank)
+        assert certifying < max_len
+        past = events[events.index(("chunk", certifying + 1)) :]
+        chunks = [event for event in past if event[0] == "chunk"]
+        sizes = [sum(1 for _ in span._necklaces(d, m)) for m in range(certifying + 1, max_len + 1)]
+        assert len(chunks) == sum(-(-size // words._BATCH) for size in sizes)
+        assert past == [event for chunk in chunks for event in (chunk, ("walk", 4))]
 
     def test_sample_memory_stays_within_a_small_chunk(self):
         # the letter tuples, buffer and slices of one chunk are the

@@ -722,9 +722,9 @@ class TestChunkCoder:
             mp.setattr(words, "_BATCH", batch)
             mp.setattr(words, "_codes", counted)
             coded = [
-                (a, codes)
-                for data, slices in words._chunk_codes(iter(chunk), d, lengths)
-                for a, codes in zip(data, zip(*slices))
+                (a, tuple(codes[i * stride : i * stride + n] for codes in buffers))
+                for data, buffers, stride in words._chunk_codes(iter(chunk), d, lengths)
+                for i, a in enumerate(data)
             ]
         assert [a for a, _ in coded] == list(map(bytes, chunk))
         for a, slices in coded:
@@ -739,7 +739,7 @@ def least_rotation(w):
 
 
 class TestNecklaces:
-    @pytest.mark.parametrize("d,max_n", [(2, 9), (3, 9), (4, 7)])
+    @pytest.mark.parametrize("d,max_n", [(2, 9), (3, 9), (4, 7), (5, 6)])
     def test_one_least_rotation_per_class_in_order(self, d, max_n):
         for n in range(1, max_n + 1):
             got = list(words._necklaces(d, n))
