@@ -10,12 +10,11 @@ in-edge counts.  Every flow-law decision is made here, on the codes
 and rows the caller gives: on code strings by one closed-walk test,
 _walk_sources, and on (edge code, count) pairs by one balance test,
 _balanced.  verify_kirchhoff compares the walk's sources with the word's
-vertex codes and counts residuals only to name a violation; the rank
-sample in span, which codes its own words, asks _cyclomatic for its
-bound, the block form of the walk test for a whole chunk of code
-strings of one length, and the two tests for each word's codes and row
-in a chunk that fails it; its certificate words' sparse rows go to
-_balanced, which _obeys_flow_law runs on a dense row.
+vertex codes and counts residuals only to name a violation.  The rank
+sample in span asks _cyclomatic for its bound, the block form of the
+walk test for a whole chunk of code strings of one length, and
+_balanced for every row it counts, of either sample, each a word's
+nonzero edge counts.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
-from itertools import compress, product
+from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -182,11 +181,6 @@ def _walk_sources(
     if edges.translate(target) == expected:
         return sources
     return None
-
-
-def _obeys_flow_law(row: Sequence[int], d: int) -> bool:
-    """Whether a dense row of B(d,n)'s d^(n+1) edge counts obeys the law, on its nonzero counts."""
-    return _balanced(compress(enumerate(row), row), d, len(row) // d)
 
 
 def _balanced(counts: Iterable[tuple[int, int]], d: int, vertices: int) -> bool:

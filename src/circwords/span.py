@@ -24,9 +24,11 @@ on the space the count rows span.  An explicit max_len only decides
 saturation, on one word per rotation class of each length up to it,
 the necklaces: every count |W|_U is the same on all rotations of W, so
 they give the same distinct count rows as all d^m words of each length,
-from about d^m/m words.  _sample_echelon reduces their dense rows of
-d^l counts, in lexicographic order, into one row echelon.  One cap
-bounds d^l before anything is built, and on the necklaces d^max_len.
+from about d^m/m words.  _sample_echelon reduces their rows into one
+row echelon.  Both samples have one row form: a word's nonzero length-l
+counts by code (_sparse_counts), at most |W| entries, never all d^l.
+One cap bounds d^l before anything is built, and on the necklaces
+d^max_len, which bounds what the sample holds.
 
 Every count row obeys the flow law of B(d,l-1): at every vertex the
 out-sum equals the in-sum, so the row lies in the cycle space of that
@@ -41,26 +43,24 @@ and every kept row obeys the law, the kept rows span the cycle space, so
 from then on a row adds rank exactly when it breaks the law; the
 certificate words meet the bound only with their last length, so this
 serves the necklace sample.  One routine, _sample_rows, makes each
-length's distinct rows from the necklaces' bare letters, and it alone
-chooses how: when d^l <= 256 it codes them a chunk at a time, one
-big-integer scan per chunk, and counts each row from the word's length-l
-code string; otherwise it counts each row densely.  Once certified it
-keeps only the rows that break the law: a code string whose walk on
-B(d,l-1) closes is skipped uncounted, and every other row is checked in
-O(d^l).  The walks of a chunk's words are decided together, by one
-block test of their codes gathered from the coder's buffer with no
-per-word string, and only a chunk that fails it is cut into code
-strings and walked word by word.  Only a row that breaks the law goes
-to the kernel, so the echelon and the rank trace are the same as if
-every row had been eliminated.
+length's distinct rows from the necklaces' bare letters.  Once
+certified it keeps only the rows that break the law.  When d^l <= 256
+the chunk coder is a filter: a chunk of words whose walks on B(d,l-1)
+all close, decided by one block test of their codes gathered from the
+coder's buffer, is skipped uncounted; the words of a chunk that fails
+it are counted, and each row is checked against the law.  A misread code
+costs its chunk a recount and cannot change the rank.  Only a row that
+breaks the law goes to the kernel, so the echelon and the rank trace are
+the same as if every row had been eliminated.
 
 All arithmetic is exact.  One fraction-free elimination kernel serves
-every caller: it reduces a batch of integer rows against a row echelon
-and keeps the independent ones.  exact_rank starts from an empty
-echelon; the sampler keeps one echelon across lengths and feeds it only
-the rows new at each length; express_in_span reduces the [A | b] rows
-of the certificate words and back-substitutes, with rationals only in
-that last step.
+every caller: it reduces a batch of sparse integer rows, maps from a
+column to its nonzero entry, against a row echelon and keeps the
+independent ones.  exact_rank starts from an empty echelon with the
+nonzero entries of each matrix row; the sampler keeps one echelon
+across lengths and feeds it only the rows new at each length;
+express_in_span reduces the [A | b] rows of the certificate words and
+back-substitutes, with rationals only in that last step.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from . import debruijn
 from .errors import (
@@ -89,10 +89,8 @@ from .words import (
     _check_type,
     _chunk_codes,
     _circular,
-    _dense_counts,
     _fits_a_byte,
     _necklaces,
-    _slices,
     check_length,
     check_size,
     check_word,
@@ -201,36 +199,41 @@ def occurrence_matrix(
 def exact_rank(m: IntegerMatrix) -> int:
     """Rank over the rationals, by fraction-free elimination of the rows."""
     _check_type(m, IntegerMatrix, "exact_rank")
-    return _bareiss_rank(m.entries, {})
+    return _bareiss_rank([{j: x for j, x in enumerate(r) if x} for r in m.entries], {})
 
 
-def _bareiss_rank(rows: Collection[Sequence[int]], echelon: dict[int, list[int]]) -> int:
+def _bareiss_rank(
+    rows: Collection[Mapping[int, int] | Iterable[tuple[int, int]]],
+    echelon: dict[int, dict[int, int]],
+) -> int:
     """Reduce rows against echelon, keep the independent ones, return the rank.
 
-    echelon maps a leading column to the one kept row whose first
-    nonzero entry is in that column.  Each new row is cleared column by
-    column, fraction-free as in Bareiss's elimination: at a column led
-    by a kept row with entry p, where the row has f, the row becomes
-    (p*row - f*kept)/g with g = gcd(p, f).  Kept rows have zeros before
-    their leading column, so clearing a later column never refills an
-    earlier one.  A row left nonzero is divided by the gcd of its
-    entries and kept under its first nonzero column.
+    A row maps each column to its nonzero entry, as a dict or as
+    (column, entry) pairs.  echelon maps a leading column to the one
+    kept row whose first nonzero entry is in that column.  Each new row
+    is cleared at its first column, min(r), fraction-free as in
+    Bareiss's elimination: at a column led by a kept row with entry p,
+    where the row has f, the row becomes (p*row - f*kept)/g with g =
+    gcd(p, f), and entries that cancel leave it.  Kept rows have no
+    entry before their leading column, so clearing a later column never
+    refills an earlier one.  A row left nonzero is divided by the gcd
+    of its entries and kept under its first column.
     """
     for r in rows:
-        r = list(r)
-        for col in range(len(r)):
-            f = r[col]
-            if not f:
-                continue
+        r = dict(r)
+        while r:
+            col = min(r)
             kept = echelon.get(col)
             if kept is None:
-                g = math.gcd(*r)
-                echelon[col] = [x // g for x in r]
+                g = math.gcd(*r.values())
+                echelon[col] = {j: x // g for j, x in r.items()}
                 break
-            p = kept[col]
-            g = math.gcd(p, f)
-            p, f = p // g, f // g
-            r = [p * x - f * y for x, y in zip(r, kept)]
+            g = math.gcd(kept[col], r[col])
+            p, f = kept[col] // g, r[col] // g
+            r = {j: p * x for j, x in r.items()}
+            for j, y in kept.items():
+                r[j] = r.get(j, 0) - f * y
+            r = {j: x for j, x in r.items() if x}
     return len(echelon)
 
 
@@ -243,44 +246,40 @@ def predicted_dimension(d: int, l: int) -> int:
 
 def _sample_rows(
     letters: Iterable[Letters], d: int, l: int, certified: bool
-) -> set[tuple[int, ...]]:
+) -> set[frozenset[tuple[int, int]]]:
     """The distinct length-l count rows of the words, once certified only the law-breaking ones.
 
-    The sample's one row routine.  When d^l <= 256 the words are coded a
-    chunk at a time (words._chunk_codes), and each row is counted from
-    the word's code string, cut from the chunk's buffer (words._slices);
-    otherwise each row is counted densely.  Once certified, a word whose
-    codes close their walk on B(d,l-1) adds no row.  A chunk is decided
-    whole first: each word's n codes are gathered from the buffer by n
-    strided copies, and one block test of them (debruijn._walk_sources
-    with n) passes the chunk with no code string cut.  Only a chunk that
-    fails it is cut and walked word by word.  Only the rows
-    debruijn._obeys_flow_law rejects are kept: a misread code can fail
-    the walk and still give a lawful row.
+    The sample's one row routine.  A row is a word's nonzero length-l
+    counts by code (_sparse_counts), held as a frozenset of (code,
+    count) pairs, so equal rows are kept once.  Once certified, when
+    d^l <= 256, the words are first coded a chunk at a time
+    (words._chunk_codes), each word's n codes are gathered from the
+    buffer by n strided copies, and one block test of them
+    (debruijn._walk_sources with n) passes a chunk whose every walk on
+    B(d,l-1) closes, with no row counted.  Only the words of a chunk that
+    fails it are counted, and only the rows debruijn._balanced rejects
+    are kept: a misread code costs its chunk a recount, and cannot change
+    the rank.
     """
-    if _fits_a_byte(d, l):
-        columns = range(d**l)
-        walk = debruijn._walk_sources
-        source, target = debruijn._end_tables(d, l - 1)
-        rows = set()
-        for data, buffers, stride in _chunk_codes(letters, d, (l,)):
-            n = len(data[0])
-            if certified:
-                (codes,) = buffers
-                joined = bytearray(n * len(data))
-                for j in range(n):
-                    joined[j::n] = codes[j::stride]
-                if walk(joined, source, target, n) is not None:
-                    continue
-            (slices,) = _slices(buffers, n, stride)
-            if certified:
-                slices = [codes for codes in slices if walk(codes, source, target) is None]
-            rows.update(tuple(map(codes.count, columns)) for codes in slices)
-    else:
-        rows = {tuple(_dense_counts(a, d, l)) for a in letters}
+    if certified and _fits_a_byte(d, l):
+        letters = _unclosed_chunks(letters, d, l)
+    rows = {frozenset(_sparse_counts(a, d, l).items()) for a in letters}
     if certified:
-        return {row for row in rows if not debruijn._obeys_flow_law(row, d)}
+        return {row for row in rows if not debruijn._balanced(row, d, d ** (l - 1))}
     return rows
+
+
+def _unclosed_chunks(letters: Iterable[Letters], d: int, l: int) -> Iterator[bytes]:
+    """The words of each chunk whose length-l codes fail the block walk test; d^l <= 256."""
+    walk = debruijn._walk_sources
+    source, target = debruijn._end_tables(d, l - 1)
+    for data, (codes,), stride in _chunk_codes(letters, d, (l,)):
+        n = len(data[0])
+        joined = bytearray(n * len(data))
+        for j in range(n):
+            joined[j::n] = codes[j::stride]
+        if walk(joined, source, target, n) is None:
+            yield from data
 
 
 def _certificate_words(d: int, l: int, m: int) -> Iterator[Letters]:
@@ -300,7 +299,10 @@ def _certificate_words(d: int, l: int, m: int) -> Iterator[Letters]:
 
 
 def _sparse_counts(w: Letters | bytes, d: int, l: int) -> Counter[int]:
-    """The nonzero length-l counts of the circular word w by factor code, in O(|w| + l)."""
+    """The nonzero length-l counts of the circular word w by factor code, in O(|w| + l).
+
+    The one row form of both rank samples, at most |w| entries.
+    """
     size = d**l
     codes = itertools.accumulate(_circular(w, l - 1), lambda c, a: (c * d + a) % size)
     return Counter(itertools.islice(codes, l - 1, None))
@@ -350,25 +352,26 @@ def _bound(d: int, l: int) -> int:
 
 def _sample_echelon(
     d: int, l: int, max_len: int
-) -> tuple[dict[int, list[int]], list[tuple[int, int]], int, bool]:
+) -> tuple[dict[int, dict[int, int]], list[tuple[int, int]], int, bool]:
     """An echelon of the length-l count rows of the sample, and its certificate.
 
     The sample is the necklaces of each length 1..max_len
     (words._necklaces), as bare letter tuples, and _sample_rows makes
-    each length's distinct rows; no word object is built.  A bad length
-    or alphabet is refused, and so are the caps before anything is
-    built: on d^max_len, the number of all words of the top length, and
-    on d^l, the width of a row.  Returns (echelon, rank_by_length, bound,
-    saturated), where rank_by_length holds (m, rank) after the words of
-    length m.
+    each length's distinct sparse rows; no word object is built.  A bad
+    length or alphabet is refused, and so are the caps before anything
+    is built: on d^max_len, the number of all words of the top length,
+    which bounds the rows' entries, and on d^l, the edges of the bound's
+    graph.  Returns (echelon, rank_by_length, bound, saturated), where
+    rank_by_length holds (m, rank) after the words of length m.
 
     bound is the cyclomatic number of B(d,l-1), d^l - d^(l-1) + c with c
     its weakly connected components from the union-find: the dimension
     of its cycle space, which holds every count row.  certified is set
     once the rank meets the bound with every kept row obeying the flow
-    law.  The kept rows then span the cycle space, so a later row is in
-    their span exactly when it obeys the law: it would reduce to zero.
-    From then on _sample_rows returns only the rows that break the law,
+    law (debruijn._balanced).  The kept rows then span the cycle space,
+    so a later row is in their span exactly when it obeys the law: it
+    would reduce to zero.  From then on _sample_rows returns only the
+    rows that break the law,
     and each lifts the rank above the bound.  The echelon and the trace
     are the same as if every row had been eliminated.  saturated is
     certified with the rank still at the bound: the rank is proven to be
@@ -377,7 +380,7 @@ def _sample_echelon(
     check_length(l, "factor length")
     check_size(d, max_len, "sample words")
     bound = _bound(d, l)
-    echelon: dict[int, list[int]] = {}
+    echelon: dict[int, dict[int, int]] = {}
     rank_by_length = []
     certified = False
     for m in range(1, max_len + 1):
@@ -388,7 +391,7 @@ def _sample_echelon(
         rank_by_length.append((m, rank))
         certified = certified or (
             rank == bound
-            and all(debruijn._obeys_flow_law(row, d) for row in echelon.values())
+            and all(debruijn._balanced(row.items(), d, d ** (l - 1)) for row in echelon.values())
         )
     # A row that broke the law after the certificate lifts the rank past it.
     return echelon, rank_by_length, bound, certified and len(echelon) == bound
@@ -448,9 +451,9 @@ class SpanReport:
     every kept row obeying the law.  On necklaces the kept rows then span
     the cycle space, so a later row that obeys the law adds no rank: past
     that point the sample's one row routine returns only the rows that
-    break the law, and counts none for a word whose factor codes close
-    their walk (d^l <= 256).  A row that breaks the law is eliminated, so
-    the trace reads as if every row had been.
+    break the law, and counts none for a chunk of words whose factor
+    codes all close their walks (d^l <= 256).  A row that breaks the law
+    is eliminated, so the trace reads as if every row had been.
     """
 
     d: int
@@ -592,26 +595,30 @@ def express_in_span(
     span_dimension(d, l)
     values = _block_sums(d, l, factors)
     words = (w for m in range(1, 2 * l) for w in _certificate_words(d, l, m))
-    rows = (values(_sparse_counts(w, d, l)) for w in words)
-    return _solve([tuple(row.get(u, 0) for u in factors) for row in rows], len(basis.factors))
+    rows = map(values, (_sparse_counts(w, d, l) for w in words))
+    columns = list(enumerate(factors))
+    return _solve([{j: row[u] for j, u in columns if u in row} for row in rows], len(basis.factors))
 
 
-def _solve(rows: Collection[Sequence[int]], ncols: int) -> tuple[Fraction, ...]:
-    """A solution x of A x = b from the rows [A | b]; free variables are 0.
+def _solve(
+    rows: Collection[Mapping[int, int] | Iterable[tuple[int, int]]], ncols: int
+) -> tuple[Fraction, ...]:
+    """A solution x of A x = b from the rows [A | b], column ncols b; free variables are 0.
 
-    Every echelon of a row space has the same leading columns, so the
-    solution with the free variables pinned to zero is the same whatever
-    echelon the kernel builds.
+    The rows are the kernel's, a map of nonzero entries each.  Every
+    echelon of a row space has the same leading columns, so the solution
+    with the free variables pinned to zero is the same whatever echelon
+    the kernel builds.
     """
-    echelon: dict[int, list[int]] = {}
+    echelon: dict[int, dict[int, int]] = {}
     _bareiss_rank(rows, echelon)
     if ncols in echelon:
         raise NotInSpanError("target functional is outside the basis span")
     solution = [Fraction(0)] * ncols
     for col in sorted(echelon, reverse=True):
         r = echelon[col]
-        rest = sum(r[j] * solution[j] for j in range(col + 1, ncols))
-        solution[col] = (r[ncols] - rest) / Fraction(r[col])
+        rest = sum(x * solution[j] for j, x in r.items() if col < j < ncols)
+        solution[col] = (r.get(ncols, 0) - rest) / Fraction(r[col])
     return tuple(solution)
 
 

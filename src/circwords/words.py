@@ -521,8 +521,9 @@ def _chunk_codes(
     d, l).  Yields one record per chunk, (data, buffers, stride): the
     words' letters as the bytes the buffer is written from, the scan of
     each length, in the given order, and the stride.  No word's codes
-    are cut out here: _slices cuts them when a caller needs them one by
-    one.  Every d^l must be at most 256.
+    are cut out here: enumerate_words cuts them for its words, and the
+    rank sample tests a chunk's codes in place.  Every d^l must be at
+    most 256.
     """
     tail = max(lengths) - 1
     words = iter(words)
@@ -531,15 +532,6 @@ def _chunk_codes(
         r = -(-(n + tail) // n)
         buf = b"".join(map(operator.mul, chunk, itertools.repeat(r)))
         yield chunk, [_codes(buf, d, l) for l in lengths], n * r
-
-
-def _slices(buffers: Sequence[bytes], n: int, stride: int) -> list[list[bytes]]:
-    """Per buffer of _chunk_codes, each word's code string: n bytes every stride.
-
-    One list of cuts serves every buffer of the chunk.
-    """
-    cuts = list(map(slice, range(0, len(buffers[0]), stride), itertools.count(n, stride)))
-    return [list(map(codes.__getitem__, cuts)) for codes in buffers]
 
 
 #: The factor lengths whose codes enumerate_words makes for its words:
@@ -554,7 +546,8 @@ def enumerate_words(d: int, n: int) -> Iterator[CircularWord]:
     every length-4 code fits a byte, _chunk_codes codes the words a
     chunk at a time, one scan per length in _PREFILLED, and each word
     of a chunk is built from the bytes the coder yields, its code
-    strings, cut from the scans by _slices, its code memo.
+    strings, cut from the scans by one list of cuts per chunk, its code
+    memo.
     """
     check_length(n, "word length")
     product = Alphabet(d).words(n)
@@ -563,7 +556,10 @@ def enumerate_words(d: int, n: int) -> Iterator[CircularWord]:
             yield CircularWord._unchecked(data, d)
         return
     for chunk, buffers, stride in _chunk_codes(product, d, _PREFILLED):
-        for data, codes in zip(chunk, zip(*_slices(buffers, n, stride))):
+        # word i's code strings are n bytes from i·stride of each scan
+        cuts = list(map(slice, range(0, len(buffers[0]), stride), itertools.count(n, stride)))
+        strings = [map(codes.__getitem__, cuts) for codes in buffers]
+        for data, codes in zip(chunk, zip(*strings)):
             yield CircularWord._unchecked(data, d, dict(zip(_PREFILLED, codes)))
 
 

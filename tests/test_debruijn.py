@@ -367,8 +367,9 @@ class TestBalance:
     @given(st.data())
     def test_sparse_and_dense_rows_obey_the_law_as_the_slice_sums_say(self, data):
         # a word's rows of edge counts on B(d,n), some with one count
-        # changed, decided on their nonzero entries, on the dense row, and
-        # by the reference: each vertex's out-sum against its in-sum
+        # changed, decided on their nonzero entries, and by the reference:
+        # the residuals the report gives from the dense row, each vertex's
+        # count less its out-sum and less its in-sum, agree
         d = data.draw(st.integers(2, 4), label="d")
         n = data.draw(st.integers(0, {2: 8, 3: 5, 4: 4}[d]), label="n")
         letters = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=30))
@@ -376,11 +377,11 @@ class TestBalance:
         if data.draw(st.booleans(), label="fault"):
             i = data.draw(st.integers(0, len(row) - 1), label="edge")
             row[i] += data.draw(st.sampled_from([-1, 1, 2]), label="change")
-        out_sums, in_sums = debruijn._edge_sums(d, row)
-        law = list(out_sums) == list(in_sums)
+        counts = words._dense_counts(tuple(letters), d, n) if n else [len(letters)]
+        out_res, in_res = debruijn._flow_residuals(d, n, counts, row)
+        law = out_res == in_res
         sparse = [(e, c) for e, c in enumerate(row) if c]
         assert debruijn._balanced(sparse, d, d**n) is law
-        assert debruijn._obeys_flow_law(row, d) is law
 
 
 class TestGraphGuard:

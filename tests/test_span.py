@@ -2,8 +2,10 @@
 
 import functools
 import itertools
+import math
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -83,6 +85,38 @@ def _flow_relations(d, l):
             row[a * vertices + v] -= 1
         relations.append(row)
     return relations
+
+
+def sparse(row):
+    """A dense row as the kernel's row form: its nonzero entries by column."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def dense_bareiss_rank(rows, echelon):
+    """Reference kernel: fraction-free elimination of dense rows.
+
+    echelon maps a leading column to the one kept row, a list, whose
+    first nonzero entry is in that column.  Each new row is cleared
+    column by column: at a column led by a kept row with entry p, where
+    the row has f, it becomes (p*row - f*kept)/g with g = gcd(p, f).  A
+    row left nonzero is divided by the gcd of its entries and kept.
+    """
+    for r in rows:
+        r = list(r)
+        for col in range(len(r)):
+            f = r[col]
+            if not f:
+                continue
+            kept = echelon.get(col)
+            if kept is None:
+                g = math.gcd(*r)
+                echelon[col] = [x // g for x in r]
+                break
+            p = kept[col]
+            g = math.gcd(p, f)
+            p, f = p // g, f // g
+            r = [p * x - f * y for x, y in zip(r, kept)]
+    return len(echelon)
 
 
 COMPONENTS = debruijn._undirected_components
@@ -256,6 +290,23 @@ class TestExactRank:
         m = IntegerMatrix(tuple(tuple(r) for r in rows))
         assert exact_rank(m) == rank_fraction(rows)
 
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+            min_size=1,
+            max_size=8,
+        ).filter(lambda rows: len({len(r) for r in rows}) == 1),
+        st.integers(0, 8),
+    )
+    def test_sparse_kernel_matches_the_dense_reference(self, rows, cut):
+        # two batches against one echelon, as the sample feeds the kernel
+        echelon, reference = {}, {}
+        for batch in (rows[:cut], rows[cut:]):
+            rank = _bareiss_rank(list(map(sparse, batch)), echelon)
+            assert rank == dense_bareiss_rank(batch, reference)
+            assert echelon == {col: sparse(r) for col, r in reference.items()}
+
     def test_agrees_with_prime_field_rank_on_count_matrices(self):
         for d, l, max_len in ((2, 3, 7), (2, 4, 8), (3, 2, 5)):
             m = occurrence_matrix(words_up_to(d, max_len), all_factors_family(d, l))
@@ -355,7 +406,7 @@ class TestSpanDimension:
 
     @pytest.mark.parametrize("d,l", [(2, 1), (2, 2), (2, 4), (2, 6), (3, 3), (4, 2)])
     def test_flow_relations_have_rank_vertices_minus_one(self, d, l):
-        rank = _bareiss_rank(_flow_relations(d, l), {})
+        rank = _bareiss_rank(list(map(sparse, _flow_relations(d, l))), {})
         assert rank == d ** (l - 1) - 1
         # the sampler's bound, from the union-find, is d^l - rank(R)
         assert _sample_echelon(d, l, l)[2] == d**l - rank
@@ -480,12 +531,12 @@ class TestCertificateWords:
         leads = []
         for m in range(1, 2 * l):
             for w in certificate_words(d, l, m):
-                row = span._dense_counts(w.letters, d, l)
-                ending = [c for c in range(d**l) if row[c] and c % d]
+                row = sparse(words._dense_counts(w.letters, d, l))
+                ending = [c for c in row if c % d]
                 lead = max(ending, default=0)
                 y = w.letters[l - 1 :]
                 assert lead == (span._index(y, d) if ending else 0)
-                assert row[0] == (w.letters == (0,))
+                assert row.get(0, 0) == (w.letters == (0,))
                 leads.append(lead)
         assert sorted(leads) == sorted(set(leads))
         assert len(leads) == predicted_dimension(d, l)
@@ -718,7 +769,7 @@ def _marginals(rows, d, l, factors):
 
 def family_rank(echelon, l, family):
     """Reference: the rank of the family's values on the kept rows, eliminated."""
-    return _bareiss_rank(_marginals(echelon, family.d, l, family.factors), {})
+    return _bareiss_rank(list(map(sparse, _marginals(echelon, family.d, l, family.factors))), {})
 
 
 def full_family_holds(echelon, l, family, lengths):
@@ -757,7 +808,7 @@ class TestFullFamilyRank:
                 code = bytes([extra % d**l])
                 misread_slices(mp, lambda a, m, codes: code + codes[1:] if a == corrupt else codes)
             echelon, _, _, saturated = _sample_echelon(d, l, max_len)
-            rows = tuple(echelon.values())
+            rows = [[r.get(j, 0) for j in range(d**l)] for r in echelon.values()]
             expected = saturated and full_family_holds(rows, l, basis, range(1, l + 1))
             assert verify_cks_basis(d, l, max_len) == expected
             if d == 2 and l >= 2:
@@ -885,7 +936,7 @@ class TestExpressInSpan:
             t = [count_occurrences(w, target.letters) for w in words]
             rows = [r + (b,) for r, b in zip(m.entries, t)]
             try:
-                expected = _solve(rows, len(family.factors))
+                expected = _solve(list(map(sparse, rows)), len(family.factors))
             except NotInSpanError:
                 with pytest.raises(NotInSpanError):
                     express_in_span(target.letters, family, 10)
@@ -897,6 +948,7 @@ class TestExpressInSpan:
     def test_solve_agrees_with_gauss_jordan(self, system):
         rows, ncols = system
         expected = solve_gauss_jordan(rows, ncols)
+        rows = list(map(sparse, rows))
         if expected is None:
             with pytest.raises(NotInSpanError):
                 _solve(rows, ncols)
@@ -975,13 +1027,14 @@ class TestSampleWords:
 def plain_sample(d, l, max_len, counts=None):
     """Reference sampler: every distinct row of every length goes to the kernel.
 
-    counts(letters, d, l) makes each row, span._dense_counts by default.
+    counts(letters, d, l) makes each dense row, words._dense_counts by
+    default; the kernel gets its nonzero entries.
     """
-    counts = counts or span._dense_counts
+    counts = counts or words._dense_counts
     echelon = {}
     rank_by_length = []
     for m in range(1, max_len + 1):
-        batch = {tuple(counts(a, d, l)) for a in words._necklaces(d, m)}
+        batch = {frozenset(sparse(counts(a, d, l)).items()) for a in words._necklaces(d, m)}
         rank_by_length.append((m, _bareiss_rank(batch, echelon)))
     return echelon, rank_by_length
 
@@ -994,8 +1047,8 @@ def misread_slices(monkeypatch, change):
     length at i·stride, and change must return n codes, which are
     written back in their place.
 
-    The chunk coder is patched where span binds it, so the rows before
-    the certificate and the walks after it both see the change.
+    The chunk coder is patched where span binds it, so the walks past
+    the certificate see the change; every row is counted from letters.
     """
     coder = words._chunk_codes
 
@@ -1016,6 +1069,45 @@ def misread_slices(monkeypatch, change):
     monkeypatch.setattr(span, "_chunk_codes", misread)
 
 
+def miscount(monkeypatch, corrupt, l, moves):
+    """Make span._sparse_counts count the length-l row of the word corrupt with moves added.
+
+    moves maps a code to the change of its count; an emptied count
+    leaves the row.  The word is matched as letters or as bytes.
+    """
+    counts = span._sparse_counts
+
+    def miscounted(w, d, m):
+        row = counts(w, d, m)
+        if m == l and tuple(w) == corrupt:
+            row.update(moves)
+            row = Counter({c: n for c, n in row.items() if n})
+        return row
+
+    monkeypatch.setattr(span, "_sparse_counts", miscounted)
+
+
+def logged(calls, name, function):
+    """function, with each call appended to calls as (name, args)."""
+
+    def call(*args):
+        calls.append((name, args))
+        return function(*args)
+
+    return call
+
+
+def misread_code(corrupt, l, at, code):
+    """A change for misread_slices: the word corrupt reads its length-l code at as code."""
+
+    def change(data, m, codes):
+        if data == bytes(corrupt) and m == l:
+            return codes[:at] + bytes([code]) + codes[at + 1 :]
+        return codes
+
+    return change
+
+
 class TestCertifiedSample:
     """Rows past the certificate are checked against the flow law, not eliminated."""
 
@@ -1028,7 +1120,7 @@ class TestCertifiedSample:
     )
     def test_same_echelon_and_trace_as_without_the_bound(self, d, l, max_len):
         # (2,4,5) stops short of its bound, so the check never starts there;
-        # (2,9,12) and (17,2,3) have d^l > 256 and pass it on dense rows
+        # (2,9,12) and (17,2,3) have d^l > 256, so every row past it is counted
         plain = plain_sample(d, l, max_len)
         checked = _sample_echelon(d, l, max_len)
         assert checked[1] == plain[1]
@@ -1052,186 +1144,177 @@ class TestCertifiedSample:
         assert [len(batch) for batch in batches[6:]] == [0, 0, 0, 0]
 
     def test_a_row_that_breaks_the_law_is_eliminated(self, monkeypatch):
-        # one length-8 necklace reads its first length-4 code, 0001 (an
+        # one length-8 necklace counts its first length-4 factor, 0001 (an
         # edge out of vertex 000 into 001), as the loop 0000, so its row
-        # breaks the flow law past the certificate at 6
+        # breaks the flow law past the certificate at 6; its first code is
+        # misread the same way, so its chunk fails the walk and is counted
         corrupt = u("00010111")
         reduced = []
         kernel = span._bareiss_rank
 
-        def misread(data, l, string):
-            if data == bytes(corrupt) and l == 4:
-                assert string[0] == 0b0001
-                string = bytes([0b0000]) + string[1:]
-            return string
-
         def recording(rows, echelon):
-            reduced.extend(map(tuple, rows))
+            reduced.extend(map(dict, rows))
             return kernel(rows, echelon)
 
-        misread_slices(monkeypatch, misread)
+        misread_slices(monkeypatch, misread_code(corrupt, 4, 0, 0b0000))
+        miscount(monkeypatch, corrupt, 4, {0b0001: -1, 0b0000: 1})
         monkeypatch.setattr(span, "_bareiss_rank", recording)
         with pytest.warns(UserWarning, match="lower bound"):
             report = span_dimension(2, 4, 10)
-        bad = span._dense_counts(corrupt, 2, 4)
-        bad[0b0001] -= 1
-        bad[0b0000] += 1
-        assert tuple(bad) in reduced
+        bad = sparse(words._dense_counts(corrupt, 2, 4))
+        assert bad.pop(0b0001) == 1 and 0b0000 not in bad
+        bad[0b0000] = 1
+        assert bad in reduced
         assert report.rank_by_length[5:] == ((6, 9), (7, 9), (8, 10), (9, 10), (10, 10))
         assert report.rank == 10
         assert not report.saturated
 
     def test_a_wide_row_that_breaks_the_law_is_eliminated(self, monkeypatch):
-        # 2^9 > 256 columns: past the certificate at 11 each row is still
-        # counted densely and checked by slice sums; one length-12 row gets
-        # an extra 000000001, an edge out of vertex 00000000
+        # 2^9 > 256 columns: past the certificate at 11 every row is
+        # counted and checked; one length-12 row gets an extra 000000001,
+        # an edge out of vertex 00000000
         corrupt = u("000000010111")
-        counts = span._dense_counts
         reduced = []
         kernel = span._bareiss_rank
 
-        def miscount(letters, d, l):
-            row = counts(letters, d, l)
-            if letters == corrupt:
-                row[1] += 1
-            return row
-
         def recording(rows, echelon):
-            reduced.extend(map(tuple, rows))
+            reduced.extend(map(dict, rows))
             return kernel(rows, echelon)
 
-        monkeypatch.setattr(span, "_dense_counts", miscount)
+        miscount(monkeypatch, corrupt, 9, {1: 1})
         monkeypatch.setattr(span, "_bareiss_rank", recording)
         with pytest.warns(UserWarning, match="lower bound"):
             report = span_dimension(2, 9, 13)
-        bad = counts(corrupt, 2, 9)
-        bad[1] += 1
-        assert tuple(bad) in reduced
+        bad = sparse(words._dense_counts(corrupt, 2, 9))
+        bad[1] = bad.get(1, 0) + 1
+        assert bad in reduced
         assert report.rank_by_length[9:] == ((10, 192), (11, 257), (12, 258), (13, 258))
         assert report.rank == 258
         assert not report.saturated
 
     @pytest.mark.parametrize("d,l,max_len", [(2, 4, 10), (3, 3, 10)])
     def test_a_passing_code_string_is_never_counted(self, d, l, max_len, monkeypatch):
-        # past the certificate only the necklace whose codes are misread
-        # has its row counted, from those codes, and checked by slice
-        # sums; every other necklace is decided on its code string alone
+        # past the certificate only the chunk whose codes are misread has
+        # its words counted, from their letters, and their rows checked
+        # against the law; every other chunk is decided on its codes alone
         corrupt = (0,) * (max_len - 1) + (1,)
-        row = tuple(span._dense_counts(corrupt, d, l))
+        chunk = [bytes(a) for a in itertools.islice(span._necklaces(d, max_len), words._BATCH)]
+        assert bytes(corrupt) in chunk
         calls = []
 
         def misread(data, l, string):
             # the same codes in reverse order: the same row, out of sequence
             return string[::-1] if data == bytes(corrupt) else string
 
-        def logged(name, function):
-            def call(*args):
-                calls.append((name, args))
-                return function(*args)
-
-            return call
-
         misread_slices(monkeypatch, misread)
         for module, name in (
             (span, "_necklaces"),
-            (span, "_dense_counts"),
-            (debruijn, "_obeys_flow_law"),
+            (span, "_sparse_counts"),
+            (debruijn, "_balanced"),
         ):
-            monkeypatch.setattr(module, name, logged(name, getattr(module, name)))
+            monkeypatch.setattr(module, name, logged(calls, name, getattr(module, name)))
         report = span_dimension(d, l, max_len)
         assert report.saturated
         certifying = next(m for m, rank in report.rank_by_length if rank == report.rank)
         assert certifying < max_len
         past = calls[calls.index(("_necklaces", (d, certifying + 1))) :]
         assert [name for name, _ in past].count("_necklaces") == max_len - certifying
-        assert [call for call in past if call[0] != "_necklaces"] == [
-            ("_obeys_flow_law", (row, d))
-        ]
+        counted = [args for name, args in past if name == "_sparse_counts"]
+        assert counted == [(a, d, l) for a in chunk]
+        # each distinct row of the chunk is checked once
+        rows = {frozenset(sparse(words._dense_counts(a, d, l)).items()) for a in chunk}
+        checked = [args for name, args in past if name == "_balanced"]
+        assert len(checked) == len(rows)
+        assert {row for row, _, _ in checked} == rows
+        assert {(a, b) for _, a, b in checked} == {(d, d ** (l - 1))}
 
     @settings(max_examples=400)
     @given(st.data())
     def test_law_helper_answers_as_the_counted_row(self, data):
-        # l on both sides of d^l = 256: (2, 9), (3, 6) and (4, 5) are past it
+        # l on both sides of d^l = 256: (2, 9), (3, 6) and (4, 5) are past
+        # it.  A misread code only fails the walk, and the row is then
+        # counted from the letters; a miscounted row is kept exactly when
+        # it is counted and breaks the law
         d = data.draw(st.integers(2, 4), label="d")
         l = data.draw(st.integers(1, {2: 9, 3: 6, 4: 5}[d]), label="l")
         letters = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=30)))
-        w = CircularWord(letters, d)
         width = d**l
+        row = words._dense_counts(letters, d, l)
+        if data.draw(st.booleans(), label="miscount"):
+            i = data.draw(st.integers(0, width - 1), label="column")
+            row[i] += data.draw(st.sampled_from([-1, 1, 2]), label="change")
+        counted = width > 256
         with pytest.MonkeyPatch.context() as mp:
-            if width <= 256:
+            if not counted:
                 codes = bytearray(words._codes(letters, d, l))
-                if data.draw(st.booleans(), label="fault"):
+                if data.draw(st.booleans(), label="misread"):
                     i = data.draw(st.integers(0, len(codes) - 1), label="position")
                     code = st.integers(0, width - 1) | st.integers(0, 255)
                     codes[i] = data.draw(code, label="code")
                 codes = bytes(codes)
-                row = tuple(map(codes.count, range(width)))
+                source, target = debruijn._end_tables(d, l - 1)
+                counted = debruijn._walk_sources(codes, source, target) is None
                 misread_slices(mp, lambda *args: codes)
-            else:
-                row = span._dense_counts(letters, d, l)
-                if data.draw(st.booleans(), label="fault"):
-                    i = data.draw(st.integers(0, width - 1), label="column")
-                    row[i] += data.draw(st.sampled_from([-1, 1, 2]), label="change")
-                row = tuple(row)
-                mp.setattr(span, "_dense_counts", lambda *args: list(row))
-            broken = span._sample_rows([w.letters], d, l, certified=True)
-        assert broken == (set() if debruijn._obeys_flow_law(row, d) else {row})
+            mp.setattr(span, "_sparse_counts", lambda *args: Counter(sparse(row)))
+            broken = span._sample_rows([letters], d, l, certified=True)
+        out_sums, in_sums = debruijn._edge_sums(d, row)
+        law = list(out_sums) == list(in_sums)
+        assert broken == (set() if law or not counted else {frozenset(sparse(row).items())})
 
     def test_law_helper_sees_a_fault_the_comparison_cannot_tell(self, monkeypatch):
-        # a loop read as another loop keeps the law, so the row is counted
-        # and passes; a loop read as a non-loop edge breaks it
-        w = CircularWord(u("000111"), 2)
-        codes = words._codes(w.letters, 2, 3)
+        # the first code of 000111, the loop 000, is misread, so the walk
+        # fails and the row is counted; counted with that loop as another
+        # loop it keeps the law and passes, as a non-loop edge it breaks it
+        w = u("000111")
         for code, holds in ((0b111, True), (0b011, False)):
-            misread = bytes([code]) + codes[1:]
-            misread_slices(monkeypatch, lambda *args: misread)
-            broken = span._sample_rows([w.letters], 2, 3, certified=True)
+            misread_slices(monkeypatch, misread_code(w, 3, 0, code))
+            miscount(monkeypatch, w, 3, {0b000: -1, code: 1})
+            broken = span._sample_rows([w], 2, 3, certified=True)
             assert (broken == set()) is holds
+            monkeypatch.undo()
 
     def test_a_misread_code_sends_its_chunk_word_by_word(self, monkeypatch):
         # one length-8 necklace reads its last length-4 code, 1000, as
-        # 0001, so its walk cannot close; the chunk fails its one block
-        # test and each word is walked, and only that word's row is
-        # counted and checked
+        # 0001, so its walk cannot close; its chunk of 8 fails its one
+        # block test, and only that chunk's words are counted, from their
+        # letters, and checked against the law, which every row obeys
+        monkeypatch.setattr(words, "_BATCH", 8)
         letters = list(span._necklaces(2, 8))
         corrupt = u("00010111")
-        assert corrupt in letters
-        codes = words._codes(corrupt, 2, 4)
-        assert codes[-1] == 0b1000
-        misread = codes[:-1] + bytes([0b0001])
-        row = tuple(map(misread.count, range(16)))
-        walked, checked = [], []
-        walk, law = debruijn._walk_sources, debruijn._obeys_flow_law
-
-        def logged_walk(*args):
-            walked.append(args)
-            return walk(*args)
-
-        def logged_law(counted, d):
-            checked.append(counted)
-            return law(counted, d)
-
-        misread_slices(
-            monkeypatch, lambda data, l, codes: misread if data == bytes(corrupt) else codes
-        )
-        monkeypatch.setattr(debruijn, "_walk_sources", logged_walk)
-        monkeypatch.setattr(debruijn, "_obeys_flow_law", logged_law)
-        assert span._sample_rows(letters, 2, 4, certified=True) == {row}
-        assert [len(args) for args in walked] == [4] + [3] * len(letters)
-        assert checked == [row]
+        at = letters.index(corrupt) // 8 * 8
+        chunk = [bytes(a) for a in letters[at : at + 8]]
+        assert len(letters) > len(chunk) == 8
+        assert words._codes(corrupt, 2, 4)[-1] == 0b1000
+        calls = []
+        misread_slices(monkeypatch, misread_code(corrupt, 4, 7, 0b0001))
+        for module, name in (
+            (debruijn, "_walk_sources"),
+            (span, "_sparse_counts"),
+            (debruijn, "_balanced"),
+        ):
+            monkeypatch.setattr(module, name, logged(calls, name, getattr(module, name)))
+        assert span._sample_rows(letters, 2, 4, certified=True) == set()
+        walks = [args for name, args in calls if name == "_walk_sources"]
+        assert [len(args) for args in walks] == [4] * -(-len(letters) // 8)
+        assert [args for name, args in calls if name == "_sparse_counts"] == [
+            (a, 2, 4) for a in chunk
+        ]
+        checked = [args for name, args in calls if name == "_balanced"]
+        rows = {frozenset(sparse(words._dense_counts(a, 2, 4)).items()) for a in chunk}
+        assert {row for row, _, _ in checked} == rows and len(checked) == len(rows)
 
     @settings(max_examples=200)
     @given(st.data())
     def test_uncertified_rows_are_the_dense_rows(self, data):
-        # before the certificate every distinct row is returned, made from
-        # the chunk coder's slices up to d^l = 256 and densely past it
+        # before the certificate every distinct row is returned: the
+        # nonzero entries of the word's dense row, whatever d^l
         d = data.draw(st.integers(2, 4), label="d")
         l = data.draw(st.integers(1, {2: 9, 3: 6, 4: 5}[d]), label="l")
         # one word length per example, as the sample passes them
         n = data.draw(st.integers(1, 20), label="n")
         word = st.lists(st.integers(0, d - 1), min_size=n, max_size=n).map(tuple)
         letters = data.draw(st.lists(word, max_size=6), label="words")
-        rows = {tuple(span._dense_counts(a, d, l)) for a in letters}
+        rows = {frozenset(sparse(words._dense_counts(a, d, l)).items()) for a in letters}
         assert span._sample_rows(letters, d, l, certified=False) == rows
 
     def test_a_kept_row_that_breaks_the_law_keeps_every_row_eliminated(self, monkeypatch):
@@ -1239,33 +1322,28 @@ class TestCertifiedSample:
         # early; the kept rows then do not span null(R), and every later
         # row must still be reduced for the trace to stay exact
         corrupt = u("00011")
-        counts = span._dense_counts
 
-        def miscount(letters, d, l):
-            row = counts(letters, d, l)
+        def dense_miscount(letters, d, l):
+            row = words._dense_counts(letters, d, l)
             if letters == corrupt:
                 row[0b0001] -= 1
                 row[0b0000] += 1
             return row
 
-        def misread(data, l, string):
-            # its first code, 0001, read as 0000: one 0001 fewer, one 0000 more
-            if data == bytes(corrupt) and l == 4:
-                assert string[0] == 0b0001
-                string = bytes([0b0000]) + string[1:]
-            return string
-
-        misread_slices(monkeypatch, misread)
-        plain = plain_sample(2, 4, 8, miscount)
+        # its first code, 0001, counted and read as 0000
+        misread_slices(monkeypatch, misread_code(corrupt, 4, 0, 0b0000))
+        miscount(monkeypatch, corrupt, 4, {0b0001: -1, 0b0000: 1})
+        plain = plain_sample(2, 4, 8, dense_miscount)
         checked = _sample_echelon(2, 4, 8)
         assert plain[1][4] == (5, 9)
         assert plain[1][-1] == (8, 10)
         assert checked == (*plain, 9, False)
 
     def test_each_chunk_is_coded_in_one_scan_and_no_word_is_built(self, monkeypatch):
-        # before and past the certificate at 4, each length's necklaces
-        # are coded 7 at a time, one _codes scan per chunk, as bare letters
-        sizes = [sum(1 for _ in span._necklaces(3, m)) for m in range(1, 11)]
+        # past the certificate at 4 each length's necklaces are coded 7 at
+        # a time, one _codes scan per chunk, as bare letters; before it
+        # every row is counted from the letters, with no scan
+        sizes = [sum(1 for _ in span._necklaces(3, m)) for m in range(5, 11)]
         scans = []
         made = words._codes
 
@@ -1280,46 +1358,52 @@ class TestCertifiedSample:
         report = span_dimension(3, 3, 10)
         assert report.saturated
         assert report.rank_by_length[3] == (4, report.rank)
+        assert report.rank_by_length[2][1] < report.rank
         assert scans == [3] * sum(-(-size // 7) for size in sizes)
 
     @pytest.mark.parametrize("d,l,max_len", [(3, 3, 10), (2, 4, 10)])
     def test_a_certified_chunk_is_one_walk_and_no_slice(self, d, l, max_len, monkeypatch):
         # past the certifying length each chunk is decided by one block
-        # test on the codes gathered from its buffer: no code string is
-        # cut, and no word is walked alone
+        # test on the codes gathered from its buffer: no row is counted,
+        # and none is checked against the law
         events = []
-        coder, cut, walk = span._chunk_codes, span._slices, debruijn._walk_sources
+        coder = span._chunk_codes
 
         def logged_coder(*args):
             for record in coder(*args):
                 events.append(("chunk", len(record[0][0])))
                 yield record
 
-        def logged_cut(*args):
-            events.append(("slices", None))
-            return cut(*args)
+        def counted(name, function):
+            def call(*args):
+                events.append((name, len(args)))
+                return function(*args)
 
-        def logged_walk(*args):
-            events.append(("walk", len(args)))
-            return walk(*args)
+            return call
 
         monkeypatch.setattr(span, "_chunk_codes", logged_coder)
-        monkeypatch.setattr(span, "_slices", logged_cut)
-        monkeypatch.setattr(debruijn, "_walk_sources", logged_walk)
+        for module, name in (
+            (debruijn, "_walk_sources"),
+            (span, "_sparse_counts"),
+            (debruijn, "_balanced"),
+        ):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         report = span_dimension(d, l, max_len)
         assert report.saturated
         certifying = next(m for m, rank in report.rank_by_length if rank == report.rank)
         assert certifying < max_len
-        past = events[events.index(("chunk", certifying + 1)) :]
+        first = events.index(("chunk", certifying + 1))
+        assert ("_sparse_counts", 3) in events[:first]
+        past = events[first:]
         chunks = [event for event in past if event[0] == "chunk"]
         sizes = [sum(1 for _ in span._necklaces(d, m)) for m in range(certifying + 1, max_len + 1)]
         assert len(chunks) == sum(-(-size // words._BATCH) for size in sizes)
-        assert past == [event for chunk in chunks for event in (chunk, ("walk", 4))]
+        assert past == [event for chunk in chunks for event in (chunk, ("_walk_sources", 4))]
 
     def test_sample_memory_stays_within_a_small_chunk(self):
-        # the letter tuples, buffer and slices of one chunk are the
-        # sample's largest allocation: 256 words peak near 0.1 MB, 4096
-        # near 1.6 MB, which would show in the rank workload's peak RSS
+        # the letter tuples and buffer of one chunk are the sample's
+        # largest allocation: 256 words peak near 0.1 MB, 4096 near
+        # 1.6 MB, which would show in the rank workload's peak RSS
         span_dimension(3, 3, 10)  # fill the caches, which are not per call
         tracemalloc.start()
         try:
@@ -1328,6 +1412,20 @@ class TestCertifiedSample:
         finally:
             tracemalloc.stop()
         assert peak < 256 << 10
+
+    def test_a_large_alphabet_holds_no_dense_row(self):
+        # rank --d 1024 --l 2 --max-len 2 once counted a row of all d^l
+        # columns for each necklace; the rows are now their nonzero counts,
+        # so (32, 2, 2) peaks well below one dense row per necklace
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match="lower bound"):
+                report = span_dimension(32, 2, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.rank_by_length == ((1, 32), (2, 528))
+        assert peak < 2 << 20
 
 
 def _dense_row(w, l):
