@@ -801,12 +801,16 @@ class TestFullFamilyRank:
             mp.setattr(span, "cks_family", lambda d, l: basis)
             mp.setattr(span, "spanning_set_family", lambda l: family)
             if extra is not None:
-                # the necklace 0^(max_len-1)·1 reads its first length-l code
-                # as another, so its row may break the flow law, before the
-                # certificate or after it
-                corrupt = bytes(max_len - 1) + b"\x01"
-                code = bytes([extra % d**l])
-                misread_slices(mp, lambda a, m, codes: code + codes[1:] if a == corrupt else codes)
+                # the necklace 0^(max_len-1)·1 counts its first length-l
+                # factor as another, so its row may break the flow law,
+                # before the certificate or after it, where that code is
+                # misread too, so its chunk is counted
+                corrupt = (0,) * (max_len - 1) + (1,)
+                code = extra % d**l
+                moves = Counter({code: 1})
+                moves.subtract([words._codes(corrupt, d, l)[0]])
+                misread_slices(mp, misread_code(corrupt, l, 0, code))
+                miscount(mp, corrupt, l, moves)
             echelon, _, _, saturated = _sample_echelon(d, l, max_len)
             rows = [[r.get(j, 0) for j in range(d**l)] for r in echelon.values()]
             expected = saturated and full_family_holds(rows, l, basis, range(1, l + 1))
