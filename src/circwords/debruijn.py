@@ -11,10 +11,9 @@ and rows the caller gives: on code strings by one closed-walk test,
 _walk_sources, and on (edge code, count) pairs by one balance test,
 _balanced.  verify_kirchhoff compares the walk's sources with the word's
 vertex codes and counts residuals only to name a violation.  The rank
-sample in span asks _cyclomatic for its bound, the block form of the
-walk test for a whole chunk of code strings of one length, and
-_balanced for every row it counts, of either sample, each a word's
-nonzero edge counts.
+sample in span asks _cyclomatic for its bound and _balanced for the
+rows that certify it, of either sample, each a word's nonzero edge
+counts.
 """
 
 from __future__ import annotations
@@ -155,30 +154,16 @@ def _end_tables(d: int, n: int) -> tuple[bytes, bytes]:
     return bytes(c // d for c in range(256)), bytes(c % size for c in range(256))
 
 
-def _walk_sources(
-    edges: bytes, source: bytes, target: bytes, n: int | None = None
-) -> bytes | None:
+def _walk_sources(edges: bytes, source: bytes, target: bytes) -> bytes | None:
     """The source codes of the edges when they form a closed walk, else None.
 
     source and target are bytes.translate tables from an edge code to
     its source and its target vertex code.  The walk closes when each
     edge's target is the next edge's source, the last edge's the first's;
     it then enters each vertex as often as it leaves it.
-
-    Given n >= 1, the edges are consecutive blocks of n, and the test
-    asks whether every block closes its own walk: the expected targets
-    are the sources shifted by one, except that each block's last edge
-    must lead back to its block's first source, written over the shift
-    by one strided slice assignment.  So a whole chunk of code strings
-    of one length is decided by a constant number of C-level calls.
-    With n None the edges are one walk, and no further copy is made.
     """
     sources = edges.translate(source)
-    expected = sources[1:] + sources[:1]
-    if n is not None:
-        expected = bytearray(expected)
-        expected[n - 1 :: n] = sources[::n]
-    if edges.translate(target) == expected:
+    if edges.translate(target) == sources[1:] + sources[:1]:
         return sources
     return None
 

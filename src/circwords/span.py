@@ -36,22 +36,15 @@ digraph.  Its flow relations form the incidence matrix, of rank V - c
 for V vertices and c weakly connected components (Biggs, Algebraic Graph
 Theory, ch. 4), so the cycle space has dimension d^l - d^(l-1) + c, the
 cyclomatic number of B(d,l-1); no relation matrix is built.  debruijn
-decides every flow-law question here, on the codes and rows it is given:
-the bound, from the package's one union-find, and whether a word's walk
-closes or a row obeys the law.  Once the sample's rank meets the bound
-and every kept row obeys the law, the kept rows span the cycle space, so
-from then on a row adds rank exactly when it breaks the law; the
-certificate words meet the bound only with their last length, so this
-serves the necklace sample.  One routine, _sample_rows, makes each
-length's distinct rows from the necklaces' bare letters.  Once
-certified it keeps only the rows that break the law.  When d^l <= 256
-the chunk coder is a filter: a chunk of words whose walks on B(d,l-1)
-all close, decided by one block test of their codes gathered from the
-coder's buffer, is skipped uncounted; the words of a chunk that fails
-it are counted, and each row is checked against the law.  A misread code
-costs its chunk a recount and cannot change the rank.  Only a row that
-breaks the law goes to the kernel, so the echelon and the rank trace are
-the same as if every row had been eliminated.
+decides every flow-law question here, on the rows it is given: the
+bound, from the package's one union-find, and whether a row obeys the
+law.  Once the sample's rank meets the bound and every kept row obeys
+the law, the kept rows span the cycle space, which holds every count
+row, so the rank is the bound at every later length; the certificate
+words meet the bound only with their last length, so this serves the
+necklace sample, which stops there and samples no later length.  One
+routine, _sample_rows, makes each length's distinct rows from the
+necklaces' bare letters.
 
 All arithmetic is exact.  One fraction-free elimination kernel serves
 every caller: it reduces a batch of sparse integer rows, maps from a
@@ -87,9 +80,7 @@ from .words import (
     WordLike,
     _as_letters,
     _check_type,
-    _chunk_codes,
     _circular,
-    _fits_a_byte,
     _necklaces,
     check_length,
     check_size,
@@ -244,42 +235,14 @@ def predicted_dimension(d: int, l: int) -> int:
     return (d - 1) * d ** (l - 1) + 1
 
 
-def _sample_rows(
-    letters: Iterable[Letters], d: int, l: int, certified: bool
-) -> set[frozenset[tuple[int, int]]]:
-    """The distinct length-l count rows of the words, once certified only the law-breaking ones.
+def _sample_rows(letters: Iterable[Letters], d: int, l: int) -> set[frozenset[tuple[int, int]]]:
+    """The distinct length-l count rows of the words.
 
     The sample's one row routine.  A row is a word's nonzero length-l
     counts by code (_sparse_counts), held as a frozenset of (code,
-    count) pairs, so equal rows are kept once.  Once certified, when
-    d^l <= 256, the words are first coded a chunk at a time
-    (words._chunk_codes), each word's n codes are gathered from the
-    buffer by n strided copies, and one block test of them
-    (debruijn._walk_sources with n) passes a chunk whose every walk on
-    B(d,l-1) closes, with no row counted.  Only the words of a chunk that
-    fails it are counted, and only the rows debruijn._balanced rejects
-    are kept: a misread code costs its chunk a recount, and cannot change
-    the rank.
+    count) pairs, so equal rows are kept once.
     """
-    if certified and _fits_a_byte(d, l):
-        letters = _unclosed_chunks(letters, d, l)
-    rows = {frozenset(_sparse_counts(a, d, l).items()) for a in letters}
-    if certified:
-        return {row for row in rows if not debruijn._balanced(row, d, d ** (l - 1))}
-    return rows
-
-
-def _unclosed_chunks(letters: Iterable[Letters], d: int, l: int) -> Iterator[bytes]:
-    """The words of each chunk whose length-l codes fail the block walk test; d^l <= 256."""
-    walk = debruijn._walk_sources
-    source, target = debruijn._end_tables(d, l - 1)
-    for data, (codes,), stride in _chunk_codes(letters, d, (l,)):
-        n = len(data[0])
-        joined = bytearray(n * len(data))
-        for j in range(n):
-            joined[j::n] = codes[j::stride]
-        if walk(joined, source, target, n) is None:
-            yield from data
+    return {frozenset(_sparse_counts(a, d, l).items()) for a in letters}
 
 
 def _certificate_words(d: int, l: int, m: int) -> Iterator[Letters]:
@@ -361,21 +324,34 @@ def _sample_echelon(
     length or alphabet is refused, and so are the caps before anything
     is built: on d^max_len, the number of all words of the top length,
     which bounds the rows' entries, and on d^l, the edges of the bound's
-    graph.  Returns (echelon, rank_by_length, bound, saturated), where
+    graph.  Returns (echelon, rank_by_length, bound, certified), where
     rank_by_length holds (m, rank) after the words of length m.
 
     bound is the cyclomatic number of B(d,l-1), d^l - d^(l-1) + c with c
     its weakly connected components from the union-find: the dimension
-    of its cycle space, which holds every count row.  certified is set
-    once the rank meets the bound with every kept row obeying the flow
-    law (debruijn._balanced).  The kept rows then span the cycle space,
-    so a later row is in their span exactly when it obeys the law: it
-    would reduce to zero.  From then on _sample_rows returns only the
-    rows that break the law,
-    and each lifts the rank above the bound.  The echelon and the trace
-    are the same as if every row had been eliminated.  saturated is
-    certified with the rank still at the bound: the rank is proven to be
-    the dimension.
+    of its cycle space, which holds every count row, since a circular
+    word's length-l counts are the edge counts of a closed walk.
+    certified is set once the rank meets the bound with every kept row
+    obeying the flow law (debruijn._balanced).  The kept rows then span
+    the cycle space, so the rank is proven to be the dimension, and by
+    that theorem it is the bound at every later length: those lengths
+    are not sampled, and each records the echelon's size.
+
+    Up to length l the trace is known: after the words of length m <= l
+    the rank is the number of Lyndon words of length at most m, the sum
+    over n <= m of L_d(n) = (1/n) sum_{k|n} mu(n/k) d^k.  A necklace
+    u^k, u a Lyndon word, has k times u's row, so the Lyndon rows span.
+    A Lyndon word w of length n <= l is strictly less than its other
+    rotations, so its least length-l factor, the first l letters of w
+    repeated, occurs once and leads its row with count 1: code order is
+    lexicographic, so that lead is min(r).  Lyndon words of one length
+    have distinct leads, whose first n letters are the word itself, and
+    two Lyndon words u, v with |u| < |v| <= l cannot share one: v would
+    be u^k·u' with u' a proper prefix of u, a power if u' is empty and
+    bordered by u' if not, and Lyndon words are primitive and unbordered
+    (Lothaire, Combinatorics on Words, ch. 5).  _bareiss_rank clears a
+    row at min(r), so each Lyndon row is kept as it comes, under its own
+    lead, and a power's row, k times a kept one, clears to zero.
     """
     check_length(l, "factor length")
     check_size(d, max_len, "sample words")
@@ -384,17 +360,17 @@ def _sample_echelon(
     rank_by_length = []
     certified = False
     for m in range(1, max_len + 1):
-        # The counts of a length-m word sum to m, so no row of this
-        # length repeats one of an earlier length: the distinct rows of
-        # length m are exactly the new ones, and each is reduced once.
-        rank = _bareiss_rank(_sample_rows(_necklaces(d, m), d, l, certified), echelon)
-        rank_by_length.append((m, rank))
-        certified = certified or (
-            rank == bound
-            and all(debruijn._balanced(row.items(), d, d ** (l - 1)) for row in echelon.values())
-        )
-    # A row that broke the law after the certificate lifts the rank past it.
-    return echelon, rank_by_length, bound, certified and len(echelon) == bound
+        if not certified:
+            # The counts of a length-m word sum to m, so no row of this
+            # length repeats one of an earlier length: the distinct rows
+            # of length m are exactly the new ones, and each is reduced
+            # once.
+            rank = _bareiss_rank(_sample_rows(_necklaces(d, m), d, l), echelon)
+            certified = rank == bound and all(
+                debruijn._balanced(row.items(), d, d ** (l - 1)) for row in echelon.values()
+            )
+        rank_by_length.append((m, len(echelon)))
+    return echelon, rank_by_length, bound, certified
 
 
 def _index(u: Letters, d: int) -> int:
@@ -449,11 +425,9 @@ class SpanReport:
     B(d,l-1), so the cyclomatic number of that graph bounds the
     dimension from above, and the sample's rank reaches that bound with
     every kept row obeying the law.  On necklaces the kept rows then span
-    the cycle space, so a later row that obeys the law adds no rank: past
-    that point the sample's one row routine returns only the rows that
-    break the law, and counts none for a chunk of words whose factor
-    codes all close their walks (d^l <= 256).  A row that breaks the law
-    is eliminated, so the trace reads as if every row had been.
+    the cycle space, so the rank is the bound at every later length, and
+    the sample stops there: a later length of the trace repeats the
+    bound, with no word of it counted.
     """
 
     d: int

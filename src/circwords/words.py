@@ -500,9 +500,10 @@ def decompose_blocks(w: CircularWord) -> tuple[tuple[int, Letters], ...]:
 
 
 #: Words per chunk of _chunk_codes.  Past a few hundred words a chunk
-#: saves no time, and its letters and buffers are the rank sample's
-#: largest allocation: span_dimension(3, 3, 10) peaks near 1.6 MB with
-#: 4096 words a chunk, near 0.1 MB with 256.
+#: saves no time, and its letters, buffers and built words are
+#: enumerate_words' largest allocation: enumerate_words(2, 14), read a
+#: word at a time, peaks near 2 MB with 4096 words a chunk, near 0.13
+#: MB with 256.
 _BATCH = 1 << 8
 
 
@@ -521,9 +522,8 @@ def _chunk_codes(
     d, l).  Yields one record per chunk, (data, buffers, stride): the
     words' letters as the bytes the buffer is written from, the scan of
     each length, in the given order, and the stride.  No word's codes
-    are cut out here: enumerate_words cuts them for its words, and the
-    rank sample tests a chunk's codes in place.  Every d^l must be at
-    most 256.
+    are cut out here: enumerate_words, the coder's one caller, cuts
+    them for its words.  Every d^l must be at most 256.
     """
     tail = max(lengths) - 1
     words = iter(words)

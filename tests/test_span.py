@@ -707,12 +707,12 @@ class TestCksBasis:
 
         monkeypatch.setattr(span, "_bareiss_rank", recording)
         assert check()
-        # one sampling batch per length 1..10, and none for the family,
-        # which is checked triangular on the certificate words
-        assert len(batches) == 10
+        # one sampling batch per length 1..6, where the rank is certified,
+        # none past it, and none for the family, which is checked
+        # triangular on the certificate words
+        assert len(batches) == 6
         rows = [r for batch in batches for r in batch]
-        # 261 necklaces up to length 10 give 231 distinct count rows; the
-        # kernel sees the 37 of lengths 1..6, where the rank is certified
+        # the necklaces of lengths 1..6 give 37 distinct count rows
         assert len(rows) == len(set(rows)) == 37
 
     def test_an_extra_factor_is_not_a_basis(self, monkeypatch):
@@ -802,14 +802,12 @@ class TestFullFamilyRank:
             mp.setattr(span, "spanning_set_family", lambda l: family)
             if extra is not None:
                 # the necklace 0^(max_len-1)·1 counts its first length-l
-                # factor as another, so its row may break the flow law,
-                # before the certificate or after it, where that code is
-                # misread too, so its chunk is counted
+                # factor as another, so its row may break the flow law
+                # before the certificate; after it, it is not counted
                 corrupt = (0,) * (max_len - 1) + (1,)
                 code = extra % d**l
                 moves = Counter({code: 1})
                 moves.subtract([words._codes(corrupt, d, l)[0]])
-                misread_slices(mp, misread_code(corrupt, l, 0, code))
                 miscount(mp, corrupt, l, moves)
             echelon, _, _, saturated = _sample_echelon(d, l, max_len)
             rows = [[r.get(j, 0) for j in range(d**l)] for r in echelon.values()]
@@ -1043,36 +1041,6 @@ def plain_sample(d, l, max_len, counts=None):
     return echelon, rank_by_length
 
 
-def misread_slices(monkeypatch, change):
-    """Make the sample read change(data, l, codes) for each word's code string.
-
-    data is the word's letters as the chunk coder yields them, bytes;
-    codes are the word's n codes, cut from the chunk's buffer of each
-    length at i·stride, and change must return n codes, which are
-    written back in their place.
-
-    The chunk coder is patched where span binds it, so the walks past
-    the certificate see the change; every row is counted from letters.
-    """
-    coder = words._chunk_codes
-
-    def misread(letters, d, lengths):
-        for chunk, buffers, stride in coder(letters, d, lengths):
-            n = len(chunk[0])
-            changed = []
-            for l, codes in zip(lengths, buffers):
-                codes = bytearray(codes)
-                for i, a in enumerate(chunk):
-                    at = i * stride
-                    new = change(a, l, bytes(codes[at : at + n]))
-                    assert len(new) == n
-                    codes[at : at + n] = new
-                changed.append(bytes(codes))
-            yield chunk, changed, stride
-
-    monkeypatch.setattr(span, "_chunk_codes", misread)
-
-
 def miscount(monkeypatch, corrupt, l, moves):
     """Make span._sparse_counts count the length-l row of the word corrupt with moves added.
 
@@ -1101,19 +1069,18 @@ def logged(calls, name, function):
     return call
 
 
-def misread_code(corrupt, l, at, code):
-    """A change for misread_slices: the word corrupt reads its length-l code at as code."""
+def lyndon_count(d, n):
+    """(1/n) sum over k | n of mu(n/k) d^k, the number of Lyndon words of length n."""
 
-    def change(data, m, codes):
-        if data == bytes(corrupt) and m == l:
-            return codes[:at] + bytes([code]) + codes[at + 1 :]
-        return codes
+    def mu(m):
+        primes = [p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))]
+        return 0 if any(m % (p * p) == 0 for p in primes) else (-1) ** len(primes)
 
-    return change
+    return sum(mu(n // k) * d**k for k in range(1, n + 1) if n % k == 0) // n
 
 
 class TestCertifiedSample:
-    """Rows past the certificate are checked against the flow law, not eliminated."""
+    """The necklace sample stops at its certificate; before it every row is eliminated."""
 
     @pytest.mark.parametrize(
         "d,l,max_len",
@@ -1123,13 +1090,23 @@ class TestCertifiedSample:
         ],
     )
     def test_same_echelon_and_trace_as_without_the_bound(self, d, l, max_len):
-        # (2,4,5) stops short of its bound, so the check never starts there;
-        # (2,9,12) and (17,2,3) have d^l > 256, so every row past it is counted
+        # (2,4,5) stops short of its bound, so the sample never stops early
+        # there; (2,9,12) and (17,2,3) have d^l > 256
         plain = plain_sample(d, l, max_len)
         checked = _sample_echelon(d, l, max_len)
         assert checked[1] == plain[1]
         assert list(checked[0].items()) == list(plain[0].items())
         assert checked[3] is ((d, l, max_len) != (2, 4, 5))
+
+    @pytest.mark.parametrize(
+        "d,l", [(d, l) for d, top in ((2, 10), (3, 5), (4, 4), (5, 3)) for l in range(1, top + 1)]
+    )
+    def test_trace_up_to_l_counts_the_lyndon_words(self, d, l):
+        # _sample_echelon's proof: after the words of length m <= l the
+        # rank is the number of Lyndon words of length at most m
+        rank_by_length = _sample_echelon(d, l, l)[1]
+        lyndon = itertools.accumulate(lyndon_count(d, n) for n in range(1, l + 1))
+        assert rank_by_length == list(enumerate(lyndon, 1))
 
     def test_kernel_sees_no_row_after_the_certifying_length(self, monkeypatch):
         batches = []
@@ -1142,176 +1119,52 @@ class TestCertifiedSample:
         monkeypatch.setattr(span, "_bareiss_rank", recording)
         report = span_dimension(2, 4, 10)
         assert report.saturated
-        # one batch per length 1..10
-        assert len(batches) == 10
-        assert report.rank_by_length[5] == (6, 9)
-        assert [len(batch) for batch in batches[6:]] == [0, 0, 0, 0]
-
-    def test_a_row_that_breaks_the_law_is_eliminated(self, monkeypatch):
-        # one length-8 necklace counts its first length-4 factor, 0001 (an
-        # edge out of vertex 000 into 001), as the loop 0000, so its row
-        # breaks the flow law past the certificate at 6; its first code is
-        # misread the same way, so its chunk fails the walk and is counted
-        corrupt = u("00010111")
-        reduced = []
-        kernel = span._bareiss_rank
-
-        def recording(rows, echelon):
-            reduced.extend(map(dict, rows))
-            return kernel(rows, echelon)
-
-        misread_slices(monkeypatch, misread_code(corrupt, 4, 0, 0b0000))
-        miscount(monkeypatch, corrupt, 4, {0b0001: -1, 0b0000: 1})
-        monkeypatch.setattr(span, "_bareiss_rank", recording)
-        with pytest.warns(UserWarning, match="lower bound"):
-            report = span_dimension(2, 4, 10)
-        bad = sparse(words._dense_counts(corrupt, 2, 4))
-        assert bad.pop(0b0001) == 1 and 0b0000 not in bad
-        bad[0b0000] = 1
-        assert bad in reduced
-        assert report.rank_by_length[5:] == ((6, 9), (7, 9), (8, 10), (9, 10), (10, 10))
-        assert report.rank == 10
-        assert not report.saturated
-
-    def test_a_wide_row_that_breaks_the_law_is_eliminated(self, monkeypatch):
-        # 2^9 > 256 columns: past the certificate at 11 every row is
-        # counted and checked; one length-12 row gets an extra 000000001,
-        # an edge out of vertex 00000000
-        corrupt = u("000000010111")
-        reduced = []
-        kernel = span._bareiss_rank
-
-        def recording(rows, echelon):
-            reduced.extend(map(dict, rows))
-            return kernel(rows, echelon)
-
-        miscount(monkeypatch, corrupt, 9, {1: 1})
-        monkeypatch.setattr(span, "_bareiss_rank", recording)
-        with pytest.warns(UserWarning, match="lower bound"):
-            report = span_dimension(2, 9, 13)
-        bad = sparse(words._dense_counts(corrupt, 2, 9))
-        bad[1] = bad.get(1, 0) + 1
-        assert bad in reduced
-        assert report.rank_by_length[9:] == ((10, 192), (11, 257), (12, 258), (13, 258))
-        assert report.rank == 258
-        assert not report.saturated
+        # one batch per length 1..6, where the rank is certified, and none past it
+        assert len(batches) == 6
+        assert report.rank_by_length[5:] == ((6, 9), (7, 9), (8, 9), (9, 9), (10, 9))
 
     @pytest.mark.parametrize("d,l,max_len", [(2, 4, 10), (3, 3, 10)])
-    def test_a_passing_code_string_is_never_counted(self, d, l, max_len, monkeypatch):
-        # past the certificate only the chunk whose codes are misread has
-        # its words counted, from their letters, and their rows checked
-        # against the law; every other chunk is decided on its codes alone
-        corrupt = (0,) * (max_len - 1) + (1,)
-        chunk = [bytes(a) for a in itertools.islice(span._necklaces(d, max_len), words._BATCH)]
-        assert bytes(corrupt) in chunk
+    def test_nothing_is_sampled_past_the_certifying_length(self, d, l, max_len, monkeypatch):
+        # past the certifying length the rank is the bound by theorem, so
+        # no necklace of a later length is made and no row of one counted
         calls = []
-
-        def misread(data, l, string):
-            # the same codes in reverse order: the same row, out of sequence
-            return string[::-1] if data == bytes(corrupt) else string
-
-        misread_slices(monkeypatch, misread)
-        for module, name in (
-            (span, "_necklaces"),
-            (span, "_sparse_counts"),
-            (debruijn, "_balanced"),
-        ):
-            monkeypatch.setattr(module, name, logged(calls, name, getattr(module, name)))
+        for name in ("_necklaces", "_sparse_counts"):
+            monkeypatch.setattr(span, name, logged(calls, name, getattr(span, name)))
         report = span_dimension(d, l, max_len)
         assert report.saturated
         certifying = next(m for m, rank in report.rank_by_length if rank == report.rank)
         assert certifying < max_len
-        past = calls[calls.index(("_necklaces", (d, certifying + 1))) :]
-        assert [name for name, _ in past].count("_necklaces") == max_len - certifying
-        counted = [args for name, args in past if name == "_sparse_counts"]
-        assert counted == [(a, d, l) for a in chunk]
-        # each distinct row of the chunk is checked once
-        rows = {frozenset(sparse(words._dense_counts(a, d, l)).items()) for a in chunk}
-        checked = [args for name, args in past if name == "_balanced"]
-        assert len(checked) == len(rows)
-        assert {row for row, _, _ in checked} == rows
-        assert {(a, b) for _, a, b in checked} == {(d, d ** (l - 1))}
+        made = [args for name, args in calls if name == "_necklaces"]
+        counted = {len(args[0]) for name, args in calls if name == "_sparse_counts"}
+        assert made == [(d, m) for m in range(1, certifying + 1)]
+        assert counted == set(range(1, certifying + 1))
 
-    @settings(max_examples=400)
-    @given(st.data())
-    def test_law_helper_answers_as_the_counted_row(self, data):
-        # l on both sides of d^l = 256: (2, 9), (3, 6) and (4, 5) are past
-        # it.  A misread code only fails the walk, and the row is then
-        # counted from the letters; a miscounted row is kept exactly when
-        # it is counted and breaks the law
-        d = data.draw(st.integers(2, 4), label="d")
-        l = data.draw(st.integers(1, {2: 9, 3: 6, 4: 5}[d]), label="l")
-        letters = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=30)))
-        width = d**l
-        row = words._dense_counts(letters, d, l)
-        if data.draw(st.booleans(), label="miscount"):
-            i = data.draw(st.integers(0, width - 1), label="column")
-            row[i] += data.draw(st.sampled_from([-1, 1, 2]), label="change")
-        counted = width > 256
-        with pytest.MonkeyPatch.context() as mp:
-            if not counted:
-                codes = bytearray(words._codes(letters, d, l))
-                if data.draw(st.booleans(), label="misread"):
-                    i = data.draw(st.integers(0, len(codes) - 1), label="position")
-                    code = st.integers(0, width - 1) | st.integers(0, 255)
-                    codes[i] = data.draw(code, label="code")
-                codes = bytes(codes)
-                source, target = debruijn._end_tables(d, l - 1)
-                counted = debruijn._walk_sources(codes, source, target) is None
-                misread_slices(mp, lambda *args: codes)
-            mp.setattr(span, "_sparse_counts", lambda *args: Counter(sparse(row)))
-            broken = span._sample_rows([letters], d, l, certified=True)
-        out_sums, in_sums = debruijn._edge_sums(d, row)
-        law = list(out_sums) == list(in_sums)
-        assert broken == (set() if law or not counted else {frozenset(sparse(row).items())})
-
-    def test_law_helper_sees_a_fault_the_comparison_cannot_tell(self, monkeypatch):
-        # the first code of 000111, the loop 000, is misread, so the walk
-        # fails and the row is counted; counted with that loop as another
-        # loop it keeps the law and passes, as a non-loop edge it breaks it
-        w = u("000111")
-        for code, holds in ((0b111, True), (0b011, False)):
-            misread_slices(monkeypatch, misread_code(w, 3, 0, code))
-            miscount(monkeypatch, w, 3, {0b000: -1, code: 1})
-            broken = span._sample_rows([w], 2, 3, certified=True)
-            assert (broken == set()) is holds
-            monkeypatch.undo()
-
-    def test_a_misread_code_sends_its_chunk_word_by_word(self, monkeypatch):
-        # one length-8 necklace reads its last length-4 code, 1000, as
-        # 0001, so its walk cannot close; its chunk of 8 fails its one
-        # block test, and only that chunk's words are counted, from their
-        # letters, and checked against the law, which every row obeys
-        monkeypatch.setattr(words, "_BATCH", 8)
-        letters = list(span._necklaces(2, 8))
-        corrupt = u("00010111")
-        at = letters.index(corrupt) // 8 * 8
-        chunk = [bytes(a) for a in letters[at : at + 8]]
-        assert len(letters) > len(chunk) == 8
-        assert words._codes(corrupt, 2, 4)[-1] == 0b1000
-        calls = []
-        misread_slices(monkeypatch, misread_code(corrupt, 4, 7, 0b0001))
-        for module, name in (
-            (debruijn, "_walk_sources"),
-            (span, "_sparse_counts"),
-            (debruijn, "_balanced"),
-        ):
-            monkeypatch.setattr(module, name, logged(calls, name, getattr(module, name)))
-        assert span._sample_rows(letters, 2, 4, certified=True) == set()
-        walks = [args for name, args in calls if name == "_walk_sources"]
-        assert [len(args) for args in walks] == [4] * -(-len(letters) // 8)
-        assert [args for name, args in calls if name == "_sparse_counts"] == [
-            (a, 2, 4) for a in chunk
-        ]
-        checked = [args for name, args in calls if name == "_balanced"]
-        rows = {frozenset(sparse(words._dense_counts(a, 2, 4)).items()) for a in chunk}
-        assert {row for row, _, _ in checked} == rows and len(checked) == len(rows)
+    @pytest.mark.parametrize(
+        "d,l,max_len,corrupt",
+        [(2, 9, 13, u("000000010111")), (17, 2, 4, (0, 0, 0, 1))],
+        ids=["2-9-13", "17-2-4"],
+    )
+    def test_a_miscount_past_the_certificate_changes_nothing(
+        self, d, l, max_len, corrupt, monkeypatch
+    ):
+        # the word's length-l row gets an extra count of code 1, an edge
+        # out of vertex 0^(l-1), so it would break the flow law; it is
+        # longer than the certifying length, so it is never counted, and
+        # the report is the unpatched one, saturated and with no warning
+        expected = span_dimension(d, l, max_len)
+        certifying = next(m for m, rank in expected.rank_by_length if rank == expected.rank)
+        assert expected.saturated and len(corrupt) > certifying
+        assert corrupt in span._necklaces(d, len(corrupt))
+        miscount(monkeypatch, corrupt, l, {1: 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert span_dimension(d, l, max_len) == expected
 
     @settings(max_examples=200)
     @given(st.data())
     def test_uncertified_rows_are_the_dense_rows(self, data):
-        # before the certificate every distinct row is returned: the
-        # nonzero entries of the word's dense row, whatever d^l
+        # every distinct row is returned: the nonzero entries of the
+        # word's dense row, whatever d^l
         d = data.draw(st.integers(2, 4), label="d")
         l = data.draw(st.integers(1, {2: 9, 3: 6, 4: 5}[d]), label="l")
         # one word length per example, as the sample passes them
@@ -1319,7 +1172,7 @@ class TestCertifiedSample:
         word = st.lists(st.integers(0, d - 1), min_size=n, max_size=n).map(tuple)
         letters = data.draw(st.lists(word, max_size=6), label="words")
         rows = {frozenset(sparse(words._dense_counts(a, d, l)).items()) for a in letters}
-        assert span._sample_rows(letters, d, l, certified=False) == rows
+        assert span._sample_rows(letters, d, l) == rows
 
     def test_a_kept_row_that_breaks_the_law_keeps_every_row_eliminated(self, monkeypatch):
         # a corrupt length-5 row lifts the rank to the bound 9 one length
@@ -1334,8 +1187,7 @@ class TestCertifiedSample:
                 row[0b0000] += 1
             return row
 
-        # its first code, 0001, counted and read as 0000
-        misread_slices(monkeypatch, misread_code(corrupt, 4, 0, 0b0000))
+        # its first code, 0001, counted as 0000
         miscount(monkeypatch, corrupt, 4, {0b0001: -1, 0b0000: 1})
         plain = plain_sample(2, 4, 8, dense_miscount)
         checked = _sample_echelon(2, 4, 8)
@@ -1343,11 +1195,10 @@ class TestCertifiedSample:
         assert plain[1][-1] == (8, 10)
         assert checked == (*plain, 9, False)
 
-    def test_each_chunk_is_coded_in_one_scan_and_no_word_is_built(self, monkeypatch):
-        # past the certificate at 4 each length's necklaces are coded 7 at
-        # a time, one _codes scan per chunk, as bare letters; before it
-        # every row is counted from the letters, with no scan
-        sizes = [sum(1 for _ in span._necklaces(3, m)) for m in range(5, 11)]
+    def test_no_word_is_built_and_no_code_is_scanned(self, monkeypatch):
+        # every row is counted from the necklaces' bare letters, with no
+        # code scan, and the sample stops at its certificate at 4, so no
+        # chunk of a later length is coded either
         scans = []
         made = words._codes
 
@@ -1356,58 +1207,19 @@ class TestCertifiedSample:
             return made(letters, d, l)
 
         monkeypatch.setattr(words, "_codes", counted)
-        monkeypatch.setattr(words, "_BATCH", 7)
         monkeypatch.setattr(CircularWord, "_unchecked", never)
         monkeypatch.setattr(CircularWord, "__init__", never)
         report = span_dimension(3, 3, 10)
         assert report.saturated
         assert report.rank_by_length[3] == (4, report.rank)
         assert report.rank_by_length[2][1] < report.rank
-        assert scans == [3] * sum(-(-size // 7) for size in sizes)
-
-    @pytest.mark.parametrize("d,l,max_len", [(3, 3, 10), (2, 4, 10)])
-    def test_a_certified_chunk_is_one_walk_and_no_slice(self, d, l, max_len, monkeypatch):
-        # past the certifying length each chunk is decided by one block
-        # test on the codes gathered from its buffer: no row is counted,
-        # and none is checked against the law
-        events = []
-        coder = span._chunk_codes
-
-        def logged_coder(*args):
-            for record in coder(*args):
-                events.append(("chunk", len(record[0][0])))
-                yield record
-
-        def counted(name, function):
-            def call(*args):
-                events.append((name, len(args)))
-                return function(*args)
-
-            return call
-
-        monkeypatch.setattr(span, "_chunk_codes", logged_coder)
-        for module, name in (
-            (debruijn, "_walk_sources"),
-            (span, "_sparse_counts"),
-            (debruijn, "_balanced"),
-        ):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        report = span_dimension(d, l, max_len)
-        assert report.saturated
-        certifying = next(m for m, rank in report.rank_by_length if rank == report.rank)
-        assert certifying < max_len
-        first = events.index(("chunk", certifying + 1))
-        assert ("_sparse_counts", 3) in events[:first]
-        past = events[first:]
-        chunks = [event for event in past if event[0] == "chunk"]
-        sizes = [sum(1 for _ in span._necklaces(d, m)) for m in range(certifying + 1, max_len + 1)]
-        assert len(chunks) == sum(-(-size // words._BATCH) for size in sizes)
-        assert past == [event for chunk in chunks for event in (chunk, ("_walk_sources", 4))]
+        assert scans == []
 
     def test_sample_memory_stays_within_a_small_chunk(self):
-        # the letter tuples and buffer of one chunk are the sample's
-        # largest allocation: 256 words peak near 0.1 MB, 4096 near
-        # 1.6 MB, which would show in the rank workload's peak RSS
+        # the sample holds one length's distinct rows and the echelon,
+        # and stops at its certificate at length 4, coding no chunk: it
+        # peaks near 15 KB, where a 4096-word chunk would show in the
+        # rank workload's peak RSS
         span_dimension(3, 3, 10)  # fill the caches, which are not per call
         tracemalloc.start()
         try:
