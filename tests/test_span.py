@@ -1141,8 +1141,12 @@ class TestCertifiedSample:
 
     @pytest.mark.parametrize(
         "d,l,max_len,corrupt",
-        [(2, 9, 13, u("000000010111")), (17, 2, 4, (0, 0, 0, 1))],
-        ids=["2-9-13", "17-2-4"],
+        [
+            (2, 4, 10, u("00010111")),
+            (2, 9, 13, u("000000010111")),
+            (17, 2, 4, (0, 0, 0, 1)),
+        ],
+        ids=["2-4-10", "2-9-13", "17-2-4"],
     )
     def test_a_miscount_past_the_certificate_changes_nothing(
         self, d, l, max_len, corrupt, monkeypatch
@@ -1218,8 +1222,8 @@ class TestCertifiedSample:
     def test_sample_memory_stays_within_a_small_chunk(self):
         # the sample holds one length's distinct rows and the echelon,
         # and stops at its certificate at length 4, coding no chunk: it
-        # peaks near 15 KB, where a 4096-word chunk would show in the
-        # rank workload's peak RSS
+        # peaks near 14 KB, where sampling every length to 10 peaked
+        # near 86 KB and a 4096-word chunk of them near 1.6 MB
         span_dimension(3, 3, 10)  # fill the caches, which are not per call
         tracemalloc.start()
         try:
