@@ -13,12 +13,13 @@ refuses and warn on an uncertified sample as it does.  By default the
 sample is the certificate words: the word 0, and 0^(l-1)·y for each y
 of length 1..l whose first and last letters are nonzero, d^l - d^(l-1)
 + 1 words of lengths 1..2l-1, whose rows are triangular on distinct
-lead columns.  _triangular checks that on their sparse rows with no
-elimination, and each basis on the same words whatever max_len; once
-they pass, their rows span every count row, so express_in_span solves
-on them alone.  For |u| <= l, |W|_u is the sum of the length-l counts
-over the block of codes that start with u (_block_sums); the empty
-factor occurs once at every position, so its count |W| sums every code.
+lead columns.  _triangular checks that in one pass with no elimination,
+each word's sparse row made once and read by the rank, by each basis
+span_dimension names, whatever max_len, and by express_in_span, which
+solves on those rows alone once they pass, since they span every count
+row.  For |u| <= l, |W|_u is the sum of the length-l counts over the
+block of codes that start with u (_block_sums); the empty factor occurs
+once at every position, so its count |W| sums every code.
 Block sums are a fixed linear map, so ranks and solutions depend only
 on the space the count rows span.  An explicit max_len only decides
 saturation, on one word per rotation class of each length up to it,
@@ -82,6 +83,7 @@ from .words import (
     _check_type,
     _circular,
     _necklaces,
+    _require_binary,
     check_length,
     check_size,
     check_word,
@@ -272,38 +274,48 @@ def _sparse_counts(w: Letters | bytes, d: int, l: int) -> Counter[int]:
 
 
 def _triangular(
-    d: int, l: int, count: int, lead: Callable, values: Callable | None = None
-) -> tuple[list[tuple[int, int]], bool]:
-    """The certificate words' rows checked triangular on their leads, in order.
+    d: int, l: int, checks: Sequence[tuple], consume: Callable | None = None
+) -> tuple[list[int], list[tuple[int, bool]]]:
+    """The certificate words' rows checked triangular on their leads, in one pass.
 
-    Word i, 0^(l-1)·y or the word 0 with y = (), leads at lead(y), which
-    no earlier word's lead may equal.  Its row, values() of its sparse
+    Each of the checks, at least one, is (count, lead, values).  Word i,
+    0^(l-1)·y or the word 0 with y = (), leads at lead(y), which no
+    earlier word's lead may equal.  Its row, values() of its sparse
     length-l counts or, with values None, the counts checked against the
-    flow law, must be nonzero at that lead and zero at every later word's.
-    The count row of 0^(l-1)·y leads at y left-padded with zeros, its
-    other factors ending in a nonzero letter being shorter prefixes of y;
-    the word 0 leads at 0^l.  The rows before the first that fails are
-    triangular, so independent: the trace holds (m, their number up to
-    length m).  The flag says every row passed and there are count of
-    them.  Leads are taken first, so no row is kept.
+    flow law, must be nonzero at that lead and zero at every later
+    word's.  The count row of 0^(l-1)·y leads at y left-padded with
+    zeros, its other factors ending in a nonzero letter being shorter
+    prefixes of y; the word 0 leads at 0^l.  The rows before a check's
+    first failure are triangular, so independent.  Leads are taken
+    first, so no row is kept: each word's counts are made once, for
+    consume and every check not yet failed, and with no consume the pass
+    stops once all have.  Returns the words up to each length 1..2l-1
+    and, per check, the rows passed and whether all did, count of them.
     """
-    leads, ends, position = [], [], {}
+    leads, ends = [[] for _ in checks], []
     for m in range(1, 2 * l):
-        leads += (lead(w[l - 1 :] if any(w) else ()) for w in _certificate_words(d, l, m))
-        ends.append(len(leads))
-    for i, k in enumerate(leads):
-        position.setdefault(k, i)
+        for w in _certificate_words(d, l, m):
+            y = w[l - 1 :] if any(w) else ()
+            for ks, (_, lead, _) in zip(leads, checks):
+                ks.append(lead(y))
+        ends.append(len(leads[0]))
+    positions = [dict(zip(reversed(ks), reversed(range(len(ks))))) for ks in leads]
+    passed = [total := ends[-1]] * len(checks)
     words = (w for m in range(1, 2 * l) for w in _certificate_words(d, l, m))
-    passed = 0
-    for i, (k, w) in enumerate(zip(leads, words)):
+    for i, w in enumerate(words):
+        live = [j for j, p in enumerate(passed) if p == total]
+        if not live and consume is None:
+            break
         counts = _sparse_counts(w, d, l)
-        if values is None and not debruijn._balanced(counts.items(), d, d ** (l - 1)):
-            break
-        row = counts if values is None else values(counts)
-        if position[k] != i or not row.get(k) or any(position.get(j, i) > i for j in row):
-            break
-        passed += 1
-    return [(m, min(n, passed)) for m, n in enumerate(ends, 1)], passed == len(leads) == count
+        if consume is not None:
+            consume(counts)
+        for j in live:
+            values, k, at = checks[j][2], leads[j][i], positions[j]
+            row = counts if values is None else values(counts)
+            flows = values is not None or debruijn._balanced(counts.items(), d, d ** (l - 1))
+            if not flows or at[k] != i or not row.get(k) or any(at.get(c, i) > i for c in row):
+                passed[j] = i
+    return ends, [(p, p == total == count) for p, (count, _, _) in zip(passed, checks)]
 
 
 def _bound(d: int, l: int) -> int:
@@ -406,13 +418,6 @@ def _block_sums(
     return values
 
 
-def _family_holds(family: FunctionalFamily, report: SpanReport, lead: Callable) -> bool:
-    """Whether the sample is saturated and the family triangular on it, y leading at lead(y)."""
-    d, l = family.d, report.l
-    values = _block_sums(d, l, family.factors)
-    return report.saturated and _triangular(d, l, len(family.factors), lead, values)[1]
-
-
 @dataclass(frozen=True)
 class SpanReport:
     """Measured rank of the length-l occurrence functionals.
@@ -427,7 +432,8 @@ class SpanReport:
     every kept row obeying the law.  On necklaces the kept rows then span
     the cycle space, so the rank is the bound at every later length, and
     the sample stops there: a later length of the trace repeats the
-    bound, with no word of it counted.
+    bound, with no word of it counted.  bases holds (name, verdict) for
+    each basis span_dimension was asked to check.
     """
 
     d: int
@@ -438,6 +444,7 @@ class SpanReport:
     relations: int
     rank_by_length: tuple[tuple[int, int], ...]
     saturated: bool
+    bases: tuple[tuple[str, bool], ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -449,11 +456,14 @@ class SpanReport:
             "relations": self.relations,
             "rank_by_length": [list(t) for t in self.rank_by_length],
             "saturated": self.saturated,
+            **dict(self.bases),
         }
 
 
-def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
-    """Rank of the matrix of all length-l counts over a sample of words.
+def span_dimension(
+    d: int, l: int, max_len: int | None = None, bases: Sequence[str] = ()
+) -> SpanReport:
+    """Rank of the matrix of all length-l counts over a sample of words, and the named bases.
 
     Without max_len the sample is the certificate words of lengths
     1..2l-1, checked by _triangular, and d^l is the one cap; with it, the
@@ -462,21 +472,57 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
     lower bound on the dimension.  The bound is the cyclomatic number of
     B(d,l-1), taken from the union-find after the caps are checked; no
     relation matrix is built.
+
+    Each basis named holds when the sample is saturated and its family
+    is triangular on every certificate word, checked in the same pass
+    whatever max_len.  "cks_basis" is cks_family(d, l), y leading at y
+    (its other factors with nonzero ends are shorter, inside y);
+    "spanning_set" is spanning_set_family(l), y leading at y·0^(l-|y|)
+    (its other 1V factors are y's shorter suffixes that start with 1),
+    whose 1V words but 1^l must be a spanning tree of B(2,l-1), empty at
+    l = 1.  An unknown name, or "spanning_set" at d != 2, is refused first.
     """
+    return _span(d, l, max_len, bases)
+
+
+def _span(
+    d: int, l: int, max_len: int | None, bases: Sequence[str], consume: Callable | None = None
+) -> SpanReport:
+    """span_dimension, handing consume each certificate word's counts when max_len is None."""
+    if unknown := set(bases) - {"cks_basis", "spanning_set"}:
+        raise BadParameterError(f"unknown bases {sorted(unknown)}")
+    if "spanning_set" in bases:
+        _require_binary(d, "the 1V spanning set")
     check_length(l, "factor length")
     if max_len is not None and (not isinstance(max_len, int) or max_len < l):
         raise BadParameterError(f"need max_len >= l, got max_len={max_len!r} < l={l}")
+    checks = []
     if max_len is None:
         bound = _bound(d, l)
-        rank_by_length, saturated = _triangular(d, l, bound, functools.partial(_index, d=d))
+        checks.append((bound, functools.partial(_index, d=d), None))
     else:
         _, rank_by_length, bound, saturated = _sample_echelon(d, l, max_len)
+    families = [cks_family(d, l) if n == "cks_basis" else spanning_set_family(l) for n in bases]
+    for name, family in zip(bases, families):
+        lead = (lambda y: y) if name == "cks_basis" else (lambda y: y + (0,) * (l - len(y)))
+        checks.append((len(family.factors), lead, _block_sums(d, l, family.factors)))
+    ends, results = _triangular(d, l, checks, consume) if checks else ([], [])
+    if max_len is None:
+        (passed, saturated), *results = results
+        rank_by_length = [(m, min(n, passed)) for m, n in enumerate(ends, 1)]
+    verdicts = []
+    for name, family, (_, ok) in zip(bases, families, results):
+        if saturated and ok and name == "spanning_set":
+            tree = [u for u in family.factors if u[0] == 1 and u != (1,) * l]
+            graph = debruijn.build_graph(2, l - 1) if l > 1 else None
+            ok = debruijn.is_spanning_tree(graph, tree) if graph else not tree
+        verdicts.append((name, saturated and ok))
     top, rank = rank_by_length[-1]
     if not saturated:
         warnings.warn(
             f"rank {rank} of ({d},{l}) functionals at max_len={top} is not certified "
             f"by the flow-relation bound {bound}; the reported rank is a lower bound",
-            stacklevel=2,
+            stacklevel=3,
         )
     return SpanReport(
         d=d,
@@ -487,38 +533,20 @@ def span_dimension(d: int, l: int, max_len: int | None = None) -> SpanReport:
         relations=d**l - rank,
         rank_by_length=tuple(rank_by_length),
         saturated=saturated,
+        bases=tuple(verdicts),
     )
 
 
 def verify_spanning_set(max_len: int, l: int = 4) -> bool:
     """Check that the binary {0^l} union {1V} is independent and spans all length-l counts.
 
-    Requires a saturated sample, the set triangular on the certificate
-    words of lengths 1..2l-1 whatever max_len, and (as a structural
-    cross-check) that the 1V words minus the loop 1^l form a spanning
-    tree of B(2,l-1).  The sample is span_dimension's, and max_len only
-    decides its saturation: max_len < l is refused, and a sample whose
-    rank is not certified gives a warning.
+    span_dimension's "spanning_set" verdict: a saturated sample, the set
+    triangular on the certificate words whatever max_len, and (as a
+    structural cross-check) the 1V words minus the loop 1^l a spanning
+    tree of B(2,l-1).  max_len < l is refused, and a sample whose rank
+    is not certified gives a warning.
     """
-    return _spanning_set_holds(span_dimension(2, l, max_len))
-
-
-def _spanning_set_holds(report: SpanReport) -> bool:
-    """verify_spanning_set on a binary sample's report.
-
-    Word y leads at y·0^(l-|y|): its other 1V factors are y's shorter
-    suffixes that start with 1, so padded.  At l = 1
-    B(2,0) has one vertex, whose spanning tree is empty, so the tree
-    edges must be none and no graph is built.
-    """
-    l = report.l
-    family = spanning_set_family(l)
-    if not _family_holds(family, report, lambda y: y + (0,) * (l - len(y))):
-        return False
-    tree_edges = [u for u in family.factors if u[0] == 1 and u != (1,) * l]
-    if l == 1:
-        return not tree_edges
-    return debruijn.is_spanning_tree(debruijn.build_graph(2, l - 1), tree_edges)
+    return span_dimension(2, l, max_len, ("spanning_set",)).bases[0][1]
 
 
 def verify_cks_basis(d: int, l: int, max_len: int) -> bool:
@@ -526,19 +554,12 @@ def verify_cks_basis(d: int, l: int, max_len: int) -> bool:
 
     The candidate basis is cks_family's: the empty factor, whose count is
     the length, and every factor of length 1..l whose first and last
-    letters are nonzero.  The sample must be saturated, and the basis
-    triangular on the certificate words of lengths 1..2l-1 whatever
-    max_len.  The sample is span_dimension's, and max_len only decides
-    its saturation: max_len < l is refused, and a sample whose rank is
-    not certified gives a warning.
+    letters are nonzero: span_dimension's "cks_basis" verdict, a
+    saturated sample and the basis triangular on the certificate words
+    whatever max_len.  max_len < l is refused, and a sample whose rank
+    is not certified gives a warning.
     """
-    return _cks_basis_holds(span_dimension(d, l, max_len))
-
-
-def _cks_basis_holds(report: SpanReport) -> bool:
-    """verify_cks_basis on a sample's report: word y leads at y, its other
-    factors with nonzero ends lying inside y, so shorter."""
-    return _family_holds(cks_family(report.d, report.l), report, lambda y: y)
+    return span_dimension(d, l, max_len, ("cks_basis",)).bases[0][1]
 
 
 def express_in_span(
@@ -548,13 +569,13 @@ def express_in_span(
 
     One coefficient per basis factor, in order; the empty target is the
     length |W|.  L is the longest of the target and the basis factors,
-    at least 1.  span_dimension(d, L) applies the caps and proves that
-    the certificate words' count rows span every count row; the system
-    is solved on those words, each row the basis values and the
-    target's, block sums of its sparse counts.  Free variables (present
-    only when the basis columns are dependent) are pinned to zero.  So
-    the coefficients hold on every circular word, NotInSpanError says
-    no combination does, and an unproven span gives span_dimension's
+    at least 1.  span_dimension(d, L)'s pass applies the caps and proves
+    that the certificate words' count rows span every count row; the
+    system is solved on those words, each row the basis values and the
+    target's, block sums of the counts the pass makes.  Free variables
+    (present only when the basis columns are dependent) are pinned to
+    zero.  So the coefficients hold on every circular word, NotInSpanError
+    says no combination does, and an unproven span gives span_dimension's
     warning.  max_len is refused unless None or an integer >= 1, and
     nothing else reads it: it stays because callers pass it positionally.
     """
@@ -566,12 +587,14 @@ def express_in_span(
     Alphabet(d).validate(target)
     factors = basis.factors + (target,)
     l = max(1, *map(len, factors))
-    span_dimension(d, l)
-    values = _block_sums(d, l, factors)
-    words = (w for m in range(1, 2 * l) for w in _certificate_words(d, l, m))
-    rows = map(values, (_sparse_counts(w, d, l) for w in words))
-    columns = list(enumerate(factors))
-    return _solve([{j: row[u] for j, u in columns if u in row} for row in rows], len(basis.factors))
+    values, columns, rows = _block_sums(d, l, factors), list(enumerate(factors)), []
+
+    def consume(counts: Counter[int]) -> None:
+        row = values(counts)
+        rows.append({j: row[u] for j, u in columns if u in row})
+
+    _span(d, l, None, (), consume)
+    return _solve(rows, len(basis.factors))
 
 
 def _solve(

@@ -16,6 +16,7 @@ import circwords
 MODULES = sorted(
     p for p in Path(circwords.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_star_import_binds_every_public_name():
@@ -26,8 +27,9 @@ def test_star_import_binds_every_public_name():
     assert all(ns[name] is getattr(circwords, name) for name in names)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.stem)
 def test_every_imported_name_is_used(path):
+    # the test modules too: an import left behind there is as dead
     tree = ast.parse(path.read_text())
     imported = set()
     for node in ast.walk(tree):

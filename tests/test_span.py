@@ -7,7 +7,6 @@ import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +38,7 @@ from circwords import (
     verify_cks_basis,
     verify_spanning_set,
 )
-from circwords import debruijn, span, words
+from circwords import cli, debruijn, span, words
 from circwords.errors import BadParameterError
 from circwords.span import _bareiss_rank, _block_sums, _sample_echelon, _solve
 from conftest import (
@@ -456,15 +455,14 @@ class TestCertificateWords:
         + [(16, 2)],
     )
     def test_default_is_saturated_at_the_predicted_rank(self, d, l, recwarn):
-        report = span_dimension(d, l)
+        # the bases are checked triangular on the same words, in the same pass
+        bases = ("cks_basis", "spanning_set")[: 2 if d == 2 else 1]
+        report = span_dimension(d, l, bases=bases)
         assert report.saturated
         assert report.rank == report.predicted
         assert report.lengths == tuple(range(1, 2 * l))
         assert not recwarn.list
-        # the bases are triangular on the same words
-        assert span._cks_basis_holds(report)
-        if d == 2:
-            assert span._spanning_set_holds(report)
+        assert report.bases == tuple((name, True) for name in bases)
 
     @pytest.mark.parametrize(
         "word,change,rank",
@@ -487,11 +485,10 @@ class TestCertificateWords:
 
         monkeypatch.setattr(span, "_certificate_words", changed)
         with pytest.warns(UserWarning, match="at max_len=7 is not certified.*lower bound"):
-            report = span_dimension(2, 4)
+            report = span_dimension(2, 4, bases=("cks_basis", "spanning_set"))
         assert not report.saturated
         assert report.rank == rank
-        assert not span._cks_basis_holds(report)
-        assert not span._spanning_set_holds(report)
+        assert report.bases == (("cks_basis", False), ("spanning_set", False))
 
     def test_a_row_on_a_later_lead_is_not_triangular(self):
         # (2,2): the words 0, 01 and 011 lead at 00, 01 and 11; a row,
@@ -502,12 +499,45 @@ class TestCertificateWords:
 
         def check(count, length=None, row=None):
             table = {**rows, length: row}
-            return span._triangular(2, 2, count, lead, lambda c: table[sum(c.values())])
+            return count, lead, lambda c: table[sum(c.values())]
 
-        assert check(3) == ([(1, 1), (2, 2), (3, 3)], True)
-        assert not check(4)[1]
-        for length, row in ((2, {1: 1, 3: 1}), (3, {1: 1}), (1, {0: 1, 1: 1})):
-            assert not check(3, length, row)[1]
+        assert span._triangular(2, 2, [check(3)]) == ([1, 2, 3], [(3, True)])
+        assert span._triangular(2, 2, [check(4)]) == ([1, 2, 3], [(3, False)])
+        for length, row, passed in ((2, {1: 1, 3: 1}, 1), (3, {1: 1}, 2), (1, {0: 1, 1: 1}, 0)):
+            assert span._triangular(2, 2, [check(3, length, row)])[1] == [(passed, False)]
+        # checks in one pass do not stop each other: the first fails at the
+        # second word, and the second still passes all three
+        checks = [check(3, 2, {1: 1, 3: 1}), check(3)]
+        assert span._triangular(2, 2, checks)[1] == [(1, False), (3, True)]
+
+    def test_one_pass_counts_each_word_once(self, monkeypatch, capsys):
+        # the rank, both bases and express_in_span's rows read one pass
+        # over the 9 certificate words of (2,4), each counted once
+        counted = []
+        counts = span._sparse_counts
+
+        def counting(w, d, l):
+            counted.append(w)
+            return counts(w, d, l)
+
+        monkeypatch.setattr(span, "_sparse_counts", counting)
+        assert cli.main(["rank", "--l", "4", "--cks", "--spanning-set"]) == 0
+        assert capsys.readouterr().out.endswith("cks_basis ok\nspanning_set ok\n")
+        assert len(counted) == 9
+        counted.clear()
+        assert express_in_span("0011", cks_family(2, 4)) == (0, 0, 1, 0, -1, 0, -1, 0, 0)
+        assert len(counted) == 9
+
+    @pytest.mark.parametrize("d,l,max_len", [(3, 2, None), (3, 0, None), (1, 4, None), (3, 4, 2)])
+    def test_the_spanning_set_is_refused_off_binary_first(self, d, l, max_len):
+        # before the length, max_len and cap checks, as rank --spanning-set
+        with pytest.raises(BadParameterError, match="the 1V spanning set is defined for binary"):
+            span_dimension(d, l, max_len, bases=("cks_basis", "spanning_set"))
+
+    @pytest.mark.parametrize("l,max_len", [(4, None), (0, None), (4, 2), (40, None)])
+    def test_an_unknown_basis_is_refused_first(self, l, max_len):
+        with pytest.raises(BadParameterError, match="unknown bases \\['tree'\\]"):
+            span_dimension(2, l, max_len, bases=("cks_basis", "tree"))
 
     def test_no_elimination_and_no_kept_rows(self, monkeypatch):
         # the rows are checked one at a time: the peak stays with the
@@ -720,7 +750,7 @@ class TestCksBasis:
         extra = FunctionalFamily(2, cks_family(2, 4).factors + (u("0"),))
         monkeypatch.setattr(span, "cks_family", lambda d, l: extra)
         assert not verify_cks_basis(2, 4, 10)
-        assert not span._cks_basis_holds(span_dimension(2, 4))
+        assert span_dimension(2, 4, bases=("cks_basis",)).bases == (("cks_basis", False),)
 
     @pytest.mark.parametrize(
         "check", [lambda: verify_cks_basis(2, 4, 2), lambda: verify_spanning_set(2, l=4)]
@@ -1219,7 +1249,7 @@ class TestCertifiedSample:
         assert report.rank_by_length[2][1] < report.rank
         assert scans == []
 
-    def test_sample_memory_stays_within_a_small_chunk(self):
+    def test_sample_stopped_at_its_certificate_peaks_small(self):
         # the sample holds one length's distinct rows and the echelon,
         # and stops at its certificate at length 4, coding no chunk: it
         # peaks near 14 KB, where sampling every length to 10 peaked
