@@ -488,7 +488,7 @@ def span_dimension(
 def _span(
     d: int, l: int, max_len: int | None, bases: Sequence[str], consume: Callable | None = None
 ) -> SpanReport:
-    """span_dimension, handing consume each certificate word's counts when max_len is None."""
+    """span_dimension; consume, given with max_len None, gets each certificate word's counts."""
     if unknown := set(bases) - {"cks_basis", "spanning_set"}:
         raise BadParameterError(f"unknown bases {sorted(unknown)}")
     if "spanning_set" in bases:
